@@ -3,12 +3,13 @@
 Library layout:
 
 - perms: permutations, containment, sums, symmetries, avoider enumeration
-- matchings: ordered matchings, the m(π) encoding, blocks/levels/weight
+- matchings: ordered matchings, the m(π) encoding, weight, the crossing-graph
+  core (components, BFS levels with sides, ⊎-blocks) and the shortenings m±
 - envelope: envelope matchings E(π), reduced envelopes R(π), tangling
 - splitters: greedy three-sum, Dilworth, the recursive matching splitter,
   the one-plus pipeline, circle-graph coloring
 - constructions: witness matchings N±, witness permutations τ(N), the
-  splitting router and splittability classifier
+  splitting router and splittability classifier (re-exports m±)
 - oracle: independent brute-force verification and Ramsey-style searches
 - cli: batch command line (`permsplit`)
 """
@@ -16,8 +17,6 @@ Library layout:
 from .constructions import (
     WitnessPair,
     classify_pattern,
-    m_minus,
-    m_plus,
     m_prime,
     n_minus,
     n_plus,
@@ -36,7 +35,7 @@ from .envelope import (
     tangle,
 )
 from .errors import InvalidColorerError, PreconditionError, VerificationError
-from .matchings import ArcRelation, Matching, blocks, is_connected, levels, m_of, matching_contains, perm_of, relation, weight
+from .matchings import ArcRelation, Matching, blocks, is_connected, levels, m_minus, m_of, m_plus, matching_contains, perm_of, relation, weight
 from .oracle import (
     MarkedPermutation,
     VerificationReport,

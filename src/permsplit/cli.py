@@ -26,7 +26,14 @@ from .envelope import decode_envelope, envelope_of, reduced_envelope
 from .errors import PreconditionError, VerificationError
 from .matchings import Matching
 from .oracle import verify_splitting
-from .perms import Permutation, contains, decreasing, enumerate_avoiders, sum_components
+from .perms import (
+    Permutation,
+    contains,
+    decreasing,
+    direct_sum_all,
+    enumerate_avoiders,
+    sum_components,
+)
 from .splitters import (
     SplittingSpec,
     circle_color,
@@ -80,16 +87,14 @@ def _subject_lines(source: str) -> Iterator[str]:
             stream.close()
 
 
-def _perm_from_line(line: str) -> Permutation:
-    if line.startswith("{"):
-        return Permutation.from_text(json.loads(line)["perm"])
-    return Permutation.from_text(line)
-
-
-def _matching_from_line(line: str) -> Matching:
-    if line.startswith("{"):
-        return Matching.from_text(json.loads(line)["arcs"])
-    return Matching.from_text(line)
+def _subject_text(line: str, key: str) -> str:
+    """A bare subject line, or the `key` field of a JSON subject line."""
+    if not line.startswith("{"):
+        return line
+    value = json.loads(line).get(key)
+    if not isinstance(value, str):
+        raise ValueError(f"JSON subject line needs a string {key!r}: {line}")
+    return value
 
 
 def _map_stream(fn: Callable, subjects: Iterable, jobs: int) -> Iterator[dict]:
@@ -134,7 +139,7 @@ def _split_one(method: str, pattern: Permutation, p: Permutation) -> dict:
             raise PreconditionError(
                 f"greedy3 needs a three-summand pattern, got {pattern.text()}"
             )
-        alpha, beta, gamma = comps[0], _dsum(comps[1:-1]), comps[-1]
+        alpha, beta, gamma = comps[0], direct_sum_all(comps[1:-1]), comps[-1]
         cert = greedy_three_sum(alpha, beta, gamma, p)
     elif method == "dilworth":
         n = len(pattern)
@@ -158,17 +163,12 @@ def _split_one(method: str, pattern: Permutation, p: Permutation) -> dict:
     return cert.to_json_dict()
 
 
-def _dsum(parts):
-    from functools import reduce
-
-    from .perms import direct_sum
-
-    return reduce(direct_sum, parts)
-
-
 def _cmd_split(args) -> int:
     pattern = Permutation.from_text(args.pattern)
-    subjects = (_perm_from_line(line) for line in _subject_lines(args.input))
+    subjects = (
+        Permutation.from_text(_subject_text(line, "perm"))
+        for line in _subject_lines(args.input)
+    )
     for result in _map_stream(partial(_split_one, args.method, pattern), subjects, args.jobs):
         _emit(result)
     return 0
@@ -197,7 +197,10 @@ def _color_one(n: int, m: Matching) -> dict:
 
 
 def _cmd_color_matching(args) -> int:
-    subjects = (_matching_from_line(line) for line in _subject_lines(args.input))
+    subjects = (
+        Matching.from_text(_subject_text(line, "arcs"))
+        for line in _subject_lines(args.input)
+    )
     for result in _map_stream(partial(_color_one, args.forbid_clique), subjects, args.jobs):
         _emit(result)
     return 0
@@ -295,6 +298,9 @@ def run(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         sys.stderr.close()
         return 0
+    except OSError as exc:  # an --input file that cannot be read
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except (PreconditionError, VerificationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE
@@ -302,3 +308,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -17,16 +17,18 @@ theorem_split routes a decomposable pattern to its splitting:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
 
-from .envelope import decode_envelope
+from .envelope import decode_envelope, reduced_envelope_map
 from .errors import PreconditionError, VerificationError
-from .matchings import (
+from .matchings import (  # m_plus/m_minus are re-exported from here
+    CrossingGraph,
     Matching,
-    blocks,
     is_connected,
+    m_minus,
     m_of,
+    m_plus,
     matching_contains,
 )
 from .perms import (
@@ -34,6 +36,7 @@ from .perms import (
     complement,
     contains,
     direct_sum,
+    direct_sum_all,
     inverse,
     is_simple,
     reverse_complement,
@@ -41,35 +44,11 @@ from .perms import (
     sum_components,
     sum_decompose,
 )
-from .splitters import (
-    ColoringCertificate,
-    SplittingSpec,
-    greedy_three_sum,
-    _levels_and_signs,
-)
+from .splitters import ColoringCertificate, SplittingSpec, greedy_three_sum
 
 UNSPLITTABLE_SMALL = frozenset(
     Permutation.from_text(t) for t in ("1", "12", "21", "132", "213", "231", "312")
 )
-
-
-def m_plus(m: Matching) -> Matching:
-    """Shorten the arc at the leftmost endpoint: replace (1, x) by (x-0.5, x)."""
-    if len(m) < 2 or len(blocks(m)) != 1:
-        raise PreconditionError("need a ⊎-indecomposable matching with ≥ 2 arcs")
-    (one, x), *rest = m.arcs
-    assert one == 1 and x > 2, "leftmost arc of an indecomposable matching is long"
-    return Matching.from_arcs(rest + [(x - 0.5, x)])
-
-
-def m_minus(m: Matching) -> Matching:
-    """Shorten the arc at the rightmost endpoint: replace (y, 2m) by (y, y+0.5)."""
-    if len(m) < 2 or len(blocks(m)) != 1:
-        raise PreconditionError("need a ⊎-indecomposable matching with ≥ 2 arcs")
-    last = 2 * len(m)
-    y = next(a for a, b in m.arcs if b == last)
-    rest = [arc for arc in m.arcs if arc != (y, last)]
-    return Matching.from_arcs(rest + [(y, y + 0.5)])
 
 
 def _mirror(m: Matching) -> Matching:
@@ -218,8 +197,8 @@ def theorem_plan(pattern: Permutation) -> TheoremPlan:
         sizes = [len(c) for c in comps]
         for k in range(1, len(comps)):
             if sum(sizes[:k]) >= 2 and sum(sizes[k:]) >= 2:
-                alpha = _dsum(comps[:k])
-                beta = _dsum(comps[k:])
+                alpha = direct_sum_all(comps[:k])
+                beta = direct_sum_all(comps[k:])
                 one = Permutation((1,))
                 triple = (alpha, one, beta)
                 return TheoremPlan(
@@ -232,7 +211,7 @@ def theorem_plan(pattern: Permutation) -> TheoremPlan:
                     triple=triple,
                 )
         if len(comps) >= 3:
-            alpha, beta, gamma = comps[0], _dsum(comps[1:-1]), comps[-1]
+            alpha, beta, gamma = comps[0], direct_sum_all(comps[1:-1]), comps[-1]
             return TheoremPlan(
                 pattern=pattern,
                 route="b",
@@ -277,10 +256,6 @@ def theorem_plan(pattern: Permutation) -> TheoremPlan:
             inner=inner,
         )
     raise PreconditionError(f"{pattern.text()} is neither sum- nor skew-decomposable")
-
-
-def _dsum(parts) -> Permutation:
-    return reduce(direct_sum, parts)
 
 
 def theorem_split(pattern: Permutation) -> SplittingSpec:
@@ -328,42 +303,17 @@ def theorem_certificate(pattern: Permutation, p: Permutation) -> ColoringCertifi
 def _oneplus_witness_certificate(plan: TheoremPlan, p: Permutation) -> ColoringCertificate:
     """Level/side coloring of R(p): classes (even/odd, left/right) avoid N± and
     therefore τ(N±); LR-minima ride along in class 0."""
-    from .envelope import reduced_envelope_map
-
     w = plan.witnesses
     reduced, positions = reduced_envelope_map(p)
+    graph = CrossingGraph(reduced.arcs)
     arc_class: dict[int, int] = {}
-    remaining = set(range(len(reduced)))
-    while remaining:
-        comp = _component_of(reduced, remaining)
-        remaining -= set(comp)
-        info = _levels_and_signs(reduced.arcs, comp)
-        for i in comp:
-            level, sign = info[i]
+    for comp in graph.components(range(len(reduced))):
+        for i, (level, sign) in graph.levels(comp).items():
             arc_class[i] = (0 if level % 2 == 0 else 1) + (0 if sign > 0 else 2)
     parts = (w.tau_plus, w.tau_plus, w.tau_minus, w.tau_minus)
     class_of_position = {pos: arc_class[j] for j, pos in enumerate(positions)}
     colors = tuple(class_of_position.get(i, 0) for i in range(1, len(p) + 1))
     return ColoringCertificate(subject=p, parts=parts, colors=colors)
-
-
-def _component_of(m: Matching, remaining: set[int]) -> list[int]:
-    from collections import deque
-
-    from .matchings import crosses
-
-    start = min(remaining)
-    comp = [start]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        i = queue.popleft()
-        for j in remaining:
-            if j not in seen and crosses(m.arcs[i], m.arcs[j]):
-                seen.add(j)
-                comp.append(j)
-                queue.append(j)
-    return sorted(comp)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError
@@ -162,22 +161,95 @@ def matching_contains(pattern: Matching, host: Matching) -> bool:
     return extend(0)
 
 
+class CrossingGraph:
+    """Crossing graph of a host's arcs, built once; arcs are named by index.
+
+    The arcs must be sorted by left endpoint (as `Matching.arcs` are), so index
+    order is left-endpoint order.  Answers components and BFS levels of any
+    index subset without rebuilding matchings.
+    """
+
+    def __init__(self, arcs: Sequence[Arc]):
+        self.nbr: list[list[int]] = [[] for _ in arcs]
+        # sweep the later left endpoints inside each arc: those that close
+        # after it cross it, the rest nest below it
+        for i, (_, b) in enumerate(arcs):
+            for j in range(i + 1, len(arcs)):
+                c, d = arcs[j]
+                if c > b:
+                    break
+                if d > b:
+                    self.nbr[i].append(j)
+                    self.nbr[j].append(i)
+
+    def components(self, subset: Iterable[int]) -> list[list[int]]:
+        """Components of the graph induced on `subset`, each sorted, in the
+        order of their first member in `subset`."""
+        subset = list(subset)
+        members = set(subset)
+        seen: set[int] = set()
+        out = []
+        for start in subset:
+            if start in seen:
+                continue
+            seen.add(start)
+            comp = [start]
+            queue = deque([start])
+            while queue:
+                for j in self.nbr[queue.popleft()]:
+                    if j in members and j not in seen:
+                        seen.add(j)
+                        comp.append(j)
+                        queue.append(j)
+            out.append(sorted(comp))
+        return out
+
+    def levels(self, component: Iterable[int]) -> dict[int, tuple[int, int]]:
+        """{arc index: (BFS level, side)} from the component's leftmost arc.
+
+        Side +1 means the crossing arc of the previous level with least left
+        endpoint starts to the left of this arc, -1 to the right; the root
+        gets +1 by convention.
+        """
+        members = set(component)
+        root = min(members)
+        level = {root: 0}
+        queue = deque([root])
+        while queue:
+            i = queue.popleft()
+            for j in self.nbr[i]:
+                if j in members and j not in level:
+                    level[j] = level[i] + 1
+                    queue.append(j)
+        out = {root: (0, 1)}
+        for i, lvl in level.items():
+            if i != root:
+                nu = min(j for j in self.nbr[i] if level.get(j) == lvl - 1)
+                out[i] = (lvl, 1 if nu < i else -1)
+        return out
+
+
+def arc_blocks(arcs: Sequence[Arc], subset: Iterable[int]) -> list[list[int]]:
+    """⊎-blocks of the sub-matching on `subset` (indices into arcs sorted by
+    left endpoint), left to right, each sorted.  A block closes when the next
+    left endpoint lies beyond every right endpoint seen so far."""
+    out: list[list[int]] = []
+    reach = 0
+    for i in sorted(subset):
+        a, b = arcs[i]
+        if not out or a > reach:
+            out.append([])
+        out[-1].append(i)
+        reach = max(reach, b)
+    return out
+
+
 def blocks(m: Matching) -> tuple[Matching, ...]:
     """The unique maximal decomposition m = M1 ⊎ M2 ⊎ ... ⊎ Mk, left to right."""
-    out = []
-    current: list[Arc] = []
-    open_count = 0
-    ends = {b for _, b in m.arcs}
-    for e in range(1, 2 * len(m) + 1):
-        if e in ends:
-            open_count -= 1
-        else:
-            open_count += 1
-            current.append(next(arc for arc in m.arcs if arc[0] == e))
-        if open_count == 0 and current:
-            out.append(Matching.from_arcs(current))
-            current = []
-    return tuple(out)
+    return tuple(
+        Matching.from_arcs(m.arcs[i] for i in block)
+        for block in arc_blocks(m.arcs, range(len(m)))
+    )
 
 
 def uplus(a: Matching, b: Matching) -> Matching:
@@ -186,28 +258,9 @@ def uplus(a: Matching, b: Matching) -> Matching:
     return Matching(a.arcs + tuple((x + shift, y + shift) for x, y in b.arcs))
 
 
-def _neighbors(arcs: Sequence[Arc]) -> list[list[int]]:
-    nbr: list[list[int]] = [[] for _ in arcs]
-    for i, j in combinations(range(len(arcs)), 2):
-        if crosses(arcs[i], arcs[j]):
-            nbr[i].append(j)
-            nbr[j].append(i)
-    return nbr
-
-
 def is_connected(m: Matching) -> bool:
     """Connectivity of the crossing (intersection) graph."""
-    if len(m) <= 1:
-        return True
-    nbr = _neighbors(m.arcs)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        for j in nbr[queue.popleft()]:
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    return len(seen) == len(m)
+    return len(CrossingGraph(m.arcs).components(range(len(m)))) <= 1
 
 
 def levels(m: Matching) -> tuple[tuple[Arc, ...], ...]:
@@ -216,20 +269,30 @@ def levels(m: Matching) -> tuple[tuple[Arc, ...], ...]:
         return ()
     if not is_connected(m):
         raise PreconditionError("levels requires a connected matching")
-    nbr = _neighbors(m.arcs)
-    dist = {0: 0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in nbr[i]:
-            if j not in dist:
-                dist[j] = dist[i] + 1
-                queue.append(j)
-    depth = max(dist.values())
-    layers: list[list[Arc]] = [[] for _ in range(depth + 1)]
-    for i, d in dist.items():
-        layers[d].append(m.arcs[i])
-    return tuple(tuple(sorted(layer)) for layer in layers)
+    info = CrossingGraph(m.arcs).levels(range(len(m)))
+    layers: list[list[Arc]] = [[] for _ in range(max(lvl for lvl, _ in info.values()) + 1)]
+    for i in sorted(info):
+        layers[info[i][0]].append(m.arcs[i])
+    return tuple(tuple(layer) for layer in layers)
+
+
+def m_plus(m: Matching) -> Matching:
+    """Shorten the arc at the leftmost endpoint: replace (1, x) by (x-0.5, x)."""
+    if len(m) < 2 or len(blocks(m)) != 1:
+        raise PreconditionError("need a ⊎-indecomposable matching with ≥ 2 arcs")
+    (one, x), *rest = m.arcs
+    assert one == 1 and x > 2, "leftmost arc of an indecomposable matching is long"
+    return Matching.from_arcs(rest + [(x - 0.5, x)])
+
+
+def m_minus(m: Matching) -> Matching:
+    """Shorten the arc at the rightmost endpoint: replace (y, 2m) by (y, y+0.5)."""
+    if len(m) < 2 or len(blocks(m)) != 1:
+        raise PreconditionError("need a ⊎-indecomposable matching with ≥ 2 arcs")
+    last = 2 * len(m)
+    y = next(a for a, b in m.arcs if b == last)
+    rest = [arc for arc in m.arcs if arc != (y, last)]
+    return Matching.from_arcs(rest + [(y, y + 0.5)])
 
 
 def weight(m: Matching) -> int:

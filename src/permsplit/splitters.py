@@ -11,20 +11,21 @@ actually allocated, never the worst-case bound.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .envelope import reduced_envelope_map
 from .errors import InvalidColorerError, PreconditionError
 from .matchings import (
     Arc,
+    CrossingGraph,
     Matching,
+    arc_blocks,
     blocks,
-    crosses,
+    m_minus,
     m_of,
+    m_plus,
     matching_contains,
     perm_of,
     uplus,
@@ -288,80 +289,6 @@ def _subset_matching(arcs: Sequence[Arc], subset: Iterable[int]) -> Matching:
     return Matching.from_arcs([arcs[i] for i in subset])
 
 
-def _subset_blocks(arcs: Sequence[Arc], subset: Sequence[int]) -> list[list[int]]:
-    """⊎-blocks of the sub-matching given by `subset` (indices into arcs)."""
-    events = sorted((e, i) for i in subset for e in arcs[i])
-    out: list[list[int]] = []
-    current: set[int] = set()
-    opened: set[int] = set()
-    for _, i in events:
-        if i in opened:
-            current.discard(i)
-            if not current:
-                out.append(sorted(opened))
-                opened = set()
-        else:
-            opened.add(i)
-            current.add(i)
-    return out
-
-
-def _subset_components(arcs: Sequence[Arc], subset: Sequence[int]) -> list[list[int]]:
-    subset = list(subset)
-    nbr = {i: [] for i in subset}
-    for i, j in combinations(subset, 2):
-        if crosses(arcs[i], arcs[j]):
-            nbr[i].append(j)
-            nbr[j].append(i)
-    seen: set[int] = set()
-    comps = []
-    for start in subset:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            for j in nbr[queue.popleft()]:
-                if j not in seen:
-                    seen.add(j)
-                    comp.append(j)
-                    queue.append(j)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _levels_and_signs(
-    arcs: Sequence[Arc], component: Sequence[int]
-) -> dict[int, tuple[int, int]]:
-    """BFS level of each arc from the leftmost one, plus the crossing side.
-
-    Sign +1 means the chosen lower-level arc ν crosses this arc from the left
-    (ν is the crossing arc of the previous level with least left endpoint);
-    the root gets sign +1 by convention.
-    """
-    root = min(component, key=lambda i: arcs[i][0])
-    level = {root: 0}
-    queue = deque([root])
-    while queue:
-        i = queue.popleft()
-        for j in component:
-            if j not in level and crosses(arcs[i], arcs[j]):
-                level[j] = level[i] + 1
-                queue.append(j)
-    out = {root: (0, 1)}
-    for i in component:
-        if i == root:
-            continue
-        nu = min(
-            (j for j in component if level[j] == level[i] - 1 and crosses(arcs[i], arcs[j])),
-            key=lambda j: arcs[j][0],
-        )
-        sign = 1 if arcs[nu][0] < arcs[i][0] else -1
-        out[i] = (level[i], sign)
-    return out
-
-
 def match_split(
     n: Matching,
     pattern: Permutation,
@@ -379,8 +306,6 @@ def match_split(
     to the recursion with the obstacle's leftmost/rightmost arc shortened.
     Copies used never exceed 4^weight(obstacle).
     """
-    from .constructions import m_plus, m_minus  # cycle: constructions uses splitters
-
     if any(sum_decompose(q) is not None for q in base.parts):
         raise PreconditionError("base part patterns must be sum-indecomposable")
     if matching_contains(m_of(pattern), n):
@@ -391,6 +316,7 @@ def match_split(
         state = MatchingSplitState(pattern_basis=pattern, obstacle=obstacle)
 
     arcs = n.arcs
+    graph = CrossingGraph(arcs)
     k = len(base.parts)
 
     def solve(subset: list[int], obs: Matching, depth: int) -> tuple[dict, int]:
@@ -412,7 +338,7 @@ def match_split(
 
         colors: dict[int, tuple[int, int]] = {}
         copies = 0
-        for comp in _subset_components(arcs, subset):
+        for comp in graph.components(subset):
             comp_colors, comp_copies = _solve_connected(comp, obs, depth)
             colors.update(comp_colors)
             copies = max(copies, comp_copies)
@@ -443,7 +369,7 @@ def match_split(
         return out, k1 + k2 + 1
 
     def _solve_connected(comp, obs, depth):
-        info = _levels_and_signs(arcs, comp)
+        info = graph.levels(comp)
         depth_max = max(level for level, _ in info.values())
         obs_plus, obs_minus = m_plus(obs), m_minus(obs)
         local: dict[int, tuple[int, int]] = {}
@@ -452,7 +378,7 @@ def match_split(
         section_colors: dict[tuple[str, int], dict[int, tuple[int, int]]] = {
             key: {} for key in section_copies
         }
-        root = min(comp, key=lambda i: arcs[i][0])
+        root = min(comp)
         root_cert = base(_subset_matching(arcs, [root]))
         section_colors[("even", 1)][root] = (0, root_cert.colors[0])
         section_copies[("even", 1)] = 1
@@ -463,7 +389,7 @@ def match_split(
                 if not members:
                     continue
                 level_copies = 0
-                for block in _subset_blocks(arcs, members):
+                for block in arc_blocks(arcs, members):
                     block_colors, block_copies = solve(block, sub_obs, depth + 1)
                     section_colors[(parity, sign)].update(block_colors)
                     level_copies = max(level_copies, block_copies)

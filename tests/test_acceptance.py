@@ -6,6 +6,8 @@ this suite and frozen; a change in any of them is a behavior change.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 from itertools import permutations as it_permutations
 
 from permsplit.constructions import (
@@ -72,6 +74,8 @@ CIRCLE_MAX_COLORS_USED = 5  # literature optimum for K3-free circle graphs is f(
 ONEPLUS_MAX_PARTS = 8
 ONEPLUS_MAX_COLORS_USED = 4
 REFINE_INSTANCE = ("3 2 1", "1 3 2,1 3 2")
+# SHA-256 of the acceptance-05 stream of [arcs text, colours] JSON lines
+CIRCLE_SWEEP_SHA256 = "0b021c2c3bf7dba5031bb3818c3759418b02f48917769e23ab02df1be8bdf199"
 
 
 def _report(criterion: int, detail: str) -> None:
@@ -169,11 +173,14 @@ def test_acceptance_05_circle_coloring_sweep():
     bound = 4**6 * 2
     checked = 0
     max_used = 0
+    stream = hashlib.sha256()
     for m in matchings_up_to(6):
         if matching_contains(obstacle, m):
             continue
         coloring = circle_color(m, 3)
         checked += 1
+        line = json.dumps([m.text(), [coloring[arc] for arc in m.arcs]])
+        stream.update(line.encode() + b"\n")
         used = len(set(coloring.values())) if coloring else 0
         max_used = max(max_used, used)
         assert used <= bound
@@ -183,6 +190,7 @@ def test_acceptance_05_circle_coloring_sweep():
                     assert coloring[x] != coloring[y]
     assert checked == CIRCLE_SWEEP_SUBJECTS
     assert max_used == CIRCLE_MAX_COLORS_USED
+    assert stream.hexdigest() == CIRCLE_SWEEP_SHA256
     _report(
         5,
         f"{checked} matchings proper, max {max_used} colors "

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import permsplit
 from permsplit.cli import parse_spec, run
 from permsplit.perms import Permutation
 from permsplit.splitters import ColoringCertificate, SplittingSpec
@@ -124,6 +130,37 @@ def test_usage_errors(capsys):
     assert run(["bogus"]) == 2
     assert run(["enumerate", "--unknown-flag", "1"]) == 2
     assert run(["split", "--method", "nope", "--pattern", "1324"]) == 2
+
+
+def test_input_errors_follow_the_exit_code_contract(capsys, monkeypatch, tmp_path):
+    missing = str(tmp_path / "missing.txt")
+    assert run(["split", "--method", "theorem", "--pattern", "1324", "--input", missing]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert run(["color-matching", "--forbid-clique", "3", "--input", missing]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    cases = (
+        (["split", "--method", "theorem", "--pattern", "1324"], '{"arcs": "1-2"}\n'),
+        (["color-matching", "--forbid-clique", "3"], '{"perm": "1"}\n'),
+    )
+    for argv, stdin_text in cases:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        assert run(argv + ["--input", "-"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_module_entry_point_runs():
+    src = str(Path(permsplit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-m", "permsplit.cli", "classify", "1324"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0
+    assert json.loads(result.stdout) == {"verdict": "splittable", "reason": "decomposable"}
 
 
 def test_seed_accepted_and_ignored(capsys):

@@ -198,6 +198,36 @@ def test_theorem_certificates_validate():
                 assert not brute_contains(part, Permutation(tuple(rank[v] for v in vals)))
 
 
+def _random_321_avoider(n: int, rng) -> Permutation:
+    """A merge of two increasing sequences on seeded positions and values."""
+    k = rng.randint(0, n)
+    first = dict(zip(sorted(rng.sample(range(n), k)), sorted(rng.sample(range(1, n + 1), k))))
+    rest = iter(sorted(set(range(1, n + 1)) - set(first.values())))
+    return Permutation(tuple(first[i] if i in first else next(rest) for i in range(n)))
+
+
+# SHA-256 of the JSON stream of route c/d/e certificates below, recorded
+# before the crossing-graph code was consolidated; a change is a behavior change
+ROUTE_CDE_CERTIFICATES_SHA256 = "a151a55c2f838a5977e2f419348a714f3c01fa36bc99cd77fc737aa8433c3364"
+
+
+def test_route_cde_certificates_are_pinned():
+    import hashlib
+    import json
+    import random
+
+    rng = random.Random(2013)
+    digest = hashlib.sha256()
+    for i in range(42):
+        pattern = P(("1432", "3214", "4123")[i % 3])
+        p = _random_321_avoider(rng.randint(16, 64), rng)
+        if pattern == P("4123"):
+            p = Permutation(p.values[::-1])
+        cert = theorem_certificate(pattern, p)
+        digest.update(json.dumps(cert.to_json_dict()).encode() + b"\n")
+    assert digest.hexdigest() == ROUTE_CDE_CERTIFICATES_SHA256
+
+
 def test_theorem_split_every_decomposable_size4_pattern():
     # module invariant: the router's spec verifies for all 22 decomposable
     # size-4 patterns at n <= 7, with the constructive certificate fast path

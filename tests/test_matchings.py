@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from conftest import brute_matching_contains
 
@@ -7,9 +9,12 @@ from permsplit.errors import PreconditionError
 from permsplit.matchings import (
     EMPTY_MATCHING,
     ArcRelation,
+    CrossingGraph,
     Matching,
     all_matchings,
+    arc_blocks,
     blocks,
+    crosses,
     is_connected,
     levels,
     m_of,
@@ -167,6 +172,55 @@ def test_levels_only_touch_adjacent_layers():
             for y in m.arcs:
                 if x < y and (x[0] < y[0] < x[1] < y[1]):
                     assert abs(layer_of[x] - layer_of[y]) <= 1
+
+
+def _union_find_components(arcs, subset):
+    parent = {i: i for i in subset}
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in combinations(subset, 2):
+        if crosses(arcs[i], arcs[j]):
+            parent[root(i)] = root(j)
+    groups = {}
+    for i in subset:
+        groups.setdefault(root(i), []).append(i)
+    return sorted(groups.values())
+
+
+def test_crossing_graph_core_matches_definitions():
+    # every matching with <= 5 arcs and every index subset of it
+    for m in matchings_up_to(5):
+        arcs = m.arcs
+        graph = CrossingGraph(arcs)
+        for size in range(len(arcs) + 1):
+            for subset in combinations(range(len(arcs)), size):
+                comps = graph.components(subset)
+                assert comps == _union_find_components(arcs, subset)
+                sub = Matching.from_arcs(arcs[i] for i in subset)
+                assert [
+                    Matching.from_arcs(arcs[i] for i in block)
+                    for block in arc_blocks(arcs, subset)
+                ] == list(blocks(sub))
+                for comp in comps:
+                    info = graph.levels(comp)
+                    root = min(comp, key=lambda i: arcs[i][0])
+                    assert set(info) == set(comp) and info[root] == (0, 1)
+                    for i in comp:
+                        if i == root:
+                            continue
+                        level = info[i][0]
+                        lower = [j for j in comp if crosses(arcs[i], arcs[j])]
+                        # BFS level: one more than the least level it crosses
+                        assert min(info[j][0] for j in lower) == level - 1
+                        nu = min(
+                            (j for j in lower if info[j][0] == level - 1),
+                            key=lambda j: arcs[j][0],
+                        )
+                        assert info[i][1] == (1 if arcs[nu][0] < arcs[i][0] else -1)
 
 
 def test_weight_examples_and_additivity():
