@@ -285,13 +285,20 @@ def theorem_certificate(pattern: Permutation, p: Permutation) -> ColoringCertifi
     plan = theorem_plan(pattern)
     if contains(pattern, p) is not None:
         raise PreconditionError(f"{p.text()} contains {pattern.text()}")
+    return _certify(plan, p)
+
+
+def _certify(plan: TheoremPlan, p: Permutation) -> ColoringCertificate:
+    """theorem_certificate for a p already known to avoid plan.pattern.  The
+    symmetry of routes d and e maps avoiders of plan.pattern onto avoiders of
+    plan.inner.pattern, so the recursion does not check containment again."""
     if plan.route in ("a", "b"):
         alpha, beta, gamma = plan.triple
         return greedy_three_sum(alpha, beta, gamma, p)
     if plan.route == "c":
         return _oneplus_witness_certificate(plan, p)
     sym = reverse_complement if plan.route == "d" else complement
-    inner_cert = theorem_certificate(plan.inner.pattern, sym(p))
+    inner_cert = _certify(plan.inner, sym(p))
     colors = inner_cert.colors[::-1] if plan.route == "d" else inner_cert.colors
     return ColoringCertificate(
         subject=p,

@@ -4,17 +4,27 @@ Everything here checks certificates and classes from first principles: merge
 membership by exhaustive backtracking over part assignments, matching
 avoidance by scanning arc subsets, witness properties by enumerating all
 two-colorings.  The only search code shared with the constructive side is
-perms.contains; in particular matching containment is re-implemented here as
-a plain subset scan so that the two routes stay independent.
+the containment pair perms.contains and perms.ends_with_occurrence; the oracle
+stays independent because it searches exhaustively instead of following the
+constructions' case analysis.  Matching containment is re-implemented here as
+a plain subset scan.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
+from .errors import PreconditionError
 from .matchings import m_of
-from .perms import Embedding, Permutation, contains, enumerate_avoiders
+from .perms import (
+    Embedding,
+    Permutation,
+    contains,
+    ends_with_occurrence,
+    enumerate_avoiders,
+)
 from .splitters import ColoringCertificate, SplittingSpec
 
 
@@ -56,31 +66,23 @@ def _as_perm(vals: Sequence[int]) -> Permutation:
     return Permutation(tuple(rank[v] for v in vals))
 
 
-def _submatching_avoids(pattern: Permutation, arcs: Sequence[tuple[int, int]]) -> bool:
-    """Exhaustive subset scan: no |pattern| arcs normalize to m(pattern)."""
+def _submatching_occurrence(
+    pattern: Permutation, arcs: Sequence[tuple[int, int]]
+) -> tuple[tuple[int, int], ...] | None:
+    """Exhaustive subset scan: the first |pattern| arcs that normalize to
+    m(pattern), or None."""
     target = m_of(pattern).arcs
-    k = len(pattern)
-    for subset in combinations(arcs, k):
+    for subset in combinations(arcs, len(pattern)):
         endpoints = sorted(e for arc in subset for e in arc)
         rank = {e: i + 1 for i, e in enumerate(endpoints)}
         if tuple(sorted((rank[a], rank[b]) for a, b in subset)) == target:
-            return False
-    return True
+            return subset
+    return None
 
 
 def merge_check(cert: ColoringCertificate) -> bool:
     """True iff every color class of the certificate avoids its part pattern."""
-    if isinstance(cert.subject, Permutation):
-        for c, part in enumerate(cert.parts):
-            vals = [v for v, color in zip(cert.subject.values, cert.colors) if color == c]
-            if contains(part, _as_perm(vals)) is not None:
-                return False
-        return True
-    for c, part in enumerate(cert.parts):
-        arcs = [arc for arc, color in zip(cert.subject.arcs, cert.colors) if color == c]
-        if not _submatching_avoids(part, arcs):
-            return False
-    return True
+    return not merge_violations(cert)
 
 
 def merge_violations(cert: ColoringCertificate) -> list[str]:
@@ -98,42 +100,11 @@ def merge_violations(cert: ColoringCertificate) -> list[str]:
         return out
     for c, part in enumerate(cert.parts):
         arcs = [arc for arc, color in zip(cert.subject.arcs, cert.colors) if color == c]
-        target = m_of(part).arcs
-        for subset in combinations(arcs, len(part)):
-            endpoints = sorted(e for arc in subset for e in arc)
-            rank = {e: i + 1 for i, e in enumerate(endpoints)}
-            if tuple(sorted((rank[a], rank[b]) for a, b in subset)) == target:
-                shown = " ".join(f"{a}-{b}" for a, b in subset)
-                out.append(f"class {c} contains m({part.text()}) on arcs {shown}")
-                break
+        found = _submatching_occurrence(part, arcs)
+        if found is not None:
+            shown = " ".join(f"{a}-{b}" for a, b in found)
+            out.append(f"class {c} contains m({part.text()}) on arcs {shown}")
     return out
-
-
-def _ends_with_occurrence(pattern: Sequence[int], seq: Sequence[int]) -> bool:
-    """Occurrence of pattern in seq whose last element is seq's last entry."""
-    m = len(pattern)
-    if m == 0 or m > len(seq):
-        return False
-    last = seq[-1]
-    chosen: list[int] = []
-
-    def extend(start: int) -> bool:
-        k = len(chosen)
-        if k == m - 1:
-            return all(
-                (pattern[j] < pattern[m - 1]) == (seq[q] < last)
-                for j, q in enumerate(chosen)
-            )
-        for pos in range(start, len(seq) - 1 - (m - 1 - k) + 1):
-            v = seq[pos]
-            if all((pattern[j] < pattern[k]) == (seq[q] < v) for j, q in enumerate(chosen)):
-                chosen.append(pos)
-                if extend(pos + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0)
 
 
 def merge_member(
@@ -161,7 +132,7 @@ def merge_member(
             ):
                 continue  # identical empty parts are interchangeable
             class_vals[c].append(v)
-            if not _ends_with_occurrence(parts[c].values, class_vals[c]):
+            if not ends_with_occurrence(parts[c].values, class_vals[c]):
                 colors[i] = c
                 if place(i + 1):
                     return True
@@ -181,9 +152,9 @@ def verify_splitting(
 ) -> VerificationReport:
     """Check that every member of Av(class_basis) up to order n_max merges
     into the spec: fast path through the supplied constructive splitter when
-    its certificate validates, exhaustive merge_member otherwise."""
-    from collections import Counter
-
+    its certificate validates, exhaustive merge_member otherwise.  A splitter
+    raising PreconditionError counts as a fallback; any other exception it
+    raises is a failure of that subject."""
     basis = frozenset(class_basis)
     spec_counts = Counter(spec.flatten())
     report = VerificationReport()
@@ -194,8 +165,13 @@ def verify_splitting(
             if splitter is not None:
                 try:
                     constructive = splitter(p)
-                except Exception:
-                    constructive = None
+                except PreconditionError:
+                    pass  # outside the splitter's domain: the oracle decides
+                except Exception as exc:
+                    report.failures.append(
+                        (p.text(), f"splitter raised {type(exc).__name__}: {exc}")
+                    )
+                    continue
             if constructive is not None:
                 subset = not (Counter(constructive.parts) - spec_counts)
                 if subset and merge_check(constructive):

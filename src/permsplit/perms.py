@@ -121,6 +121,46 @@ def avoids(pattern: Permutation, host: Permutation) -> bool:
     return contains(pattern, host) is None
 
 
+def ends_with_occurrence(pattern: Sequence[int], seq: Sequence[int]) -> bool:
+    """Does `seq` contain `pattern` in an occurrence that uses seq's last entry?
+
+    Both are plain sequences of distinct values.  Only such occurrences can be
+    new when an element joins a sequence that avoids the pattern.  Backtracks
+    like `contains`, rejecting a candidate as soon as its order relative to the
+    last entry differs from the pattern's.
+
+    >>> ends_with_occurrence((1, 3, 2), (2, 4, 1, 3))
+    True
+    >>> ends_with_occurrence((1, 3, 2), (2, 4, 3, 1))
+    False
+    """
+    m = len(pattern)
+    if m == 0:
+        return True
+    if m > len(seq):
+        return False
+    last, top = seq[-1], pattern[-1]
+    chosen: list[int] = []
+
+    def extend(start: int) -> bool:
+        k = len(chosen)
+        if k == m - 1:
+            return True
+        below = pattern[k] < top
+        for pos in range(start, len(seq) - m + k + 1):
+            v = seq[pos]
+            if (v < last) == below and all(
+                (pattern[j] < pattern[k]) == (seq[q] < v) for j, q in enumerate(chosen)
+            ):
+                chosen.append(pos)
+                if extend(pos + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return extend(0)
+
+
 def direct_sum(a: Permutation, b: Permutation) -> Permutation:
     """Concatenate with b's values shifted above a's.
 
@@ -298,18 +338,19 @@ def _avoider_level(basis: frozenset[Permutation], n: int) -> tuple[Permutation, 
         return (EMPTY,)
     out = []
     for q in _avoider_level(basis, n - 1):
-        for idx in range(n):
-            cand = Permutation(q.values[:idx] + (n,) + q.values[idx:])
-            if all(contains(b, cand) is None for b in basis):
-                out.append(cand)
+        for last in range(1, n + 1):
+            cand = tuple(v + (v >= last) for v in q.values) + (last,)
+            if not any(ends_with_occurrence(b.values, cand) for b in basis):
+                out.append(Permutation(cand))
     return tuple(sorted(out, key=lambda p: p.values))
 
 
 def enumerate_avoiders(basis: Iterable[Permutation], n: int) -> Iterator[Permutation]:
     """All members of Av(basis) of order exactly n, in lexicographic order.
 
-    Generated by inserting the value n into each avoider of order n-1 at every
-    position and filtering by containment; hereditariness makes this complete.
+    Generated by appending each last value 1..n (values at or above it shift
+    up) to every avoider of order n-1, testing only occurrences through that
+    entry; hereditariness makes this complete and free of duplicates.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

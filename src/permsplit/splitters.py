@@ -36,6 +36,7 @@ from .perms import (
     contains,
     decreasing,
     direct_sum,
+    ends_with_occurrence,
     sum_decompose,
 )
 
@@ -100,33 +101,6 @@ class ColoringCertificate:
         )
 
 
-def _contains_ending_at_last(pattern: Sequence[int], seq: Sequence[int]) -> bool:
-    """Does seq contain the pattern with an occurrence using seq's last entry?"""
-    m = len(pattern)
-    if m == 0 or m > len(seq):
-        return m == 0
-    last = seq[-1]
-    chosen: list[int] = []
-
-    def extend(start: int) -> bool:
-        k = len(chosen)
-        if k == m - 1:
-            return all(
-                (pattern[j] < pattern[m - 1]) == (seq[q] < last)
-                for j, q in enumerate(chosen)
-            )
-        for pos in range(start, len(seq) - 1 - (m - 1 - k) + 1):
-            v = seq[pos]
-            if all((pattern[j] < pattern[k]) == (seq[q] < v) for j, q in enumerate(chosen)):
-                chosen.append(pos)
-                if extend(pos + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0)
-
-
 def greedy_three_sum(
     alpha: Permutation, beta: Permutation, gamma: Permutation, p: Permutation
 ) -> ColoringCertificate:
@@ -147,7 +121,7 @@ def greedy_three_sum(
     blue_min: int | None = None
     colors: list[int] = []
     for v in p.values:
-        blue = (blue_min is not None and blue_min < v) or _contains_ending_at_last(
+        blue = (blue_min is not None and blue_min < v) or ends_with_occurrence(
             ab.values, red_vals + [v]
         )
         if blue:

@@ -228,6 +228,25 @@ def test_route_cde_certificates_are_pinned():
     assert digest.hexdigest() == ROUTE_CDE_CERTIFICATES_SHA256
 
 
+# SHA-256 of the JSON stream of route b certificates over Av_7(1324), recorded
+# before the greedy splitter moved onto perms.ends_with_occurrence
+ROUTE_B_SWEEP_SHA256 = "c112129287bedc0cda8e4968943dae4275e499b80fafab66e59982427e6f21b8"
+
+
+def test_route_b_sweep_certificates_are_pinned():
+    import hashlib
+    import json
+
+    from permsplit.perms import enumerate_avoiders
+
+    pattern = P("1324")
+    digest = hashlib.sha256()
+    for p in enumerate_avoiders({pattern}, 7):
+        cert = theorem_certificate(pattern, p)
+        digest.update(json.dumps(cert.to_json_dict()).encode() + b"\n")
+    assert digest.hexdigest() == ROUTE_B_SWEEP_SHA256
+
+
 def test_theorem_split_every_decomposable_size4_pattern():
     # module invariant: the router's spec verifies for all 22 decomposable
     # size-4 patterns at n <= 7, with the constructive certificate fast path

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from conftest import brute_contains
 
+from permsplit.errors import PreconditionError
 from permsplit.matchings import m_of
 from permsplit.oracle import (
     MarkedPermutation,
@@ -62,6 +63,8 @@ def test_merge_member_examples():
     cert = merge_member(P("2413"), SplittingSpec.of(P("132"), P("213")))
     assert cert is not None and merge_check(cert)
     assert merge_member(EMPTY, SplittingSpec.of(P("21"))) is not None
+    # Av(ε) is empty: no element joins a class whose part is the empty pattern
+    assert merge_member(P("21"), [EMPTY]) is None
 
 
 def test_merge_member_agrees_with_membership_brute_force():
@@ -88,6 +91,25 @@ def test_merge_member_agrees_with_membership_brute_force():
 def _reduce(vals):
     rank = {v: i + 1 for i, v in enumerate(sorted(vals))}
     return Permutation(tuple(rank[v] for v in vals))
+
+
+# SHA-256 of the JSON stream of merge_member certificates over Av_{<=7}(1432)
+# into theorem_split(1432), recorded before merge_member moved onto
+# perms.ends_with_occurrence
+MERGE_MEMBER_1432_SHA256 = "6d88060c402d4a50ecad4bd14c0c7819a942869873d5b5238fe27625642b8afd"
+
+
+def test_merge_member_certificates_are_pinned():
+    import hashlib
+    import json
+
+    from permsplit.constructions import theorem_split
+
+    spec = theorem_split(P("1432"))
+    digest = hashlib.sha256()
+    for p in avoiders_up_to({P("1432")}, 7):
+        digest.update(json.dumps(merge_member(p, spec).to_json_dict()).encode() + b"\n")
+    assert digest.hexdigest() == MERGE_MEMBER_1432_SHA256
 
 
 def test_merge_member_monotone_in_spec():
@@ -121,15 +143,26 @@ def test_verify_splitting_uses_splitter_fast_path():
     )
     assert report.passed and calls
     assert report.fallbacks == 0
-    # a splitter that always fails falls back to the oracle, visibly
+    # a splitter whose precondition fails falls back to the oracle, visibly
+    report = verify_splitting(
+        {P("1324")},
+        SplittingSpec.of(P("132"), P("213")),
+        4,
+        splitter=lambda p: (_ for _ in ()).throw(PreconditionError("not mine")),
+    )
+    assert report.passed
+    assert report.fallbacks == report.checked
+    # a splitter that crashes fails every subject it crashed on, and the sweep goes on
     report = verify_splitting(
         {P("1324")},
         SplittingSpec.of(P("132"), P("213")),
         4,
         splitter=lambda p: (_ for _ in ()).throw(RuntimeError("boom")),
     )
-    assert report.passed
-    assert report.fallbacks == report.checked
+    assert not report.passed
+    assert len(report.failures) == report.checked
+    assert report.failures[0] == ("ε", "splitter raised RuntimeError: boom")
+    assert report.fallbacks == 0
 
 
 def test_report_json():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
-from conftest import brute_avoiders, brute_contains, brute_least_embedding
+from conftest import brute_avoiders, brute_contains, brute_least_embedding, order_isomorphic
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +17,7 @@ from permsplit.perms import (
     contains,
     decreasing,
     direct_sum,
+    ends_with_occurrence,
     enumerate_avoiders,
     identity,
     inflate,
@@ -95,6 +98,32 @@ def test_containment_reflexive_transitive_and_rigid():
             for c in big:
                 if contains(b, c) is not None:
                     assert contains(a, c) is not None
+
+
+def _brute_ends_with_occurrence(pattern, seq) -> bool:
+    """Exhaustive scan over the subsequences that end at seq's last entry."""
+    m, n = len(pattern), len(seq)
+    if m == 0:
+        return True
+    return m <= n and any(
+        order_isomorphic(pattern, [seq[i] for i in pos] + [seq[-1]])
+        for pos in combinations(range(n - 1), m - 1)
+    )
+
+
+def test_ends_with_occurrence_matches_brute_force():
+    patterns = [p.values for m in range(5) for p in all_perms(m)]
+    for n in range(7):
+        for host in all_perms(n):
+            scaled = [10 * v + 3 for v in host.values]  # any distinct values
+            for patt in patterns:
+                want = _brute_ends_with_occurrence(patt, host.values)
+                assert ends_with_occurrence(patt, host.values) == want
+                assert ends_with_occurrence(patt, scaled) == want
+    assert ends_with_occurrence((), ())
+    assert not ends_with_occurrence((1, 2), (1,))
+    # an occurrence that misses the last entry does not count
+    assert contains(P("12"), P("231")) and not ends_with_occurrence((1, 2), (2, 3, 1))
 
 
 def test_direct_and_skew_sum_examples():
