@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .envelope import decode_envelope, reduced_envelope_map
+from .envelope import matching_to_perm, reduced_envelope_map
 from .errors import PreconditionError, VerificationError
 from .matchings import (  # m_plus/m_minus are re-exported from here
     CrossingGraph,
@@ -44,7 +44,7 @@ from .perms import (
     sum_components,
     sum_decompose,
 )
-from .splitters import ColoringCertificate, SplittingSpec, greedy_three_sum
+from .splitters import ColoringCertificate, SplittingSpec, greedy_split
 
 UNSPLITTABLE_SMALL = frozenset(
     Permutation.from_text(t) for t in ("1", "12", "21", "132", "213", "231", "312")
@@ -129,8 +129,8 @@ def tau_of(n: Matching, sigma: Permutation) -> Permutation:
 
     Plants a copy of m_prime(σ) in every right-left endpoint gap of N (any
     tangling that would reorder N's endpoints now completes a copy of m(1⊕σ)),
-    turns the result into an envelope matching by inserting short arcs, and
-    decodes.  The result is checked to avoid 1⊕σ.
+    and returns envelope.matching_to_perm of the result, which inserts the
+    short arcs and decodes.  The result is checked to avoid 1⊕σ.
     """
     _require_witness_sigma(sigma, 2)
     if matching_contains(m_of(sigma), n):
@@ -142,13 +142,7 @@ def tau_of(n: Matching, sigma: Permutation) -> Permutation:
     for e in range(1, 2 * len(n)):
         if e not in lefts and e + 1 in lefts:
             arcs.extend((e + a / width, e + b / width) for a, b in planted.arcs)
-    coords = sorted(c for arc in arcs for c in arc)
-    lefts_after = {a for a, _ in (tuple(sorted(arc)) for arc in arcs)}
-    for u, v in zip(coords, coords[1:]):
-        if u in lefts_after and v not in lefts_after:
-            arcs.append((u + (v - u) / 3, u + 2 * (v - u) / 3))
-    tau = decode_envelope(Matching.from_arcs(arcs))
-    assert tau is not None
+    tau = matching_to_perm(Matching.from_arcs(arcs))
     if contains(direct_sum(Permutation((1,)), sigma), tau) is not None:
         raise VerificationError(f"tau_of produced a witness containing 1⊕{sigma.text()}")
     return tau
@@ -293,8 +287,9 @@ def _certify(plan: TheoremPlan, p: Permutation) -> ColoringCertificate:
     symmetry of routes d and e maps avoiders of plan.pattern onto avoiders of
     plan.inner.pattern, so the recursion does not check containment again."""
     if plan.route in ("a", "b"):
-        alpha, beta, gamma = plan.triple
-        return greedy_three_sum(alpha, beta, gamma, p)
+        # the triple sums to plan.pattern (route b) or contains it (route a),
+        # so p meets greedy_three_sum's precondition unchecked
+        return greedy_split(plan.spec.flatten(), p)
     if plan.route == "c":
         return _oneplus_witness_certificate(plan, p)
     sym = reverse_complement if plan.route == "d" else complement

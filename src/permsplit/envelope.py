@@ -98,8 +98,7 @@ def decode_envelope(m: Matching) -> Permutation | None:
 
 def reduced_envelope(p: Permutation) -> Matching:
     """The long arcs of E(p), renormalized; empty for decreasing permutations."""
-    env = envelope_of(p)
-    return Matching.from_arcs([arc for arc in env.arcs.arcs if arc[1] - arc[0] > 1])
+    return reduced_envelope_map(p)[0]
 
 
 def reduced_envelope_map(p: Permutation) -> tuple[Matching, tuple[int, ...]]:

@@ -126,18 +126,21 @@ def perm_of(m: Matching) -> Permutation | None:
     return Permutation(tuple(vals))
 
 
-def matching_contains(pattern: Matching, host: Matching) -> bool:
+def matching_contains(pattern: Matching, host: Matching | Sequence[Arc]) -> bool:
     """True iff some |pattern|-subset of the host's arcs is isomorphic to pattern.
 
-    Backtracking over host arcs in left-endpoint order, pruning as soon as a
-    partial selection disagrees with the pattern on some pairwise relation.
+    The host may be any arc sequence sorted by left endpoint, such as a subset
+    of a matching's arcs: only endpoints are compared, so it need not be
+    normalized.  Backtracking over host arcs in left-endpoint order, pruning as
+    soon as a partial selection disagrees with the pattern on a pairwise relation.
     """
-    k, q = len(pattern), len(host)
+    pa = pattern.arcs
+    ha = host.arcs if isinstance(host, Matching) else host
+    k, q = len(pa), len(ha)
     if k == 0:
         return True
     if k > q:
         return False
-    pa, ha = pattern.arcs, host.arcs
 
     def rel3(x: Arc, y: Arc) -> int:
         # x precedes y in left-endpoint order: 0 series, 1 crossing, 2 y-nested-in-x

@@ -12,8 +12,8 @@ actually allocated, never the worst-case bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import Callable, Iterable, Sequence
+from functools import lru_cache, reduce
+from typing import Callable, Sequence
 
 from .envelope import reduced_envelope_map
 from .errors import InvalidColorerError, PreconditionError
@@ -104,29 +104,32 @@ class ColoringCertificate:
 def greedy_three_sum(
     alpha: Permutation, beta: Permutation, gamma: Permutation, p: Permutation
 ) -> ColoringCertificate:
-    """Two-part certificate over {Av(α⊕β), Av(β⊕γ)} for p avoiding α⊕β⊕γ.
+    """Two-part certificate over {Av(α⊕β), Av(β⊕γ)} for p avoiding α⊕β⊕γ:
+    checks that precondition, then runs greedy_split."""
+    if not (len(alpha) and len(beta) and len(gamma)):
+        raise PreconditionError("alpha, beta, gamma must be nonempty")
+    ab = direct_sum(alpha, beta)
+    if contains(direct_sum(ab, gamma), p) is not None:
+        raise PreconditionError(f"{p.text()} contains {direct_sum(ab, gamma).text()}")
+    return greedy_split((ab, direct_sum(beta, gamma)), p)
+
+
+def greedy_split(parts: Sequence[Permutation], p: Permutation) -> ColoringCertificate:
+    """Certificate over parts (α⊕β, β⊕γ) for a p already known to avoid α⊕β⊕γ.
 
     Left-to-right scan: color an element blue if coloring it red would complete
     a red occurrence of α⊕β, or if some earlier blue element is smaller;
     otherwise red.  The red class avoids α⊕β by construction, and the blue one
-    avoids β⊕γ whenever the precondition holds.
+    avoids β⊕γ whenever p avoids α⊕β⊕γ.
     """
-    if not (len(alpha) and len(beta) and len(gamma)):
-        raise PreconditionError("alpha, beta, gamma must be nonempty")
-    ab = direct_sum(alpha, beta)
-    bg = direct_sum(beta, gamma)
-    if contains(direct_sum(ab, gamma), p) is not None:
-        raise PreconditionError(f"{p.text()} contains {direct_sum(ab, gamma).text()}")
+    ab, bg = parts
     red_vals: list[int] = []
-    blue_min: int | None = None
+    blue_min = len(p) + 1
     colors: list[int] = []
     for v in p.values:
-        blue = (blue_min is not None and blue_min < v) or ends_with_occurrence(
-            ab.values, red_vals + [v]
-        )
-        if blue:
+        if blue_min < v or ends_with_occurrence(ab.values, red_vals + [v]):
             colors.append(1)
-            blue_min = v if blue_min is None else min(blue_min, v)
+            blue_min = min(blue_min, v)
         else:
             colors.append(0)
             red_vals.append(v)
@@ -259,8 +262,15 @@ class MatchingSplitState:
         self.trace.append((depth, case, weight(obstacle), copies))
 
 
-def _subset_matching(arcs: Sequence[Arc], subset: Iterable[int]) -> Matching:
-    return Matching.from_arcs([arcs[i] for i in subset])
+@lru_cache(maxsize=None)
+def _obstacle_step(obs: Matching) -> tuple[str, Matching, Matching]:
+    """How match_split recurses on an obstacle with at least two arcs:
+    ("uplus-obstacle", M₁, M₂) when obs = M₁⊎M₂ with M₁ its first ⊎-block,
+    else ("components", M⁺, M⁻).  It depends on the obstacle alone."""
+    obs_blocks = blocks(obs)
+    if len(obs_blocks) > 1:
+        return "uplus-obstacle", obs_blocks[0], reduce(uplus, obs_blocks[1:])
+    return "components", m_plus(obs), m_minus(obs)
 
 
 def match_split(
@@ -279,102 +289,91 @@ def match_split(
     component via BFS levels, sending each block of a level's left/right side
     to the recursion with the obstacle's leftmost/rightmost arc shortened.
     Copies used never exceed 4^weight(obstacle).
+
+    Each obstacle's step (M₁, M₂ or M⁺, M⁻) is derived once and cached; the
+    recursion works on lists of arc indices into n.arcs and builds a matching
+    only for the base colorer, on the straddling arcs.
     """
     if any(sum_decompose(q) is not None for q in base.parts):
         raise PreconditionError("base part patterns must be sum-indecomposable")
-    if matching_contains(m_of(pattern), n):
+    m_pattern = m_of(pattern)
+    if matching_contains(m_pattern, n):
         raise PreconditionError(f"host contains m({pattern.text()})")
-    if matching_contains(obstacle, n):
+    if obstacle != m_pattern and matching_contains(obstacle, n):
         raise PreconditionError("host contains the obstacle")
     if state is None:
         state = MatchingSplitState(pattern_basis=pattern, obstacle=obstacle)
+    return _split_avoiding(n, obstacle, base, state)
 
+
+def _split_avoiding(
+    n: Matching, obstacle: Matching, base: MatchingBase, state: MatchingSplitState
+) -> ColoringCertificate:
+    """match_split on a host already known to avoid m(pattern) and the obstacle."""
     arcs = n.arcs
     graph = CrossingGraph(arcs)
     k = len(base.parts)
+    # every component root is colored as a lone arc would be
+    root_color = base(Matching(((1, 2),))).colors[0] if arcs else None
 
     def solve(subset: list[int], obs: Matching, depth: int) -> tuple[dict, int]:
-        """Returns ({arc index: (copy, part)}, copies used)."""
+        """Returns ({arc index: (copy, part)}, copies used); subset is sorted."""
         if not subset:
             return {}, 0
-        sub = _subset_matching(arcs, subset)
+        sub = [arcs[i] for i in subset]
         assert not matching_contains(obs, sub), "recursive avoidance guarantee broke"
         if len(obs) == 1:
             raise AssertionError("nonempty host cannot avoid a single-arc obstacle")
-
-        obs_blocks = blocks(obs)
-        if len(obs_blocks) > 1:
-            m1 = obs_blocks[0]
-            m2 = reduce(uplus, obs_blocks[1:])
-            colors, copies = _solve_decomposable(subset, obs, m1, m2, depth)
-            state.record(depth, "uplus-obstacle", obs, copies)
-            return colors, copies
-
-        colors: dict[int, tuple[int, int]] = {}
-        copies = 0
-        for comp in graph.components(subset):
-            comp_colors, comp_copies = _solve_connected(comp, obs, depth)
-            colors.update(comp_colors)
-            copies = max(copies, comp_copies)
-        state.record(depth, "components", obs, copies)
+        case, first, second = _obstacle_step(obs)
+        if case == "uplus-obstacle":
+            colors, copies = _solve_decomposable(subset, first, second, depth)
+        else:
+            colors, copies = {}, 0
+            for comp in graph.components(subset):
+                comp_colors, comp_copies = _solve_connected(comp, first, second, depth)
+                colors.update(comp_colors)
+                copies = max(copies, comp_copies)
+        state.record(depth, case, obs, copies)
         return colors, copies
 
-    def _solve_decomposable(subset, obs, m1, m2, depth):
-        endpoints = sorted(e for i in subset for e in arcs[i])
-        cut = None
-        for e in endpoints:
-            prefix = [i for i in subset if arcs[i][1] <= e]
-            if matching_contains(m1, _subset_matching(arcs, prefix)):
-                cut = e
+    def _solve_decomposable(subset, m1, m2, depth):
+        # the prefix only grows at right endpoints, so the cut is one of them
+        for cut in sorted(arcs[i][1] for i in subset):
+            if matching_contains(m1, [arcs[i] for i in subset if arcs[i][1] <= cut]):
                 break
-        if cut is None:
+        else:
             return solve(subset, m1, depth + 1)
         left = [i for i in subset if arcs[i][1] < cut]
         right = [i for i in subset if arcs[i][0] > cut]
-        middle = [i for i in subset if i not in left and i not in right]
+        middle = [i for i in subset if arcs[i][0] < cut <= arcs[i][1]]
         colors1, k1 = solve(left, m1, depth + 1)
         colors2, k2 = solve(right, m2, depth + 1)
         out = dict(colors1)
         out.update({i: (c + k1, j) for i, (c, j) in colors2.items()})
-        mid_matching = _subset_matching(arcs, middle)
-        mid_cert = base(mid_matching)
-        for i, color in zip(sorted(middle, key=lambda i: arcs[i][0]), mid_cert.colors):
+        mid_cert = base(Matching.from_arcs(arcs[i] for i in middle))
+        for i, color in zip(middle, mid_cert.colors):
             out[i] = (k1 + k2, color)
         return out, k1 + k2 + 1
 
-    def _solve_connected(comp, obs, depth):
+    def _solve_connected(comp, obs_plus, obs_minus, depth):
         info = graph.levels(comp)
-        depth_max = max(level for level, _ in info.values())
-        obs_plus, obs_minus = m_plus(obs), m_minus(obs)
-        local: dict[int, tuple[int, int]] = {}
-        # copies per (parity, sign) section, shared across levels of a parity
-        section_copies = {("even", 1): 0, ("even", -1): 0, ("odd", 1): 0, ("odd", -1): 0}
-        section_colors: dict[tuple[str, int], dict[int, tuple[int, int]]] = {
-            key: {} for key in section_copies
-        }
-        root = min(comp)
-        root_cert = base(_subset_matching(arcs, [root]))
-        section_colors[("even", 1)][root] = (0, root_cert.colors[0])
-        section_copies[("even", 1)] = 1
-        for lvl in range(1, depth_max + 1):
-            parity = "even" if lvl % 2 == 0 else "odd"
+        # sections (even, +), (even, -), (odd, +), (odd, -) get disjoint copies;
+        # the levels of one parity and side share their section's copies
+        section_colors: list[dict] = [{comp[0]: (0, root_color)}, {}, {}, {}]
+        section_copies = [1, 0, 0, 0]
+        for lvl in range(1, max(level for level, _ in info.values()) + 1):
             for sign, sub_obs in ((1, obs_plus), (-1, obs_minus)):
+                section = 2 * (lvl % 2) + (sign < 0)
                 members = [i for i in comp if info[i] == (lvl, sign)]
-                if not members:
-                    continue
-                level_copies = 0
                 for block in arc_blocks(arcs, members):
                     block_colors, block_copies = solve(block, sub_obs, depth + 1)
-                    section_colors[(parity, sign)].update(block_colors)
-                    level_copies = max(level_copies, block_copies)
-                section_copies[(parity, sign)] = max(
-                    section_copies[(parity, sign)], level_copies
-                )
+                    section_colors[section].update(block_colors)
+                    section_copies[section] = max(section_copies[section], block_copies)
+        local: dict[int, tuple[int, int]] = {}
         offset = 0
-        for key in (("even", 1), ("even", -1), ("odd", 1), ("odd", -1)):
-            for i, (c, j) in section_colors[key].items():
-                local[i] = (c + offset, j)
-            offset += section_copies[key]
+        for colors, copies in zip(section_colors, section_copies):
+            local.update({i: (c + offset, j) for i, (c, j) in colors.items()})
+            offset += copies
         return local, offset
 
     color_map, copies = solve(list(range(len(arcs))), obstacle, 0)
@@ -418,8 +417,9 @@ def oneplus_split(
 def circle_color(m: Matching, n: int) -> dict[Arc, int]:
     """Properly color the crossing graph of a matching with no n pairwise
     crossing arcs, via match_split against the obstacle m(n(n-1)...1)."""
-    clique = decreasing(n)
-    if matching_contains(m_of(clique), m):
+    clique = m_of(decreasing(n))
+    if matching_contains(clique, m):
         raise PreconditionError(f"matching has {n} pairwise crossing arcs")
-    cert = match_split(m, clique, m_of(clique), dilworth_matching_base(n))
+    state = MatchingSplitState(pattern_basis=decreasing(n), obstacle=clique)
+    cert = _split_avoiding(m, clique, dilworth_matching_base(n), state)
     return {arc: color for arc, color in zip(m.arcs, cert.colors)}

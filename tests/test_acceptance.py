@@ -76,6 +76,8 @@ ONEPLUS_MAX_COLORS_USED = 4
 REFINE_INSTANCE = ("3 2 1", "1 3 2,1 3 2")
 # SHA-256 of the acceptance-05 stream of [arcs text, colours] JSON lines
 CIRCLE_SWEEP_SHA256 = "0b021c2c3bf7dba5031bb3818c3759418b02f48917769e23ab02df1be8bdf199"
+# SHA-256 of the acceptance-06 stream of oneplus_split certificate JSON lines
+ONEPLUS_STREAM_SHA256 = "2172ba55c4b00d50855cfc0bf80113bc9f5dc593981eb08f421652ba7ffdc9a5"
 
 
 def _report(criterion: int, detail: str) -> None:
@@ -206,9 +208,11 @@ def test_acceptance_06_oneplus_pipeline():
     checked = 0
     max_parts = 0
     max_used = 0
+    stream = hashlib.sha256()
     for rho in avoiders_up_to({P("1432")}, 7):
         cert = oneplus_split(P("321"), spec, base, rho)
         checked += 1
+        stream.update(json.dumps(cert.to_json_dict()).encode() + b"\n")
         if any(part != pattern_132 for part in cert.parts) or not merge_check(cert):
             failures += 1
         max_parts = max(max_parts, len(cert.parts))
@@ -217,6 +221,7 @@ def test_acceptance_06_oneplus_pipeline():
     assert max_parts <= 16**3 * 2
     assert max_parts == ONEPLUS_MAX_PARTS
     assert max_used == ONEPLUS_MAX_COLORS_USED
+    assert stream.hexdigest() == ONEPLUS_STREAM_SHA256
     _report(
         6,
         f"{checked} subjects, 0 failures, max parts {max_parts} (bound {16**3 * 2})",

@@ -228,9 +228,14 @@ def test_route_cde_certificates_are_pinned():
     assert digest.hexdigest() == ROUTE_CDE_CERTIFICATES_SHA256
 
 
-# SHA-256 of the JSON stream of route b certificates over Av_7(1324), recorded
-# before the greedy splitter moved onto perms.ends_with_occurrence
-ROUTE_B_SWEEP_SHA256 = "c112129287bedc0cda8e4968943dae4275e499b80fafab66e59982427e6f21b8"
+# SHA-256 of the JSON streams of route b certificates over Av_7(1324), recorded
+# before the greedy splitter moved onto perms.ends_with_occurrence, and of
+# route a certificates over Av_7(1243), recorded before routes a/b dropped
+# their second containment search
+ROUTE_AB_SWEEP_SHA256 = {
+    "1324": "c112129287bedc0cda8e4968943dae4275e499b80fafab66e59982427e6f21b8",
+    "1243": "684e09773111bd1a0acf480a9eb80c871c48bda7958901bb9a0507b5dfc80a74",
+}
 
 
 def test_route_b_sweep_certificates_are_pinned():
@@ -239,12 +244,13 @@ def test_route_b_sweep_certificates_are_pinned():
 
     from permsplit.perms import enumerate_avoiders
 
-    pattern = P("1324")
-    digest = hashlib.sha256()
-    for p in enumerate_avoiders({pattern}, 7):
-        cert = theorem_certificate(pattern, p)
-        digest.update(json.dumps(cert.to_json_dict()).encode() + b"\n")
-    assert digest.hexdigest() == ROUTE_B_SWEEP_SHA256
+    for text, expected in ROUTE_AB_SWEEP_SHA256.items():
+        pattern = P(text)
+        digest = hashlib.sha256()
+        for p in enumerate_avoiders({pattern}, 7):
+            cert = theorem_certificate(pattern, p)
+            digest.update(json.dumps(cert.to_json_dict()).encode() + b"\n")
+        assert digest.hexdigest() == expected, text
 
 
 def test_theorem_split_every_decomposable_size4_pattern():

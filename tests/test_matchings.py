@@ -110,6 +110,10 @@ def test_matching_contains_matches_brute_force():
     for patt in patterns:
         for host in hosts:
             assert matching_contains(patt, host) == brute_matching_contains(patt, host)
+            # an unnormalized arc subset, sorted by left endpoint, is a host too
+            sub = host.arcs[::2]
+            expected = brute_matching_contains(patt, Matching.from_arcs(sub))
+            assert matching_contains(patt, sub) == expected
 
 
 def test_matching_containment_mirrors_permutation_containment():

@@ -22,6 +22,7 @@ from permsplit.splitters import (
     dilworth_matching_base,
     dilworth_split,
     easy_split_parts,
+    greedy_split,
     greedy_three_sum,
     match_split,
     oneplus_split,
@@ -80,6 +81,7 @@ def test_greedy_examples():
     cert = greedy_three_sum(ONE, P("21"), ONE, P("2413"))
     assert cert.colors == (0, 0, 0, 1)
     assert cert.parts == (P("132"), P("213"))
+    assert greedy_split(cert.parts, P("2413")) == cert
     assert greedy_three_sum(ONE, P("21"), ONE, P("321")).colors == (0, 0, 0)
     assert greedy_three_sum(ONE, ONE, ONE, P("21")).colors == (0, 0)
     assert greedy_three_sum(ONE, P("21"), ONE, EMPTY).colors == ()
@@ -184,6 +186,55 @@ def test_match_split_sweep_validates():
         cert = match_split(m, P("321"), obstacle, base)
         assert brute_valid(cert)
         assert len(cert.parts) <= 4 ** weight(obstacle) * 2
+
+
+def _sampled_k4_free_matchings(count: int, seed: int) -> list[Matching]:
+    """Seeded uniform matchings with 7 or 8 arcs and no 4 pairwise crossing
+    arcs, by rejection."""
+    import random
+
+    rng = random.Random(seed)
+    clique = m_of(P("4321"))
+    out: list[Matching] = []
+    while len(out) < count:
+        points = list(range(1, 2 * (7 + len(out) % 2) + 1))
+        rng.shuffle(points)
+        m = Matching.from_arcs(zip(points[::2], points[1::2]))
+        if not matching_contains(clique, m):
+            out.append(m)
+    return out
+
+
+# SHA-256 of the [arcs, colours, part count, trace] JSON lines below, recorded
+# before match_split stopped rebuilding matchings per recursion node.  The
+# m(2413)-avoiders reach ⊎-decomposable obstacles, which decreasing ones never do.
+MATCH_SPLIT_SHA256 = "6e2147d8563c1f68a5ed16ef3c4ac76dd310d0ab1e0da8228e7a62507239b641"
+
+
+def test_match_split_colorings_and_traces_are_pinned():
+    import hashlib
+    import json
+
+    k4_free = _sampled_k4_free_matchings(150, 2013)
+    obstacle_2413 = m_of(P("2413"))
+    avoid_2413 = [m for m in matchings_up_to(5) if not matching_contains(obstacle_2413, m)]
+    digest = hashlib.sha256()
+    for pattern, base, hosts in (
+        (P("4321"), dilworth_matching_base(4), k4_free),
+        (P("2413"), dilworth_matching_base(6), avoid_2413),
+    ):
+        obstacle = m_of(pattern)
+        for m in hosts:
+            state = MatchingSplitState(pattern_basis=pattern, obstacle=obstacle)
+            cert = match_split(m, pattern, obstacle, base, state=state)
+            assert len(cert.parts) <= 4 ** weight(obstacle) * len(base.parts)
+            # every base part is 21, so each colour class is crossing-free
+            for x, cx in zip(m.arcs, cert.colors):
+                for y, cy in zip(m.arcs, cert.colors):
+                    assert not (x < y and crosses(x, y) and cx == cy)
+            line = json.dumps([m.text(), list(cert.colors), len(cert.parts), state.trace])
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == MATCH_SPLIT_SHA256
 
 
 def test_oneplus_examples():
