@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError
@@ -126,42 +127,62 @@ def perm_of(m: Matching) -> Permutation | None:
     return Permutation(tuple(vals))
 
 
+@lru_cache(maxsize=None)
+def _right_end_bounds(pattern: tuple[Arc, ...]) -> tuple[tuple[int, int, int, int], ...]:
+    """For each pattern arc t, the earlier arcs whose right ends are nearest
+    below and above its left end, then below and above its right end
+    (k and k+1 stand for none, k = number of arcs)."""
+    k = len(pattern)
+    out = []
+    for t, arc in enumerate(pattern):
+        row = []
+        for end in arc:
+            below = [j for j in range(t) if pattern[j][1] < end]
+            above = [j for j in range(t) if pattern[j][1] > end]
+            row.append(max(below, key=lambda j: pattern[j][1], default=k))
+            row.append(min(above, key=lambda j: pattern[j][1], default=k + 1))
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def matching_contains(pattern: Matching, host: Matching | Sequence[Arc]) -> bool:
     """True iff some |pattern|-subset of the host's arcs is isomorphic to pattern.
 
     The host may be any arc sequence sorted by left endpoint, such as a subset
     of a matching's arcs: only endpoints are compared, so it need not be
-    normalized.  Backtracking over host arcs in left-endpoint order, pruning as
-    soon as a partial selection disagrees with the pattern on a pairwise relation.
+    normalized.  Backtracking over host arcs in left-endpoint order.  An arc
+    chosen after arc x relates to x only through where x's right end falls
+    against its two ends, so a candidate is kept iff each of its ends lies
+    strictly between the chosen right ends nearest below and above the
+    pattern's (neighbour bounds, one cached table per pattern).
     """
-    pa = pattern.arcs
     ha = host.arcs if isinstance(host, Matching) else host
-    k, q = len(pa), len(ha)
-    if k == 0:
-        return True
+    k, q = len(pattern.arcs), len(ha)
     if k > q:
         return False
-
-    def rel3(x: Arc, y: Arc) -> int:
-        # x precedes y in left-endpoint order: 0 series, 1 crossing, 2 y-nested-in-x
-        return 0 if x[1] < y[0] else (1 if x[1] < y[1] else 2)
-
-    chosen: list[int] = []
-
-    def extend(start: int) -> bool:
-        t = len(chosen)
-        if t == k:
-            return True
-        for idx in range(start, q - (k - t) + 1):
-            cand = ha[idx]
-            if all(rel3(ha[c], cand) == rel3(pa[j], pa[t]) for j, c in enumerate(chosen)):
-                chosen.append(idx)
-                if extend(idx + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0)
+    bounds = _right_end_bounds(pattern.arcs)
+    # rights[j] is the right end chosen for pattern arc j; slots k, k+1 bound nothing
+    rights = [0] * k + [float("-inf"), float("inf")]
+    chosen = [0] * k
+    t = start = 0
+    while t < k:
+        llo, lhi, rlo, rhi = bounds[t]
+        a, b, c, d = rights[llo], rights[lhi], rights[rlo], rights[rhi]
+        for idx in range(start, q - k + t + 1):
+            left, right = ha[idx]
+            if a < left < b and c < right < d:
+                break
+        else:
+            if t == 0:
+                return False
+            t -= 1
+            start = chosen[t] + 1
+            continue
+        chosen[t] = idx
+        rights[t] = right
+        t += 1
+        start = idx + 1
+    return True
 
 
 class CrossingGraph:

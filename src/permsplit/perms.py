@@ -80,41 +80,84 @@ def decreasing(n: int) -> Permutation:
     return Permutation(tuple(range(n, 0, -1)))
 
 
+@lru_cache(maxsize=None)
+def _neighbour_bounds(
+    pattern: tuple[int, ...], pinned: bool
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For each pattern index k filled in turn, the placed indices whose
+    values are nearest below and above pattern[k] (m and m+1 stand for none).
+
+    Placed means 0..k-1, plus m-1 when the last entry is pinned.
+    """
+    m = len(pattern)
+    lo, hi = [], []
+    for k in range(m - pinned):
+        placed = list(range(k)) + [m - 1] * pinned
+        below = [j for j in placed if pattern[j] < pattern[k]]
+        above = [j for j in placed if pattern[j] > pattern[k]]
+        lo.append(max(below, key=pattern.__getitem__, default=m))
+        hi.append(min(above, key=pattern.__getitem__, default=m + 1))
+    return tuple(lo), tuple(hi)
+
+
+def _first_occurrence(
+    pattern: tuple[int, ...], seq: Sequence[int], pinned: bool
+) -> list[int] | None:
+    """0-based positions of the lexicographically least occurrence of
+    `pattern` in `seq`, or None; with `pinned`, the last pattern entry sits
+    on seq's last entry and only the other positions are returned.
+
+    Backtracking over positions in increasing order.  If the entries placed
+    so far are order-isomorphic to their pattern entries, a candidate for
+    pattern[k] keeps that iff it lies strictly between the placed values
+    nearest below and above pattern[k], so each candidate costs one
+    comparison against a cached neighbour-bound table.
+    """
+    m, n = len(pattern), len(seq)
+    if m > n:
+        return None
+    lo, hi = _neighbour_bounds(pattern, pinned)
+    free = len(lo)
+    # vals[j] is the value placed for pattern[j]; slots m, m+1 bound nothing
+    vals = [0] * m + [float("-inf"), float("inf")]
+    if pinned:
+        vals[m - 1] = seq[-1]
+    chosen = [0] * free
+    k = start = 0
+    while k < free:
+        a, b = vals[lo[k]], vals[hi[k]]
+        for pos in range(start, n - m + k + 1):
+            v = seq[pos]
+            if a < v < b:
+                break
+        else:
+            if k == 0:
+                return None
+            k -= 1
+            start = chosen[k] + 1
+            continue
+        chosen[k] = pos
+        vals[k] = v
+        k += 1
+        start = pos + 1
+    return chosen
+
+
 def contains(pattern: Permutation, host: Permutation) -> Embedding | None:
     """Lexicographically least embedding of `pattern` into `host`, or None.
 
-    Backtracking over host positions in increasing order, pruning any partial
-    choice that is not order-isomorphic to the corresponding pattern prefix.
+    Backtracking over host positions in increasing order; a candidate for
+    pattern entry k is kept iff its value lies strictly between the chosen
+    values of the earlier pattern entries nearest below and above pattern[k]
+    (neighbour bounds, one cached table per pattern).
 
     >>> contains(Permutation.from_text("132"), Permutation.from_text("2413"))
     Embedding(positions=(1, 2, 4))
     >>> contains(Permutation.from_text("1324"), Permutation.from_text("2413")) is None
     True
     """
-    m, n = len(pattern), len(host)
-    if m > n:
-        return None
-    if m == 0:
-        return Embedding(())
-    pv, hv = pattern.values, host.values
-    chosen: list[int] = []
-
-    def extend(start: int) -> bool:
-        k = len(chosen)
-        if k == m:
-            return True
-        for pos in range(start, n - (m - k) + 1):
-            v = hv[pos]
-            if all((pv[j] < pv[k]) == (hv[q] < v) for j, q in enumerate(chosen)):
-                chosen.append(pos)
-                if extend(pos + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if extend(0):
-        return Embedding(tuple(q + 1 for q in chosen))
-    return None
+    chosen = _first_occurrence(pattern.values, host.values, False)
+    return None if chosen is None else Embedding(tuple(q + 1 for q in chosen))
 
 
 def avoids(pattern: Permutation, host: Permutation) -> bool:
@@ -126,39 +169,15 @@ def ends_with_occurrence(pattern: Sequence[int], seq: Sequence[int]) -> bool:
 
     Both are plain sequences of distinct values.  Only such occurrences can be
     new when an element joins a sequence that avoids the pattern.  Backtracks
-    like `contains`, rejecting a candidate as soon as its order relative to the
-    last entry differs from the pattern's.
+    like `contains` with the last pattern entry pinned to seq's last entry, so
+    the neighbour bounds of every candidate already include that entry.
 
     >>> ends_with_occurrence((1, 3, 2), (2, 4, 1, 3))
     True
     >>> ends_with_occurrence((1, 3, 2), (2, 4, 3, 1))
     False
     """
-    m = len(pattern)
-    if m == 0:
-        return True
-    if m > len(seq):
-        return False
-    last, top = seq[-1], pattern[-1]
-    chosen: list[int] = []
-
-    def extend(start: int) -> bool:
-        k = len(chosen)
-        if k == m - 1:
-            return True
-        below = pattern[k] < top
-        for pos in range(start, len(seq) - m + k + 1):
-            v = seq[pos]
-            if (v < last) == below and all(
-                (pattern[j] < pattern[k]) == (seq[q] < v) for j, q in enumerate(chosen)
-            ):
-                chosen.append(pos)
-                if extend(pos + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0)
+    return not pattern or _first_occurrence(tuple(pattern), seq, True) is not None
 
 
 def direct_sum(a: Permutation, b: Permutation) -> Permutation:

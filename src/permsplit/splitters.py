@@ -127,12 +127,13 @@ def greedy_split(parts: Sequence[Permutation], p: Permutation) -> ColoringCertif
     blue_min = len(p) + 1
     colors: list[int] = []
     for v in p.values:
-        if blue_min < v or ends_with_occurrence(ab.values, red_vals + [v]):
+        red_vals.append(v)
+        if blue_min < v or ends_with_occurrence(ab.values, red_vals):
+            red_vals.pop()
             colors.append(1)
             blue_min = min(blue_min, v)
         else:
             colors.append(0)
-            red_vals.append(v)
     return ColoringCertificate(subject=p, parts=(ab, bg), colors=tuple(colors))
 
 
@@ -320,8 +321,10 @@ def _split_avoiding(
         """Returns ({arc index: (copy, part)}, copies used); subset is sorted."""
         if not subset:
             return {}, 0
-        sub = [arcs[i] for i in subset]
-        assert not matching_contains(obs, sub), "recursive avoidance guarantee broke"
+        # at the root, the entry search has just checked this very obstacle
+        if depth:
+            sub = [arcs[i] for i in subset]
+            assert not matching_contains(obs, sub), "recursive avoidance guarantee broke"
         if len(obs) == 1:
             raise AssertionError("nonempty host cannot avoid a single-arc obstacle")
         case, first, second = _obstacle_step(obs)

@@ -105,8 +105,16 @@ def test_matching_contains_examples():
 
 
 def test_matching_contains_matches_brute_force():
-    patterns = list(matchings_up_to(2))
-    hosts = list(matchings_up_to(4))
+    import random
+
+    rng = random.Random(2001)
+    patterns = list(matchings_up_to(3))
+    hosts = list(matchings_up_to(5))
+    for q in (6, 7):
+        for _ in range(40):
+            points = list(range(1, 2 * q + 1))
+            rng.shuffle(points)
+            hosts.append(Matching.from_arcs(zip(points[::2], points[1::2])))
     for patt in patterns:
         for host in hosts:
             assert matching_contains(patt, host) == brute_matching_contains(patt, host)

@@ -75,6 +75,25 @@ def test_contains_matches_brute_force_and_is_lex_least():
                         assert emb is None
                     else:
                         assert emb is not None and emb.positions == want
+    # every pattern of order 4 and a seeded sample of order 5 on larger hosts
+    for patt, host in _patterns_and_larger_hosts():
+        emb = contains(patt, host)
+        want = brute_least_embedding(patt, host)
+        assert (emb and emb.positions) == want
+
+
+def _patterns_and_larger_hosts():
+    """(pattern, host) pairs: every pattern of order 4 and 12 seeded ones of
+    order 5, each against 8 seeded random hosts of order 9-11."""
+    import random
+
+    rng = random.Random(2001)
+    patterns = list(all_perms(4)) + rng.sample(list(all_perms(5)), 12)
+    for patt in patterns:
+        for _ in range(8):
+            vals = list(range(1, rng.randint(9, 11) + 1))
+            rng.shuffle(vals)
+            yield patt, Permutation(tuple(vals))
 
 
 def test_containment_reflexive_transitive_and_rigid():
@@ -120,6 +139,11 @@ def test_ends_with_occurrence_matches_brute_force():
                 want = _brute_ends_with_occurrence(patt, host.values)
                 assert ends_with_occurrence(patt, host.values) == want
                 assert ends_with_occurrence(patt, scaled) == want
+    # larger hosts, also with scaled, non-contiguous values
+    for patt, host in _patterns_and_larger_hosts():
+        want = _brute_ends_with_occurrence(patt.values, host.values)
+        assert ends_with_occurrence(patt.values, host.values) == want
+        assert ends_with_occurrence(patt.values, [7 * v * v - 40 for v in host.values]) == want
     assert ends_with_occurrence((), ())
     assert not ends_with_occurrence((1, 2), (1,))
     # an occurrence that misses the last entry does not count
@@ -289,3 +313,68 @@ def test_avoids_against_brute():
         for host in all_perms(n):
             for patt in all_perms(3):
                 assert avoids(patt, host) == (not brute_contains(patt, host))
+
+
+def _dyck_321_avoider(n: int, rng) -> Permutation:
+    """A 321-avoider of order n from a seeded Dyck path.
+
+    The path is the rotation of a shuffled word of n up- and n+1 down-steps
+    that starts after its first lowest prefix (cycle lemma), minus the final
+    down-step.  A peak after u up-steps and d down-steps is the LR-maximum u
+    at position d+1; the other values fill the gaps in increasing order.
+    """
+    word = [1] * n + [-1] * (n + 1)
+    rng.shuffle(word)
+    height = low = start = 0
+    for i, step in enumerate(word):
+        height += step
+        if height < low:
+            low, start = height, i + 1
+    path = (word[start:] + word[:start])[:-1]
+    vals = [0] * n
+    up = down = 0
+    for i, step in enumerate(path):
+        if step == 1:
+            up += 1
+            if i + 1 < len(path) and path[i + 1] == -1:
+                vals[down] = up
+        else:
+            down += 1
+    rest = iter(sorted(set(range(1, n + 1)) - set(vals)))
+    return Permutation(tuple(v if v else next(rest) for v in vals))
+
+
+def _large_hosts() -> list[Permutation]:
+    """Twelve seeded hosts of order 16-64 like the large certificate subjects:
+    321-avoiders, their reverses, and skew sums of small 321-avoiders."""
+    import random
+
+    rng = random.Random(2001)
+    hosts = []
+    for _ in range(4):
+        p = _dyck_321_avoider(rng.randint(16, 64), rng)
+        hosts += [p, reverse(p)]
+    for _ in range(4):
+        host, total = EMPTY, rng.randint(16, 64)
+        while len(host) < total:
+            host = skew_sum(host, _dyck_321_avoider(min(total - len(host), rng.randint(2, 6)), rng))
+        hosts.append(host)
+    return hosts
+
+
+# SHA-256 of contains(pattern, host) positions for every pattern of order
+# <= 4 against the hosts above, recorded before the occurrence search moved
+# onto neighbour bounds; a change is a behaviour change
+LARGE_EMBEDDINGS_SHA256 = "f31fdc874b326b77c75dc9f4e5cac6ea135a03e958e66cb845b117270ec16e00"
+
+
+def test_contains_embeddings_at_large_n_are_pinned():
+    import hashlib
+
+    digest = hashlib.sha256()
+    for host in _large_hosts():
+        for m in range(5):
+            for patt in all_perms(m):
+                emb = contains(patt, host)
+                digest.update(repr(None if emb is None else emb.positions).encode() + b"\n")
+    assert digest.hexdigest() == LARGE_EMBEDDINGS_SHA256

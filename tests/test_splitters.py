@@ -285,6 +285,22 @@ def test_circle_color_examples():
         circle_color(m_of(P("321")), 3)
 
 
+def test_entry_points_reject_a_host_containing_the_obstacle():
+    # the entry searches are the only obstacle checks at the recursion root
+    base = dilworth_matching_base(3)
+    triangle = m_of(P("321"))
+    for m in matchings_up_to(4):
+        if not matching_contains(triangle, m):
+            continue
+        with pytest.raises(PreconditionError):
+            match_split(m, P("321"), triangle, base)
+        with pytest.raises(PreconditionError):
+            circle_color(m, 3)
+    # an obstacle other than m(pattern) is searched for on its own
+    with pytest.raises(PreconditionError, match="obstacle"):
+        match_split(M("1-3 2-4"), P("321"), m_of(P("21")), base)
+
+
 def test_circle_color_proper_small():
     obstacle = m_of(P("321"))
     for m in matchings_up_to(4):
