@@ -133,33 +133,20 @@ def _cmd_contains(args) -> int:
 
 
 def _split_one(method: str, pattern: Permutation, p: Permutation) -> dict:
-    if method == "greedy3":
-        comps = sum_components(pattern)
-        if len(comps) < 3:
-            raise PreconditionError(
-                f"greedy3 needs a three-summand pattern, got {pattern.text()}"
-            )
-        alpha, beta, gamma = comps[0], direct_sum_all(comps[1:-1]), comps[-1]
-        cert = greedy_three_sum(alpha, beta, gamma, p)
-    elif method == "dilworth":
-        n = len(pattern)
-        if pattern != decreasing(n):
-            raise PreconditionError("dilworth needs a decreasing pattern")
+    """--method theorem routes through theorem_plan; the other methods force
+    one splitter on the patterns it applies to."""
+    if method == "theorem":
+        return theorem_certificate(pattern, p).to_json_dict()
+    comps, n = sum_components(pattern), len(pattern)
+    if method == "greedy3" and len(comps) >= 3:  # the forced route-b scan
+        cert = greedy_three_sum(comps[0], direct_sum_all(comps[1:-1]), comps[-1], p)
+    elif method == "dilworth" and pattern == decreasing(n):
         cert = dilworth_split(n, p)
-    elif method == "oneplus":
-        comps = sum_components(pattern)
-        if len(comps) != 2 or len(comps[0]) != 1:
-            raise PreconditionError("oneplus needs a pattern of the form 1⊕σ")
-        sigma = comps[1]
-        if sigma != decreasing(len(sigma)):
-            raise PreconditionError(
-                "oneplus only ships a base splitting for decreasing σ"
-            )
-        n = len(sigma)
-        spec = SplittingSpec(((Permutation((2, 1)), n - 1),))
-        cert = oneplus_split(sigma, spec, dilworth_matching_base(n), p)
+    elif method == "oneplus" and n >= 3 and comps[1:] == (decreasing(n - 1),):  # 1⊕(n-1)…1
+        spec = SplittingSpec(((Permutation((2, 1)), n - 2),))
+        cert = oneplus_split(comps[1], spec, dilworth_matching_base(n - 1), p)
     else:
-        cert = theorem_certificate(pattern, p)
+        raise PreconditionError(f"--method {method} does not apply to {pattern.text()}")
     return cert.to_json_dict()
 
 

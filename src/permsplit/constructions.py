@@ -32,19 +32,18 @@ from .matchings import (  # m_plus/m_minus are re-exported from here
     matching_contains,
 )
 from .perms import (
+    SYMMETRIES,
     Permutation,
-    complement,
     contains,
     direct_sum,
     direct_sum_all,
     inverse,
     is_simple,
-    reverse_complement,
     skew_decompose,
     sum_components,
     sum_decompose,
 )
-from .splitters import ColoringCertificate, SplittingSpec, greedy_split
+from .splitters import ColoringCertificate, SplittingSpec, easy_split_parts, greedy_split
 
 UNSPLITTABLE_SMALL = frozenset(
     Permutation.from_text(t) for t in ("1", "12", "21", "132", "213", "231", "312")
@@ -188,68 +187,29 @@ def theorem_plan(pattern: Permutation) -> TheoremPlan:
         raise PreconditionError(f"Av({pattern.text()}) is unsplittable")
     comps = sum_components(pattern)
     if len(comps) >= 2:
-        sizes = [len(c) for c in comps]
         for k in range(1, len(comps)):
-            if sum(sizes[:k]) >= 2 and sum(sizes[k:]) >= 2:
-                alpha = direct_sum_all(comps[:k])
-                beta = direct_sum_all(comps[k:])
-                one = Permutation((1,))
-                triple = (alpha, one, beta)
-                return TheoremPlan(
-                    pattern=pattern,
-                    route="a",
-                    symmetry="none",
-                    spec=SplittingSpec.of(
-                        direct_sum(alpha, one), direct_sum(one, beta)
-                    ),
-                    triple=triple,
-                )
+            alpha, beta = direct_sum_all(comps[:k]), direct_sum_all(comps[k:])
+            if len(alpha) >= 2 and len(beta) >= 2:
+                spec = easy_split_parts(alpha, beta)
+                triple = (alpha, Permutation((1,)), beta)
+                return TheoremPlan(pattern, "a", "none", spec, triple=triple)
         if len(comps) >= 3:
             alpha, beta, gamma = comps[0], direct_sum_all(comps[1:-1]), comps[-1]
-            return TheoremPlan(
-                pattern=pattern,
-                route="b",
-                symmetry="none",
-                spec=SplittingSpec.of(
-                    direct_sum(alpha, beta), direct_sum(beta, gamma)
-                ),
-                triple=(alpha, beta, gamma),
-            )
+            spec = SplittingSpec.of(direct_sum(alpha, beta), direct_sum(beta, gamma))
+            return TheoremPlan(pattern, "b", "none", spec, triple=(alpha, beta, gamma))
         if len(comps[0]) == 1:
-            sigma = comps[1]
-            w = witness_pair(sigma)
-            return TheoremPlan(
-                pattern=pattern,
-                route="c",
-                symmetry="none",
-                spec=SplittingSpec(((w.tau_plus, 2), (w.tau_minus, 2))),
-                witnesses=w,
-            )
-        # pattern = σ⊕1: transport case (c) through reverse-complement
-        inner = theorem_plan(reverse_complement(pattern))
-        spec = SplittingSpec(
-            tuple((reverse_complement(q), mult) for q, mult in inner.spec.parts)
-        )
-        return TheoremPlan(
-            pattern=pattern,
-            route="d",
-            symmetry="reverse-complement",
-            spec=spec,
-            inner=inner,
-        )
-    if skew_decompose(pattern) is not None:
-        inner = theorem_plan(complement(pattern))
-        spec = SplittingSpec(
-            tuple((complement(q), mult) for q, mult in inner.spec.parts)
-        )
-        return TheoremPlan(
-            pattern=pattern,
-            route="e",
-            symmetry="complement",
-            spec=spec,
-            inner=inner,
-        )
-    raise PreconditionError(f"{pattern.text()} is neither sum- nor skew-decomposable")
+            w = witness_pair(comps[1])
+            spec = SplittingSpec(((w.tau_plus, 2), (w.tau_minus, 2)))
+            return TheoremPlan(pattern, "c", "none", spec, witnesses=w)
+    elif skew_decompose(pattern) is None:
+        raise PreconditionError(f"{pattern.text()} is neither sum- nor skew-decomposable")
+    # σ⊕1 (route d) and skew-decomposable patterns (route e): plan the image
+    # under the symmetry and map its parts back; both symmetries are involutions
+    route, symmetry = ("d", "reverse-complement") if len(comps) >= 2 else ("e", "complement")
+    sym = SYMMETRIES[symmetry]
+    inner = theorem_plan(sym(pattern))
+    spec = SplittingSpec(tuple((sym(q), mult) for q, mult in inner.spec.parts))
+    return TheoremPlan(pattern, route, symmetry, spec, inner=inner)
 
 
 def theorem_split(pattern: Permutation) -> SplittingSpec:
@@ -292,13 +252,14 @@ def _certify(plan: TheoremPlan, p: Permutation) -> ColoringCertificate:
         return greedy_split(plan.spec.flatten(), p)
     if plan.route == "c":
         return _oneplus_witness_certificate(plan, p)
-    sym = reverse_complement if plan.route == "d" else complement
+    sym = SYMMETRIES[plan.symmetry]
     inner_cert = _certify(plan.inner, sym(p))
-    colors = inner_cert.colors[::-1] if plan.route == "d" else inner_cert.colors
+    # reverse-complement also reverses positions; complement keeps them
+    reverses = plan.symmetry == "reverse-complement"
     return ColoringCertificate(
         subject=p,
         parts=tuple(sym(q) for q in inner_cert.parts),
-        colors=colors,
+        colors=inner_cert.colors[::-1] if reverses else inner_cert.colors,
     )
 
 

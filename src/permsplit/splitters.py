@@ -92,10 +92,10 @@ class ColoringCertificate:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ColoringCertificate":
-        text = d["subject"]
-        subject = Matching.from_text(text) if "-" in text else Permutation.from_text(text)
+        text = d["subject"]  # "" is the empty matching: the empty permutation is "ε"
+        parse = Matching.from_text if "-" in text or not text else Permutation.from_text
         return ColoringCertificate(
-            subject=subject,
+            subject=parse(text),
             parts=tuple(Permutation.from_text(t) for t in d["parts"]),
             colors=tuple(d["colors"]),
         )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import permsplit
 from permsplit.cli import parse_spec, run
-from permsplit.perms import Permutation
+from permsplit.perms import Permutation, enumerate_avoiders
 from permsplit.splitters import ColoringCertificate, SplittingSpec
 
 P = Permutation.from_text
@@ -76,6 +77,49 @@ def test_split_precondition_failure_exits_one(capsys, monkeypatch):
         monkeypatch=monkeypatch,
     )
     assert code == 1
+    # a pattern outside a forced method's domain: one error naming the method
+    for method, pattern in (
+        ("greedy3", "2143"),
+        ("dilworth", "123"),
+        ("oneplus", "1423"),
+        ("oneplus", "12"),
+    ):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("12\n"))
+        code = run(["split", "--method", method, "--pattern", pattern, "--input", "-"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "", (method, pattern)
+        assert err.startswith("error:") and method in err, err
+
+
+# SHA-256 of `split` stdout over the avoiders of orders 1-6 of the pattern,
+# recorded before `split` dispatched through theorem_plan; a change is a
+# behaviour change
+SPLIT_STREAM_SHA256 = {
+    ("greedy3", "1324"): "4c27d8f4649936c6056cac70aa341d41f1965420f83f002b1085063912a3e1a2",
+    ("greedy3", "1243"): "58eee144767e66df331c1b36f86616b68054cd1b8d63468371714166facae8e7",
+    ("dilworth", "321"): "eb42e2aa40e46c1f544170bf60893801a183bd5ce9f44a29cef61ecbdb1ab855",
+    ("oneplus", "1432"): "51b94f987e5ad7c346bf92134b65db3e2770d7a2d4b9c6a0f15f5bc31ddb15d7",
+    ("theorem", "1243"): "a199aa0d841e0d8c3cdec2136ae1718d8c17f308d25086e51e0784ffd35734d0",
+    ("theorem", "1324"): "4c27d8f4649936c6056cac70aa341d41f1965420f83f002b1085063912a3e1a2",
+    ("theorem", "1432"): "169f16c866b728163e19169b56383a1aae0d7b8cc4557d4f3da9f0e89ac7b904",
+    ("theorem", "3214"): "4badfc45a4232750ef5121ba5f01f96659b48fe14a455eb933162ffa28245913",
+    ("theorem", "4123"): "94e715f5148e0d2549373955b7052cad340a3f879573f000a17fe03ca88b5011",
+}
+
+
+@pytest.mark.parametrize(("method", "pattern"), list(SPLIT_STREAM_SHA256))
+def test_split_streams_are_pinned_and_parallel_safe(capsys, monkeypatch, method, pattern):
+    subjects = "".join(
+        p.text() + "\n" for n in range(1, 7) for p in enumerate_avoiders({P(pattern)}, n)
+    )
+    streams = []
+    for jobs in ("1", "2"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(subjects))
+        argv = ["--jobs", jobs, "split", "--method", method, "--pattern", pattern]
+        assert run(argv + ["--input", "-"]) == 0
+        streams.append(capsys.readouterr().out)
+    assert streams[0] == streams[1]
+    assert hashlib.sha256(streams[0].encode()).hexdigest() == SPLIT_STREAM_SHA256[method, pattern]
 
 
 def test_verify_exit_codes(capsys):

@@ -75,6 +75,13 @@ def test_certificate_json_round_trip():
     mcert = match_split(m_of(P("21")), P("321"), m_of(P("321")), dilworth_matching_base(3))
     again = ColoringCertificate.from_json_dict(mcert.to_json_dict())
     assert again == mcert
+    # the empty permutation prints as "ε", the empty matching as ""
+    for empty in (
+        greedy_three_sum(ONE, P("21"), ONE, EMPTY),
+        match_split(EMPTY_MATCHING, P("21"), m_of(P("21")), dilworth_matching_base(2)),
+    ):
+        again = ColoringCertificate.from_json_dict(empty.to_json_dict())
+        assert again == empty and type(again.subject) is type(empty.subject)
 
 
 def test_greedy_examples():
