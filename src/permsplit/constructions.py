@@ -30,11 +30,12 @@ from .matchings import (  # m_plus/m_minus are re-exported from here
     m_of,
     m_plus,
     matching_contains,
+    mirror,
 )
 from .perms import (
     SYMMETRIES,
     Permutation,
-    contains,
+    avoids,
     direct_sum,
     direct_sum_all,
     inverse,
@@ -48,11 +49,6 @@ from .splitters import ColoringCertificate, SplittingSpec, easy_split_parts, gre
 UNSPLITTABLE_SMALL = frozenset(
     Permutation.from_text(t) for t in ("1", "12", "21", "132", "213", "231", "312")
 )
-
-
-def _mirror(m: Matching) -> Matching:
-    span = 2 * len(m) + 1
-    return Matching.from_arcs([(span - b, span - a) for a, b in m.arcs])
 
 
 def _require_witness_sigma(sigma: Permutation, least: int) -> None:
@@ -90,7 +86,7 @@ def n_plus(sigma: Permutation) -> Matching:
 def n_minus(sigma: Permutation) -> Matching:
     """Mirror image of n_plus on the inverse: mirroring m(σ) gives m(σ⁻¹)."""
     _require_witness_sigma(sigma, 3)
-    result = _mirror(n_plus(inverse(sigma)))
+    result = mirror(n_plus(inverse(sigma)))
     if not is_connected(result) or matching_contains(m_of(sigma), result):
         raise VerificationError(f"n_minus({sigma.text()}) failed its guarantees")
     return result
@@ -142,7 +138,7 @@ def tau_of(n: Matching, sigma: Permutation) -> Permutation:
         if e not in lefts and e + 1 in lefts:
             arcs.extend((e + a / width, e + b / width) for a, b in planted.arcs)
     tau = matching_to_perm(Matching.from_arcs(arcs))
-    if contains(direct_sum(Permutation((1,)), sigma), tau) is not None:
+    if not avoids(direct_sum(Permutation((1,)), sigma), tau):
         raise VerificationError(f"tau_of produced a witness containing 1⊕{sigma.text()}")
     return tau
 
@@ -237,7 +233,7 @@ def theorem_split_json(pattern: Permutation) -> dict:
 def theorem_certificate(pattern: Permutation, p: Permutation) -> ColoringCertificate:
     """A certificate placing a pattern-avoider into theorem_split(pattern)."""
     plan = theorem_plan(pattern)
-    if contains(pattern, p) is not None:
+    if not avoids(pattern, p):
         raise PreconditionError(f"{p.text()} contains {pattern.text()}")
     return _certify(plan, p)
 

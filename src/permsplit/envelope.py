@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import VerificationError
 from .matchings import Arc, Matching
 from .perms import Permutation
 
@@ -131,18 +132,12 @@ def tangle(m: Matching, interval: tuple[float, float]) -> Matching:
     right_group = [e for e in slots if e not in lefts]
     new_coord = {e: slots[i] for i, e in enumerate(left_group + right_group)}
 
+    # every endpoint lies in 1..2m: clamping the bounds keeps the new arc's gap
     t = len(left_group)
-    lower = slots[t - 1] if t >= 1 else lo
-    upper = slots[t] if t < len(slots) else hi
-    if lower == -math.inf and upper == math.inf:
-        x, y = 0.0, 1.0
-    elif lower == -math.inf:
-        x, y = upper - 2, upper - 1
-    elif upper == math.inf:
-        x, y = lower + 1, lower + 2
-    else:
-        gap = upper - lower
-        x, y = lower + gap / 3, lower + 2 * gap / 3
+    lower = slots[t - 1] if t >= 1 else max(lo, 0)
+    upper = slots[t] if t < len(slots) else min(hi, 2 * len(m) + 1)
+    gap = upper - lower
+    x, y = lower + gap / 3, lower + 2 * gap / 3
 
     arcs = [(new_coord.get(a, a), new_coord.get(b, b)) for a, b in m.arcs]
     arcs.append((x, y))
@@ -176,5 +171,6 @@ def matching_to_perm(m: Matching) -> Permutation:
         if e in lefts and e + 1 not in lefts:
             arcs.append((e + 1 / 3, e + 2 / 3))
     result = decode_envelope(Matching.from_arcs(arcs))
-    assert result is not None, "short-arc insertion must produce an envelope matching"
+    if result is None:
+        raise VerificationError("short-arc insertion must produce an envelope matching")
     return result

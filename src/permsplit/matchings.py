@@ -17,7 +17,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 from .perms import Permutation
 
 Arc = tuple[int, int]
@@ -300,23 +300,30 @@ def levels(m: Matching) -> tuple[tuple[Arc, ...], ...]:
     return tuple(tuple(layer) for layer in layers)
 
 
+def mirror(m: Matching) -> Matching:
+    """Reflect the endpoint line, so the last endpoint becomes the first.
+
+    >>> mirror(Matching.from_text("1-2 3-6 4-5")).text()
+    '1-4 2-3 5-6'
+    """
+    span = 2 * len(m) + 1
+    return Matching.from_arcs([(span - b, span - a) for a, b in m.arcs])
+
+
 def m_plus(m: Matching) -> Matching:
     """Shorten the arc at the leftmost endpoint: replace (1, x) by (x-0.5, x)."""
     if len(m) < 2 or len(blocks(m)) != 1:
         raise PreconditionError("need a ⊎-indecomposable matching with ≥ 2 arcs")
     (one, x), *rest = m.arcs
-    assert one == 1 and x > 2, "leftmost arc of an indecomposable matching is long"
+    if one != 1 or x <= 2:
+        raise VerificationError("leftmost arc of an indecomposable matching is long")
     return Matching.from_arcs(rest + [(x - 0.5, x)])
 
 
 def m_minus(m: Matching) -> Matching:
-    """Shorten the arc at the rightmost endpoint: replace (y, 2m) by (y, y+0.5)."""
-    if len(m) < 2 or len(blocks(m)) != 1:
-        raise PreconditionError("need a ⊎-indecomposable matching with ≥ 2 arcs")
-    last = 2 * len(m)
-    y = next(a for a, b in m.arcs if b == last)
-    rest = [arc for arc in m.arcs if arc != (y, last)]
-    return Matching.from_arcs(rest + [(y, y + 0.5)])
+    """Shorten the arc at the rightmost endpoint: replace (y, 2m) by (y, y+0.5),
+    which is m_plus seen in the mirror."""
+    return mirror(m_plus(mirror(m)))
 
 
 def weight(m: Matching) -> int:

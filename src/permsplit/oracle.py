@@ -4,10 +4,11 @@ Everything here checks certificates and classes from first principles: merge
 membership by exhaustive backtracking over part assignments, matching
 avoidance by scanning arc subsets, witness properties by enumerating all
 two-colorings.  The only search code shared with the constructive side is
-the containment pair perms.contains and perms.ends_with_occurrence; the oracle
-stays independent because it searches exhaustively instead of following the
-constructions' case analysis.  Matching containment is re-implemented here as
-a plain subset scan.
+the occurrence search behind perms.avoids, perms.contains and
+perms.ends_with_occurrence, which all take plain value sequences, so color
+classes are searched as they stand; the oracle stays independent because it
+searches exhaustively instead of following the constructions' case analysis.
+Matching containment is re-implemented here as a plain subset scan.
 """
 from __future__ import annotations
 
@@ -16,11 +17,12 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 from .matchings import m_of
 from .perms import (
     Embedding,
     Permutation,
+    avoids,
     contains,
     ends_with_occurrence,
     enumerate_avoiders,
@@ -61,11 +63,6 @@ class VerificationReport:
         }
 
 
-def _as_perm(vals: Sequence[int]) -> Permutation:
-    rank = {v: i + 1 for i, v in enumerate(sorted(vals))}
-    return Permutation(tuple(rank[v] for v in vals))
-
-
 def _submatching_occurrence(
     pattern: Permutation, arcs: Sequence[tuple[int, int]]
 ) -> tuple[tuple[int, int], ...] | None:
@@ -93,7 +90,7 @@ def merge_violations(cert: ColoringCertificate) -> list[str]:
         for c, part in enumerate(cert.parts):
             positions = [i for i, col in enumerate(cert.colors, 1) if col == c]
             vals = [cert.subject.values[i - 1] for i in positions]
-            emb = contains(part, _as_perm(vals))
+            emb = contains(part, vals)
             if emb is not None:
                 where = [positions[j - 1] for j in emb.positions]
                 out.append(f"class {c} contains {part.text()} at positions {where}")
@@ -202,7 +199,7 @@ def _coloring_defeats(
     for mask in range(1 << n):
         red = [v for i, v in enumerate(sigma.values) if not mask >> i & 1]
         blue = [v for i, v in enumerate(sigma.values) if mask >> i & 1]
-        if contains(tau, _as_perm(red)) is None and contains(pi, _as_perm(blue)) is None:
+        if avoids(tau, red) and avoids(pi, blue):
             return tuple(mask >> i & 1 for i in range(n))
     return None
 
@@ -219,7 +216,8 @@ def unavoidable_witness(
     for n in range(size_bound + 1):
         for sigma in enumerate_avoiders(basis, n):
             if _coloring_defeats(sigma, tau, pi) is None:
-                assert _recheck_witness(sigma, tau, pi)
+                if not _recheck_witness(sigma, tau, pi):
+                    raise VerificationError(f"witness {sigma.text()} failed its re-check")
                 return sigma
     return None
 
@@ -230,7 +228,7 @@ def _recheck_witness(sigma: Permutation, tau: Permutation, pi: Permutation) -> b
         for red_pos in combinations(range(n), red_size):
             red = [sigma.values[i] for i in red_pos]
             blue = [sigma.values[i] for i in range(n) if i not in red_pos]
-            if contains(tau, _as_perm(red)) is None and contains(pi, _as_perm(blue)) is None:
+            if avoids(tau, red) and avoids(pi, blue):
                 return False
     return True
 

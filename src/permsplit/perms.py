@@ -143,25 +143,31 @@ def _first_occurrence(
     return chosen
 
 
-def contains(pattern: Permutation, host: Permutation) -> Embedding | None:
+def contains(
+    pattern: Permutation | Sequence[int], host: Permutation | Sequence[int]
+) -> Embedding | None:
     """Lexicographically least embedding of `pattern` into `host`, or None.
 
-    Backtracking over host positions in increasing order; a candidate for
-    pattern entry k is kept iff its value lies strictly between the chosen
-    values of the earlier pattern entries nearest below and above pattern[k]
-    (neighbour bounds, one cached table per pattern).
+    Both may be any sequence of distinct values, such as a color class: only
+    values are compared.  Backtracking over host positions in increasing
+    order; a candidate for pattern entry k is kept iff its value lies strictly
+    between the chosen values of the earlier pattern entries nearest below and
+    above pattern[k] (neighbour bounds, one cached table per pattern).
 
     >>> contains(Permutation.from_text("132"), Permutation.from_text("2413"))
     Embedding(positions=(1, 2, 4))
-    >>> contains(Permutation.from_text("1324"), Permutation.from_text("2413")) is None
+    >>> contains(Permutation.from_text("1324"), (20, 40, 10, 30)) is None
     True
     """
-    chosen = _first_occurrence(pattern.values, host.values, False)
+    seq = host.values if isinstance(host, Permutation) else host
+    chosen = _first_occurrence(tuple(pattern), seq, False)
     return None if chosen is None else Embedding(tuple(q + 1 for q in chosen))
 
 
-def avoids(pattern: Permutation, host: Permutation) -> bool:
-    return contains(pattern, host) is None
+def avoids(pattern: Permutation | Sequence[int], host: Permutation | Sequence[int]) -> bool:
+    """The yes/no form of `contains`: no embedding is built."""
+    seq = host.values if isinstance(host, Permutation) else host
+    return _first_occurrence(tuple(pattern), seq, False) is None
 
 
 def ends_with_occurrence(pattern: Sequence[int], seq: Sequence[int]) -> bool:
@@ -191,9 +197,9 @@ def direct_sum(a: Permutation, b: Permutation) -> Permutation:
 
 
 def skew_sum(a: Permutation, b: Permutation) -> Permutation:
-    """Concatenate with a's values shifted above b's."""
-    n = len(b)
-    return Permutation(tuple(v + n for v in a.values) + b.values)
+    """Concatenate with a's values shifted above b's: the complement of the
+    direct sum of the complements."""
+    return complement(direct_sum(complement(a), complement(b)))
 
 
 def reverse(p: Permutation) -> Permutation:
@@ -288,16 +294,10 @@ def sum_decompose(p: Permutation) -> tuple[Permutation, Permutation] | None:
 
 
 def skew_decompose(p: Permutation) -> tuple[Permutation, Permutation] | None:
-    """Split p = a ⊖ b at the least k with p[1..k] = {n-k+1..n}, if any."""
-    n = len(p)
-    mn = n + 1
-    for k in range(1, n):
-        mn = min(mn, p.values[k - 1])
-        if mn == n - k + 1:
-            head = Permutation(tuple(v - (n - k) for v in p.values[:k]))
-            tail = Permutation(p.values[k:])
-            return head, tail
-    return None
+    """Split p = a ⊖ b at the least k with p[1..k] = {n-k+1..n}, if any:
+    complementing maps ⊖ onto ⊕, so this is sum_decompose of the complement."""
+    split = sum_decompose(complement(p))
+    return None if split is None else (complement(split[0]), complement(split[1]))
 
 
 def sum_components(p: Permutation) -> tuple[Permutation, ...]:

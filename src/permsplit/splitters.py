@@ -16,7 +16,7 @@ from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
 from .envelope import reduced_envelope_map
-from .errors import InvalidColorerError, PreconditionError
+from .errors import InvalidColorerError, PreconditionError, VerificationError
 from .matchings import (
     Arc,
     CrossingGraph,
@@ -33,7 +33,7 @@ from .matchings import (
 )
 from .perms import (
     Permutation,
-    contains,
+    avoids,
     decreasing,
     direct_sum,
     ends_with_occurrence,
@@ -109,8 +109,9 @@ def greedy_three_sum(
     if not (len(alpha) and len(beta) and len(gamma)):
         raise PreconditionError("alpha, beta, gamma must be nonempty")
     ab = direct_sum(alpha, beta)
-    if contains(direct_sum(ab, gamma), p) is not None:
-        raise PreconditionError(f"{p.text()} contains {direct_sum(ab, gamma).text()}")
+    abg = direct_sum(ab, gamma)
+    if not avoids(abg, p):
+        raise PreconditionError(f"{p.text()} contains {abg.text()}")
     return greedy_split((ab, direct_sum(beta, gamma)), p)
 
 
@@ -185,7 +186,8 @@ class MatchingBase:
 
     def __call__(self, m: Matching) -> ColoringCertificate:
         cert = self.fn(m)
-        assert cert.parts == self.parts, "base colorer must keep a fixed part list"
+        if cert.parts != self.parts:
+            raise VerificationError("base colorer must keep a fixed part list")
         return cert
 
 
@@ -195,7 +197,8 @@ def dilworth_matching_base(n: int) -> MatchingBase:
 
     def color(m: Matching) -> ColoringCertificate:
         q = perm_of(m)
-        assert q is not None, "base colorer needs a permutation matching"
+        if q is None:
+            raise VerificationError("base colorer needs a permutation matching")
         elem_cert = dilworth_split(n, q)
         size = len(m)
         # arc (a, b) encodes the element at position b - size
@@ -224,7 +227,7 @@ def refine_colorer(
     if split is None:
         raise PreconditionError(f"part {pi1.text()} is not sum-decomposable")
     left, right = split
-    if contains(pi, p) is not None:
+    if not avoids(pi, p):
         raise PreconditionError(f"{p.text()} contains {pi.text()}")
 
     n = len(p)
@@ -232,15 +235,10 @@ def refine_colorer(
     if cert.parts != flat or len(cert.colors) != 2 * n:
         raise InvalidColorerError("colorer returned a certificate for the wrong spec")
 
-    def class_values(colors: Sequence[int], vals: Sequence[int]) -> Permutation:
-        picked = [v for v, c in zip(vals, colors) if c == part_index]
-        rank = {v: i + 1 for i, v in enumerate(sorted(picked))}
-        return Permutation(tuple(rank[v] for v in picked))
-
     bottom, top = cert.colors[:n], cert.colors[n:]
-    if contains(left, class_values(bottom, p.values)) is None:
+    if avoids(left, [v for v, c in zip(p.values, bottom) if c == part_index]):
         colors, replacement = bottom, left
-    elif contains(right, class_values(top, p.values)) is None:
+    elif avoids(right, [v for v, c in zip(p.values, top) if c == part_index]):
         colors, replacement = top, right
     else:
         raise InvalidColorerError(
@@ -324,9 +322,10 @@ def _split_avoiding(
         # at the root, the entry search has just checked this very obstacle
         if depth:
             sub = [arcs[i] for i in subset]
-            assert not matching_contains(obs, sub), "recursive avoidance guarantee broke"
+            if matching_contains(obs, sub):
+                raise VerificationError("recursive avoidance guarantee broke")
         if len(obs) == 1:
-            raise AssertionError("nonempty host cannot avoid a single-arc obstacle")
+            raise VerificationError("nonempty host cannot avoid a single-arc obstacle")
         case, first, second = _obstacle_step(obs)
         if case == "uplus-obstacle":
             colors, copies = _solve_decomposable(subset, first, second, depth)
@@ -380,7 +379,8 @@ def _split_avoiding(
         return local, offset
 
     color_map, copies = solve(list(range(len(arcs))), obstacle, 0)
-    assert copies <= 4 ** weight(obstacle), "palette exceeded the 4^weight bound"
+    if copies > 4 ** weight(obstacle):
+        raise VerificationError("palette exceeded the 4^weight bound")
     parts = base.parts * copies
     colors = tuple(
         color_map[i][0] * k + color_map[i][1] for i in range(len(arcs))
@@ -402,7 +402,7 @@ def oneplus_split(
         raise PreconditionError("sigma must be nonempty and sum-indecomposable")
     one = Permutation((1,))
     target = direct_sum(one, sigma)
-    if contains(target, rho) is not None:
+    if not avoids(target, rho):
         raise PreconditionError(f"{rho.text()} contains {target.text()}")
     if colorer.parts != base_spec.flatten():
         raise PreconditionError("colorer parts must match the base spec")

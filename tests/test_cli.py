@@ -210,22 +210,3 @@ def test_module_entry_point_runs():
 def test_seed_accepted_and_ignored(capsys):
     code, lines = run_lines(capsys, ["--seed", "7", "classify", "1324"])
     assert code == 0 and lines[0]["verdict"] == "splittable"
-
-
-def test_jobs_parallel_stream_preserves_order(capsys, monkeypatch):
-    subjects = "\n".join(["2413", "321", "1234", "2143"]) + "\n"
-    code, serial = run_lines(
-        capsys,
-        ["split", "--method", "theorem", "--pattern", "1324", "--input", "-"],
-        stdin_text=subjects,
-        monkeypatch=monkeypatch,
-    )
-    assert code == 0
-    code, parallel = run_lines(
-        capsys,
-        ["--jobs", "2", "split", "--method", "theorem", "--pattern", "1324", "--input", "-"],
-        stdin_text=subjects,
-        monkeypatch=monkeypatch,
-    )
-    assert code == 0
-    assert serial == parallel

@@ -20,12 +20,13 @@ from permsplit.matchings import (
     m_of,
     matching_contains,
     matchings_up_to,
+    mirror,
     perm_of,
     relation,
     uplus,
     weight,
 )
-from permsplit.perms import Permutation, all_perms, contains, sum_decompose
+from permsplit.perms import Permutation, all_perms, contains, inverse, sum_decompose
 
 P = Permutation.from_text
 M = Matching.from_text
@@ -233,6 +234,16 @@ def test_crossing_graph_core_matches_definitions():
                             key=lambda j: arcs[j][0],
                         )
                         assert info[i][1] == (1 if arcs[nu][0] < arcs[i][0] else -1)
+
+
+def test_mirror_is_an_involution_that_inverts_m_of():
+    assert mirror(M("1-2 3-6 4-5")) == M("1-4 2-3 5-6")
+    for m in matchings_up_to(4):
+        assert mirror(mirror(m)) == m
+        assert len(blocks(mirror(m))) == len(blocks(m))
+    for n in range(5):
+        for p in all_perms(n):
+            assert mirror(m_of(p)) == m_of(inverse(p))
 
 
 def test_weight_examples_and_additivity():

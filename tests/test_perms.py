@@ -241,14 +241,17 @@ def test_decompose_examples():
 
 
 def test_decompose_round_trips():
-    for n in range(1, 7):
+    # the head of a split being indecomposable the same way pins the least k
+    for n in range(1, 8):
         for p in all_perms(n):
             s = sum_decompose(p)
             if s is not None:
                 assert direct_sum(*s) == p
+                assert sum_decompose(s[0]) is None
             k = skew_decompose(p)
             if k is not None:
                 assert skew_sum(*k) == p
+                assert skew_decompose(k[0]) is None
 
 
 def test_indecomposable_both_ways_but_not_simple_is_rare():
@@ -313,6 +316,21 @@ def test_avoids_against_brute():
         for host in all_perms(n):
             for patt in all_perms(3):
                 assert avoids(patt, host) == (not brute_contains(patt, host))
+
+
+def test_value_sequences_search_like_their_ranks():
+    # a color class is searched on its raw values: same answer and embedding
+    # as on its re-ranked permutation
+    import random
+
+    rng = random.Random(3)
+    for _ in range(300):
+        vals = rng.sample(range(-20, 40), rng.randint(0, 8))
+        ranked = Permutation(tuple(sorted(vals).index(v) + 1 for v in vals))
+        for patt in (P("1"), P("21"), P("132"), P("2413")):
+            assert contains(patt, vals) == contains(patt, ranked)
+            assert contains(patt.values, tuple(vals)) == contains(patt, ranked)
+            assert avoids(patt, vals) == (contains(patt, ranked) is None)
 
 
 def _dyck_321_avoider(n: int, rng) -> Permutation:
