@@ -47,6 +47,22 @@ USAGE_ERROR = 2
 FAILURE = 1
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type for an integer option >= low; anything else is a usage
+    error (exit 2) at parse time."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def parse_spec(text: str) -> SplittingSpec:
     """Comma-separated parts with optional multiplicity: "2*132,213"."""
     items = [item.strip() for item in text.split(",")]
@@ -224,13 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="permsplit",
         description="Splittings of pattern-avoiding permutation classes.",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
+    parser.add_argument(
+        "--jobs", type=_int_at_least(1), default=1, help="parallel workers for sweeps"
+    )
     parser.add_argument("--seed", type=int, default=None, help="accepted and ignored")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list Av(basis) at one order")
     p.add_argument("--avoid", required=True, help="comma-separated basis patterns")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--count", action="store_true")
     p.set_defaults(fn=_cmd_enumerate)
 
@@ -248,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="oracle sweep of a claimed splitting")
     p.add_argument("--class", required=True, help="comma-separated class basis")
     p.add_argument("--parts", required=True, help="splitting spec, e.g. 2*132,213")
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_int_at_least(0), required=True)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("classify", help="splittability of Av(pattern)")
@@ -256,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("color-matching", help="properly color chord diagrams")
-    p.add_argument("--forbid-clique", type=int, required=True)
+    p.add_argument("--forbid-clique", type=_int_at_least(1), required=True)
     p.add_argument("--input", default="-")
     p.set_defaults(fn=_cmd_color_matching)
 

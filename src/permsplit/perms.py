@@ -83,21 +83,30 @@ def decreasing(n: int) -> Permutation:
 @lru_cache(maxsize=None)
 def _neighbour_bounds(
     pattern: tuple[int, ...], pinned: bool
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """For each pattern index k filled in turn, the placed indices whose
-    values are nearest below and above pattern[k] (m and m+1 stand for none).
+    values are nearest below and above pattern[k] (m and m+1 stand for none),
+    and how the later free entries read entry k.
 
-    Placed means 0..k-1, plus m-1 when the last entry is pinned.
+    Placed means 0..k-1, plus m-1 when the last entry is pinned.  Entry k's
+    role is 1 if it is read only as a lower bound (it is some later entry's
+    nearest placed value below, and no later entry's nearest above), 2 if
+    only as an upper bound, 3 if both ways and 0 if unread.  That role is all the
+    failed-candidate rule of `_first_occurrence` needs: a lower bound is
+    better smaller, an upper bound better larger, and an unread entry is only
+    ever worse at a later position.
     """
     m = len(pattern)
+    free = m - pinned
     lo, hi = [], []
-    for k in range(m - pinned):
+    for k in range(free):
         placed = list(range(k)) + [m - 1] * pinned
         below = [j for j in placed if pattern[j] < pattern[k]]
         above = [j for j in placed if pattern[j] > pattern[k]]
         lo.append(max(below, key=pattern.__getitem__, default=m))
         hi.append(min(above, key=pattern.__getitem__, default=m + 1))
-    return tuple(lo), tuple(hi)
+    roles = tuple((k in lo[k + 1:]) + 2 * (k in hi[k + 1:]) for k in range(free))
+    return tuple(lo), tuple(hi), roles
 
 
 def _first_occurrence(
@@ -112,21 +121,43 @@ def _first_occurrence(
     pattern[k] keeps that iff it lies strictly between the placed values
     nearest below and above pattern[k], so each candidate costs one
     comparison against a cached neighbour-bound table.
+
+    Failed-candidate rule: once entry k's subtree has failed with value f
+    under the current placement of entries 0..k-1, a later candidate for k
+    sits at a later position, so it can only finish an occurrence the failed
+    one could not if its value reads better to the later entries.  An entry
+    read only as a lower bound keeps only candidates below f, one read only as
+    an upper bound only candidates above f, one read both ways keeps all, and
+    an unread entry backtracks at once.  No occurrence is lost, so the result
+    is still the lexicographically least one.
     """
     m, n = len(pattern), len(seq)
     if m > n:
         return None
-    lo, hi = _neighbour_bounds(pattern, pinned)
+    lo, hi, roles = _neighbour_bounds(pattern, pinned)
     free = len(lo)
     # vals[j] is the value placed for pattern[j]; slots m, m+1 bound nothing
     vals = [0] * m + [float("-inf"), float("inf")]
     if pinned:
         vals[m - 1] = seq[-1]
     chosen = [0] * free
+    # retry: level k is re-entered after the subtree of its candidate vals[k]
+    # failed.  Each later candidate reads better than the last failed one, so
+    # the last failed value is also the tightest.
+    retry = False
     k = start = 0
     while k < free:
         a, b = vals[lo[k]], vals[hi[k]]
-        for pos in range(start, n - m + k + 1):
+        stop = n - m + k + 1
+        if retry:
+            role = roles[k]  # 1 lower bound, 2 upper bound, 3 both, 0 unread
+            if role == 1:
+                b = vals[k]
+            elif role == 2:
+                a = vals[k]
+            elif not role:
+                stop = start
+        for pos in range(start, stop):
             v = seq[pos]
             if a < v < b:
                 break
@@ -135,11 +166,13 @@ def _first_occurrence(
                 return None
             k -= 1
             start = chosen[k] + 1
+            retry = True
             continue
         chosen[k] = pos
         vals[k] = v
         k += 1
         start = pos + 1
+        retry = False
     return chosen
 
 
@@ -152,7 +185,11 @@ def contains(
     values are compared.  Backtracking over host positions in increasing
     order; a candidate for pattern entry k is kept iff its value lies strictly
     between the chosen values of the earlier pattern entries nearest below and
-    above pattern[k] (neighbour bounds, one cached table per pattern).
+    above pattern[k] (neighbour bounds, one cached table per pattern).  Once a
+    candidate's subtree has failed, later candidates for k that read no better
+    to the later entries are skipped (the failed-candidate rule of
+    `_first_occurrence`); they could finish no occurrence the failed one could
+    not, so the embedding is still the least.
 
     >>> contains(Permutation.from_text("132"), Permutation.from_text("2413"))
     Embedding(positions=(1, 2, 4))

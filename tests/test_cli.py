@@ -190,6 +190,18 @@ def test_input_errors_follow_the_exit_code_contract(capsys, monkeypatch, tmp_pat
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
         assert run(argv + ["--input", "-"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+    # integer options out of range are usage errors at parse time, before any
+    # input is read or worker pool started
+    for argv in (
+        ["--jobs", "0", "classify", "1324"],
+        ["--jobs", "-5", "classify", "1324"],
+        ["verify", "--class", "1432", "--parts", "132,213", "--max-n", "-2"],
+        ["enumerate", "--avoid", "132", "--n", "-1"],
+        ["color-matching", "--forbid-clique", "0", "--input", missing],
+        ["color-matching", "--forbid-clique", "-1", "--input", missing],
+    ):
+        assert run(argv) == 2, argv
+        assert "must be at least" in capsys.readouterr().err, argv
 
 
 def test_module_entry_point_runs():

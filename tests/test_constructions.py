@@ -35,6 +35,7 @@ from permsplit.perms import (
     avoiders_up_to,
     contains,
     direct_sum,
+    skew_sum,
     sum_decompose,
     symmetry,
 )
@@ -249,6 +250,45 @@ def test_route_b_sweep_certificates_are_pinned():
         digest = hashlib.sha256()
         for p in enumerate_avoiders({pattern}, 7):
             cert = theorem_certificate(pattern, p)
+            digest.update(json.dumps(cert.to_json_dict()).encode() + b"\n")
+        assert digest.hexdigest() == expected, text
+
+
+def _skew_sum_of_members(pattern: Permutation, n: int, rng) -> Permutation:
+    """A skew sum of n // 8 seeded order-8 members of Av(pattern); both route
+    a/b patterns are skew-indecomposable, so the sum stays in the class."""
+    from conftest import brute_contains
+
+    host = EMPTY
+    while len(host) < n:
+        piece = Permutation(tuple(rng.sample(range(1, 9), 8)))
+        if not brute_contains(pattern, piece):
+            host = skew_sum(host, piece)
+    return host
+
+
+# SHA-256 of the JSON streams of route a (1243) and route b (1324) certificates
+# of seeded skew sums of order-8 class members, n = 64-512, recorded before the
+# occurrence search gained its failed-candidate rule; greedy_split asks
+# ends_with_occurrence once per element, so these cover the pinned search at
+# large n
+LARGE_ROUTE_AB_SHA256 = {
+    "1243": "db2322780d1889b30d1049eb134ec578c6d2040e2957686bdced0d3fb5e56e79",
+    "1324": "d6c81eeff8d8534af19f872b74ad3f8be93723661bfa137f6c5fa2cc5bd5ab7f",
+}
+
+
+def test_large_route_ab_certificates_are_pinned():
+    import hashlib
+    import json
+    import random
+
+    for text, expected in LARGE_ROUTE_AB_SHA256.items():
+        pattern = P(text)
+        rng = random.Random(2013)
+        digest = hashlib.sha256()
+        for n in (64, 96, 128, 192, 256, 512):
+            cert = theorem_certificate(pattern, _skew_sum_of_members(pattern, n, rng))
             digest.update(json.dumps(cert.to_json_dict()).encode() + b"\n")
         assert digest.hexdigest() == expected, text
 

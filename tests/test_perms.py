@@ -150,6 +150,44 @@ def test_ends_with_occurrence_matches_brute_force():
     assert contains(P("12"), P("231")) and not ends_with_occurrence((1, 2), (2, 3, 1))
 
 
+def _planted_occurrences() -> list[tuple[Permutation, Permutation]]:
+    """Seeded (pattern, host) pairs built to make the search fail long runs of
+    candidates before it succeeds.  Each pattern has order 5-6 and contains
+    321, but its first m-2 entries avoid 321.  The host (order 10-14) is a
+    321-avoider on some of its values followed by an occurrence of the
+    pattern on the others: the avoider holds many occurrences of the
+    pattern's prefix that cannot be finished."""
+    import random
+
+    def ranks(vals):
+        return Permutation(tuple(sorted(vals).index(v) + 1 for v in vals))
+
+    rng = random.Random(2024)
+    pairs = []
+    while len(pairs) < 150:
+        m, n = rng.randint(5, 6), rng.randint(10, 14)
+        patt = Permutation(tuple(rng.sample(range(1, m + 1), m)))
+        if not brute_contains(P("321"), patt) or brute_contains(P("321"), ranks(patt.values[:-2])):
+            continue
+        planted = sorted(rng.sample(range(1, n + 1), m))
+        rest = sorted(set(range(1, n + 1)) - set(planted))
+        prefix = _dyck_321_avoider(n - m, rng)
+        host = [rest[v - 1] for v in prefix.values] + [planted[v - 1] for v in patt.values]
+        pairs.append((patt, Permutation(tuple(host))))
+    return pairs
+
+
+def test_search_after_long_failing_runs_matches_brute_force():
+    for patt, host in _planted_occurrences():
+        emb = contains(patt, host)
+        assert emb is not None and emb.positions == brute_least_embedding(patt, host)
+        for cut in (len(host), len(host) - 1, len(host) - 2):
+            seq = host.values[:cut]
+            assert ends_with_occurrence(patt.values, seq) == _brute_ends_with_occurrence(
+                patt.values, seq
+            )
+
+
 def test_direct_and_skew_sum_examples():
     assert direct_sum(P("231"), P("321")) == P("231654")
     assert direct_sum(EMPTY, P("21")) == P("21")
@@ -320,17 +358,22 @@ def test_avoids_against_brute():
 
 def test_value_sequences_search_like_their_ranks():
     # a color class is searched on its raw values: same answer and embedding
-    # as on its re-ranked permutation
+    # as on its re-ranked permutation.  The values include 0 and negatives, so
+    # a failed candidate of value 0 must still bound the later candidates.
     import random
 
     rng = random.Random(3)
     for _ in range(300):
         vals = rng.sample(range(-20, 40), rng.randint(0, 8))
         ranked = Permutation(tuple(sorted(vals).index(v) + 1 for v in vals))
-        for patt in (P("1"), P("21"), P("132"), P("2413")):
-            assert contains(patt, vals) == contains(patt, ranked)
-            assert contains(patt.values, tuple(vals)) == contains(patt, ranked)
-            assert avoids(patt, vals) == (contains(patt, ranked) is None)
+        for patt in (P("1"), P("21"), P("132"), P("2413"), P("25314"), P("31524")):
+            emb = contains(patt, ranked)
+            assert (emb and emb.positions) == brute_least_embedding(patt, ranked)
+            assert contains(patt, vals) == emb
+            assert contains(patt.values, tuple(vals)) == emb
+            assert avoids(patt, vals) == (emb is None)
+            ends = _brute_ends_with_occurrence(patt.values, ranked.values)
+            assert ends_with_occurrence(patt.values, vals) == ends
 
 
 def _dyck_321_avoider(n: int, rng) -> Permutation:
