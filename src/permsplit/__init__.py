@@ -4,7 +4,8 @@ Library layout:
 
 - perms: permutations, containment, sums, symmetries, avoider enumeration
 - matchings: ordered matchings, the m(π) encoding, weight, the crossing-graph
-  core (components, BFS levels with sides, ⊎-blocks) and the shortenings m±
+  core (one traversal gives components with BFS levels and sides; ⊎-blocks)
+  and the shortenings m±
 - envelope: envelope matchings E(π), reduced envelopes R(π), tangling
 - splitters: greedy three-sum, Dilworth, the recursive matching splitter,
   the one-plus pipeline, circle-graph coloring

@@ -45,6 +45,7 @@ from .splitters import (
 
 USAGE_ERROR = 2
 FAILURE = 1
+SUBJECT_ERRORS = (PreconditionError, VerificationError, ValueError)  # exit 1
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
@@ -113,15 +114,26 @@ def _subject_text(line: str, key: str) -> str:
     return value
 
 
-def _map_stream(fn: Callable, subjects: Iterable, jobs: int) -> Iterator[dict]:
-    """Apply fn to each subject; with --jobs > 1 the stream is partitioned
-    across processes, results buffered back into input order."""
+def _guarded(fn: Callable, line: str):
+    """fn(line), or the subject error it raised, returned as a value."""
+    try:
+        return fn(line)
+    except SUBJECT_ERRORS as exc:
+        return exc
+
+
+def _map_stream(fn: Callable, lines: Iterable[str], jobs: int) -> Iterator[dict]:
+    """Apply fn to each subject line; with --jobs > 1 the stream is partitioned
+    across processes, results buffered back into input order.  A failure comes
+    back as a value, raised after every earlier result of its chunk."""
     if jobs <= 1:
-        for s in subjects:
-            yield fn(s)
+        yield from map(fn, lines)
         return
     with Pool(processes=jobs) as pool:
-        yield from pool.imap(fn, subjects, chunksize=16)
+        for result in pool.imap(partial(_guarded, fn), lines, chunksize=16):
+            if isinstance(result, Exception):
+                raise result
+            yield result
 
 
 def _cmd_enumerate(args) -> int:
@@ -148,9 +160,10 @@ def _cmd_contains(args) -> int:
     return 0
 
 
-def _split_one(method: str, pattern: Permutation, p: Permutation) -> dict:
+def _split_one(method: str, pattern: Permutation, line: str) -> dict:
     """--method theorem routes through theorem_plan; the other methods force
     one splitter on the patterns it applies to."""
+    p = Permutation.from_text(_subject_text(line, "perm"))
     if method == "theorem":
         return theorem_certificate(pattern, p).to_json_dict()
     comps, n = sum_components(pattern), len(pattern)
@@ -167,12 +180,8 @@ def _split_one(method: str, pattern: Permutation, p: Permutation) -> dict:
 
 
 def _cmd_split(args) -> int:
-    pattern = Permutation.from_text(args.pattern)
-    subjects = (
-        Permutation.from_text(_subject_text(line, "perm"))
-        for line in _subject_lines(args.input)
-    )
-    for result in _map_stream(partial(_split_one, args.method, pattern), subjects, args.jobs):
+    split = partial(_split_one, args.method, Permutation.from_text(args.pattern))
+    for result in _map_stream(split, _subject_lines(args.input), args.jobs):
         _emit(result)
     return 0
 
@@ -190,7 +199,8 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _color_one(n: int, m: Matching) -> dict:
+def _color_one(n: int, line: str) -> dict:
+    m = Matching.from_text(_subject_text(line, "arcs"))
     coloring = circle_color(m, n)
     return {
         "arcs": m.text(),
@@ -200,11 +210,8 @@ def _color_one(n: int, m: Matching) -> dict:
 
 
 def _cmd_color_matching(args) -> int:
-    subjects = (
-        Matching.from_text(_subject_text(line, "arcs"))
-        for line in _subject_lines(args.input)
-    )
-    for result in _map_stream(partial(_color_one, args.forbid_clique), subjects, args.jobs):
+    color = partial(_color_one, args.forbid_clique)
+    for result in _map_stream(color, _subject_lines(args.input), args.jobs):
         _emit(result)
     return 0
 
@@ -306,7 +313,7 @@ def run(argv: list[str] | None = None) -> int:
     except OSError as exc:  # an --input file that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (PreconditionError, VerificationError, ValueError) as exc:
+    except SUBJECT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE
 

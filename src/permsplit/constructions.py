@@ -264,11 +264,11 @@ def _oneplus_witness_certificate(plan: TheoremPlan, p: Permutation) -> ColoringC
     therefore τ(N±); LR-minima ride along in class 0."""
     w = plan.witnesses
     reduced, positions = reduced_envelope_map(p)
-    graph = CrossingGraph(reduced.arcs)
-    arc_class: dict[int, int] = {}
-    for comp in graph.components(range(len(reduced))):
-        for i, (level, sign) in graph.levels(comp).items():
-            arc_class[i] = (0 if level % 2 == 0 else 1) + (0 if sign > 0 else 2)
+    arc_class = {
+        i: level % 2 + (2 if side < 0 else 0)
+        for comp in CrossingGraph(reduced.arcs).components(range(len(reduced)))
+        for i, (level, side) in comp.items()
+    }
     parts = (w.tau_plus, w.tau_plus, w.tau_minus, w.tau_minus)
     class_of_position = {pos: arc_class[j] for j, pos in enumerate(positions)}
     colors = tuple(class_of_position.get(i, 0) for i in range(1, len(p) + 1))

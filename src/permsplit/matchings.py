@@ -11,7 +11,6 @@ Input may be unnormalized; output is always normalized and sorted.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -189,14 +188,16 @@ class CrossingGraph:
     """Crossing graph of a host's arcs, built once; arcs are named by index.
 
     The arcs must be sorted by left endpoint (as `Matching.arcs` are), so index
-    order is left-endpoint order.  Answers components and BFS levels of any
-    index subset without rebuilding matchings.
+    order is left-endpoint order.  One BFS per component of any index subset
+    gives its members together with their BFS levels and sides, without
+    rebuilding matchings.
     """
 
     def __init__(self, arcs: Sequence[Arc]):
         self.nbr: list[list[int]] = [[] for _ in arcs]
         # sweep the later left endpoints inside each arc: those that close
-        # after it cross it, the rest nest below it
+        # after it cross it, the rest nest below it.  Each list comes out
+        # sorted, lesser neighbours first from earlier rows of the sweep.
         for i, (_, b) in enumerate(arcs):
             for j in range(i + 1, len(arcs)):
                 c, d = arcs[j]
@@ -206,50 +207,36 @@ class CrossingGraph:
                     self.nbr[i].append(j)
                     self.nbr[j].append(i)
 
-    def components(self, subset: Iterable[int]) -> list[list[int]]:
-        """Components of the graph induced on `subset`, each sorted, in the
-        order of their first member in `subset`."""
-        subset = list(subset)
-        members = set(subset)
-        seen: set[int] = set()
-        out = []
-        for start in subset:
-            if start in seen:
-                continue
-            seen.add(start)
-            comp = [start]
-            queue = deque([start])
-            while queue:
-                for j in self.nbr[queue.popleft()]:
-                    if j in members and j not in seen:
-                        seen.add(j)
-                        comp.append(j)
-                        queue.append(j)
-            out.append(sorted(comp))
-        return out
+    def components(self, subset: Iterable[int]) -> list[dict[int, tuple[int, int]]]:
+        """Components of the graph induced on `subset`, by least arc, each as
+        {arc index: (BFS level, side)} in BFS order from its least arc.
 
-    def levels(self, component: Iterable[int]) -> dict[int, tuple[int, int]]:
-        """{arc index: (BFS level, side)} from the component's leftmost arc.
-
-        Side +1 means the crossing arc of the previous level with least left
-        endpoint starts to the left of this arc, -1 to the right; the root
-        gets +1 by convention.
+        Side +1 means the least arc of the previous level crossing this one
+        lies to its left, -1 to its right; the root gets +1.  A side is set
+        when its arc leaves the queue, from the first arc of the previous
+        level in its sorted neighbour list.
         """
-        members = set(component)
-        root = min(members)
-        level = {root: 0}
-        queue = deque([root])
-        while queue:
-            i = queue.popleft()
-            for j in self.nbr[i]:
-                if j in members and j not in level:
-                    level[j] = level[i] + 1
-                    queue.append(j)
-        out = {root: (0, 1)}
-        for i, lvl in level.items():
-            if i != root:
-                nu = min(j for j in self.nbr[i] if level.get(j) == lvl - 1)
-                out[i] = (lvl, 1 if nu < i else -1)
+        members = set(subset)
+        out: list[dict[int, tuple[int, int]]] = []
+        seen: set[int] = set()
+        for root in sorted(members):
+            if root in seen:
+                continue
+            comp = {root: (0, 1)}
+            queue = [root]
+            for i in queue:  # the queue grows as the BFS discovers arcs
+                level, side = comp[i]
+                for j in self.nbr[i]:
+                    if j not in members:
+                        continue
+                    if j not in comp:
+                        comp[j] = (level + 1, 0)
+                        queue.append(j)
+                    elif not side and comp[j][0] == level - 1:
+                        side = 1 if j < i else -1
+                comp[i] = (level, side)
+            seen.update(comp)
+            out.append(comp)
         return out
 
 
@@ -291,13 +278,13 @@ def levels(m: Matching) -> tuple[tuple[Arc, ...], ...]:
     """BFS layers of the crossing graph from the arc at the leftmost endpoint."""
     if len(m) == 0:
         return ()
-    if not is_connected(m):
+    comps = CrossingGraph(m.arcs).components(range(len(m)))
+    if len(comps) > 1:
         raise PreconditionError("levels requires a connected matching")
-    info = CrossingGraph(m.arcs).levels(range(len(m)))
-    layers: list[list[Arc]] = [[] for _ in range(max(lvl for lvl, _ in info.values()) + 1)]
-    for i in sorted(info):
-        layers[info[i][0]].append(m.arcs[i])
-    return tuple(tuple(layer) for layer in layers)
+    layers: dict[int, list[Arc]] = {}
+    for i, (level, _) in sorted(comps[0].items()):
+        layers.setdefault(level, []).append(m.arcs[i])
+    return tuple(tuple(layers[level]) for level in range(len(layers)))
 
 
 def mirror(m: Matching) -> Matching:

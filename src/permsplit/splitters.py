@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import groupby
 from typing import Callable, Sequence
 
 from .envelope import reduced_envelope_map
@@ -358,19 +359,17 @@ def _split_avoiding(
         return out, k1 + k2 + 1
 
     def _solve_connected(comp, obs_plus, obs_minus, depth):
-        info = graph.levels(comp)
-        # sections (even, +), (even, -), (odd, +), (odd, -) get disjoint copies;
-        # the levels of one parity and side share their section's copies
-        section_colors: list[dict] = [{comp[0]: (0, root_color)}, {}, {}, {}]
+        # sections (even, +), (even, -), (odd, +), (odd, -) get disjoint copies,
+        # shared by their levels; groups go level ascending, + before -
+        ordered = sorted(comp, key=lambda i: (comp[i][0], -comp[i][1], i))
+        section_colors: list[dict] = [{ordered[0]: (0, root_color)}, {}, {}, {}]
         section_copies = [1, 0, 0, 0]
-        for lvl in range(1, max(level for level, _ in info.values()) + 1):
-            for sign, sub_obs in ((1, obs_plus), (-1, obs_minus)):
-                section = 2 * (lvl % 2) + (sign < 0)
-                members = [i for i in comp if info[i] == (lvl, sign)]
-                for block in arc_blocks(arcs, members):
-                    block_colors, block_copies = solve(block, sub_obs, depth + 1)
-                    section_colors[section].update(block_colors)
-                    section_copies[section] = max(section_copies[section], block_copies)
+        for (level, side), members in groupby(ordered[1:], key=comp.get):
+            section, sub_obs = 2 * (level % 2) + (side < 0), obs_plus if side > 0 else obs_minus
+            for block in arc_blocks(arcs, members):
+                block_colors, block_copies = solve(block, sub_obs, depth + 1)
+                section_colors[section].update(block_colors)
+                section_copies[section] = max(section_copies[section], block_copies)
         local: dict[int, tuple[int, int]] = {}
         offset = 0
         for colors, copies in zip(section_colors, section_copies):

@@ -122,6 +122,23 @@ def test_split_streams_are_pinned_and_parallel_safe(capsys, monkeypatch, method,
     assert hashlib.sha256(streams[0].encode()).hexdigest() == SPLIT_STREAM_SHA256[method, pattern]
 
 
+@pytest.mark.parametrize("failing", ["1324", "1x3"])
+def test_split_streams_fail_in_place_under_jobs(capsys, monkeypatch, failing):
+    # a subject that violates the precondition, or a malformed line, second in
+    # the stream and past the first chunk a worker receives: every subject
+    # before it is still printed, whatever the number of workers
+    for subjects in (["123", failing, "12"], ["123"] * 20 + [failing, "12"]):
+        results = []
+        for jobs in ("1", "2"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(subjects) + "\n"))
+            argv = ["--jobs", jobs, "split", "--method", "theorem", "--pattern", "1324"]
+            code = run(argv + ["--input", "-"])
+            results.append((code, *capsys.readouterr()))
+        assert results[0] == results[1], subjects
+        code, out, err = results[0]
+        assert code == 1 and out.count("\n") == len(subjects) - 2 and err.startswith("error:")
+
+
 def test_verify_exit_codes(capsys):
     code, lines = run_lines(
         capsys, ["verify", "--class", "1324", "--parts", "132,213", "--max-n", "4"]

@@ -229,6 +229,54 @@ def test_route_cde_certificates_are_pinned():
     assert digest.hexdigest() == ROUTE_CDE_CERTIFICATES_SHA256
 
 
+# SHA-256 of the [arcs, circle_color colours, match_split colours, part count,
+# trace] JSON lines of R(p) for seeded 321-avoiders, n = 64-512, and of the
+# route c certificates of seeded 321-avoiders, n = 128-1024, both recorded
+# before components and BFS levels became one traversal.  These hosts are
+# triangle-free, with components up to 29 BFS levels deep.
+LARGE_CIRCLE_SHA256 = "b4108ed0a8f001f88a423bb4a7c98a4f72edd8825a8eecd9c92feabcb12355d1"
+LARGE_ROUTE_C_SHA256 = "29e1eb00db22885aeca7cf9abd8553a5f0d580726a059224aaafeacf06f73a32"
+
+
+def test_large_circle_colorings_and_traces_are_pinned():
+    import hashlib
+    import json
+    import random
+
+    from permsplit.splitters import (
+        MatchingSplitState,
+        circle_color,
+        dilworth_matching_base,
+        match_split,
+    )
+
+    rng = random.Random(2013)
+    pattern, base = P("321"), dilworth_matching_base(3)
+    digest = hashlib.sha256()
+    for n in (64, 96, 128, 192, 256, 384, 512):
+        host = reduced_envelope(_random_321_avoider(n, rng))
+        coloring = circle_color(host, 3)
+        state = MatchingSplitState(pattern_basis=pattern, obstacle=m_of(pattern))
+        cert = match_split(host, pattern, m_of(pattern), base, state=state)
+        colors = [coloring[arc] for arc in host.arcs]
+        line = json.dumps([host.text(), colors, list(cert.colors), len(cert.parts), state.trace])
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == LARGE_CIRCLE_SHA256
+
+
+def test_large_route_c_certificates_are_pinned():
+    import hashlib
+    import json
+    import random
+
+    rng = random.Random(2013)
+    digest = hashlib.sha256()
+    for n in (128, 192, 256, 384, 512, 768, 1024):
+        cert = theorem_certificate(P("1432"), _random_321_avoider(n, rng))
+        digest.update(json.dumps(cert.to_json_dict()).encode() + b"\n")
+    assert digest.hexdigest() == LARGE_ROUTE_C_SHA256
+
+
 # SHA-256 of the JSON streams of route b certificates over Av_7(1324), recorded
 # before the greedy splitter moved onto perms.ends_with_occurrence, and of
 # route a certificates over Av_7(1243), recorded before routes a/b dropped

@@ -204,6 +204,29 @@ def _union_find_components(arcs, subset):
     return sorted(groups.values())
 
 
+def _check_components(arcs, subset, comps):
+    """Components against union-find; BFS levels and sides against their
+    definitions."""
+    assert [sorted(comp) for comp in comps] == _union_find_components(arcs, subset)
+    for comp in comps:
+        root = min(comp, key=lambda i: arcs[i][0])
+        assert next(iter(comp)) == root and comp[root] == (0, 1)
+        # BFS order: levels never decrease
+        assert [level for level, _ in comp.values()] == sorted(lv for lv, _ in comp.values())
+        for i in comp:
+            if i == root:
+                continue
+            level = comp[i][0]
+            lower = [j for j in comp if crosses(arcs[i], arcs[j])]
+            # BFS level: one more than the least level it crosses
+            assert min(comp[j][0] for j in lower) == level - 1
+            nu = min(
+                (j for j in lower if comp[j][0] == level - 1),
+                key=lambda j: arcs[j][0],
+            )
+            assert comp[i][1] == (1 if arcs[nu][0] < arcs[i][0] else -1)
+
+
 def test_crossing_graph_core_matches_definitions():
     # every matching with <= 5 arcs and every index subset of it
     for m in matchings_up_to(5):
@@ -211,29 +234,59 @@ def test_crossing_graph_core_matches_definitions():
         graph = CrossingGraph(arcs)
         for size in range(len(arcs) + 1):
             for subset in combinations(range(len(arcs)), size):
-                comps = graph.components(subset)
-                assert comps == _union_find_components(arcs, subset)
+                _check_components(arcs, subset, graph.components(subset))
                 sub = Matching.from_arcs(arcs[i] for i in subset)
                 assert [
                     Matching.from_arcs(arcs[i] for i in block)
                     for block in arc_blocks(arcs, subset)
                 ] == list(blocks(sub))
-                for comp in comps:
-                    info = graph.levels(comp)
-                    root = min(comp, key=lambda i: arcs[i][0])
-                    assert set(info) == set(comp) and info[root] == (0, 1)
-                    for i in comp:
-                        if i == root:
-                            continue
-                        level = info[i][0]
-                        lower = [j for j in comp if crosses(arcs[i], arcs[j])]
-                        # BFS level: one more than the least level it crosses
-                        assert min(info[j][0] for j in lower) == level - 1
-                        nu = min(
-                            (j for j in lower if info[j][0] == level - 1),
-                            key=lambda j: arcs[j][0],
-                        )
-                        assert info[i][1] == (1 if arcs[nu][0] < arcs[i][0] else -1)
+
+
+def _perturbed_chain(q, rng):
+    """The chain 1-3 2-5 4-7 ... (2q-2)-2q, a path q - 1 BFS levels deep, with
+    q seeded swaps of adjacent endpoints."""
+    chain = [(1, 3)] + [(2 * t, 2 * t + 3) for t in range(1, q - 1)] + [(2 * q - 2, 2 * q)]
+    owner = {e: t for t, arc in enumerate(chain) for e in arc}
+    for _ in range(q):
+        e = rng.randrange(1, 2 * q)
+        owner[e], owner[e + 1] = owner[e + 1], owner[e]
+    ends = {}
+    for e in sorted(owner):
+        ends.setdefault(owner[e], []).append(e)
+    return Matching(tuple(sorted(tuple(pair) for pair in ends.values())))
+
+
+def test_crossing_graph_core_matches_definitions_on_deep_components():
+    # seeded 20-60-arc matchings: perturbed chains reach deep BFS levels,
+    # uniform ones put many arcs on side -1; the full index set and subsets.
+    # A side taken from the arc the BFS reaches first fails on both the
+    # example below (7-10 is reached from 9-12, but its least neighbour on the
+    # level above is 5-8) and the uniform matchings.
+    import random
+
+    m = M("1-4 2-11 3-6 5-8 7-10 9-12")
+    assert CrossingGraph(m.arcs).components(range(6)) == [
+        {0: (0, 1), 1: (1, 1), 2: (1, 1), 3: (2, 1), 4: (3, 1), 5: (2, 1)}
+    ]
+    rng = random.Random(1)
+    depth = minus_sides = 0
+    for t in range(48):
+        q = rng.randint(20, 60)
+        if t % 2:
+            ends = rng.sample(range(1, 2 * q + 1), 2 * q)
+            m = Matching.from_arcs(zip(ends[::2], ends[1::2]))
+        else:
+            m = _perturbed_chain(q, rng)
+        graph = CrossingGraph(m.arcs)
+        subsets = [list(range(q))]
+        subsets += [sorted(rng.sample(range(q), rng.randint(q // 2, q))) for _ in range(3)]
+        for subset in subsets:
+            comps = graph.components(subset)
+            _check_components(m.arcs, subset, comps)
+            for comp in comps:
+                depth = max(depth, *(level for level, _ in comp.values()))
+                minus_sides += sum(1 for _, side in comp.values() if side < 0)
+    assert depth >= 10 and minus_sides >= 100, (depth, minus_sides)
 
 
 def test_mirror_is_an_involution_that_inverts_m_of():
