@@ -85,7 +85,10 @@ def parse_spec(text: str) -> SplittingSpec:
 
 
 def _parse_basis(text: str) -> frozenset[Permutation]:
-    return frozenset(Permutation.from_text(tok.strip()) for tok in text.split(","))
+    tokens = [tok.strip() for tok in text.split(",")]
+    if not all(tokens):  # Av(ε) is empty, so only an explicit ε may mean ε
+        raise ValueError(f"empty pattern in basis {text!r}")
+    return frozenset(map(Permutation.from_text, tokens))
 
 
 def _emit(obj: dict) -> None:

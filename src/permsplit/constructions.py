@@ -173,7 +173,6 @@ class TheoremPlan:
     symmetry: str  # "none", "reverse-complement", or "complement"
     spec: SplittingSpec
     triple: tuple[Permutation, Permutation, Permutation] | None = None
-    witnesses: WitnessPair | None = None
     inner: "TheoremPlan | None" = None
 
 
@@ -196,7 +195,7 @@ def theorem_plan(pattern: Permutation) -> TheoremPlan:
         if len(comps[0]) == 1:
             w = witness_pair(comps[1])
             spec = SplittingSpec(((w.tau_plus, 2), (w.tau_minus, 2)))
-            return TheoremPlan(pattern, "c", "none", spec, witnesses=w)
+            return TheoremPlan(pattern, "c", "none", spec)
     elif skew_decompose(pattern) is None:
         raise PreconditionError(f"{pattern.text()} is neither sum- nor skew-decomposable")
     # σ⊕1 (route d) and skew-decomposable patterns (route e): plan the image
@@ -239,40 +238,36 @@ def theorem_certificate(pattern: Permutation, p: Permutation) -> ColoringCertifi
 
 
 def _certify(plan: TheoremPlan, p: Permutation) -> ColoringCertificate:
-    """theorem_certificate for a p already known to avoid plan.pattern.  The
-    symmetry of routes d and e maps avoiders of plan.pattern onto avoiders of
+    """theorem_certificate for a p already known to avoid plan.pattern.  Every
+    route's part list is plan.spec's; routes d and e colour the image of p
+    under their symmetry, which maps avoiders of plan.pattern onto avoiders of
     plan.inner.pattern, so the recursion does not check containment again."""
+    parts = plan.spec.flatten()
     if plan.route in ("a", "b"):
         # the triple sums to plan.pattern (route b) or contains it (route a),
         # so p meets greedy_three_sum's precondition unchecked
-        return greedy_split(plan.spec.flatten(), p)
+        return greedy_split(parts, p)
     if plan.route == "c":
-        return _oneplus_witness_certificate(plan, p)
-    sym = SYMMETRIES[plan.symmetry]
-    inner_cert = _certify(plan.inner, sym(p))
-    # reverse-complement also reverses positions; complement keeps them
-    reverses = plan.symmetry == "reverse-complement"
-    return ColoringCertificate(
-        subject=p,
-        parts=tuple(sym(q) for q in inner_cert.parts),
-        colors=inner_cert.colors[::-1] if reverses else inner_cert.colors,
-    )
+        colors = _level_side_classes(p)
+    else:
+        colors = _certify(plan.inner, SYMMETRIES[plan.symmetry](p)).colors
+        if plan.symmetry == "reverse-complement":  # it also reverses positions
+            colors = colors[::-1]
+    return ColoringCertificate(subject=p, parts=parts, colors=colors)
 
 
-def _oneplus_witness_certificate(plan: TheoremPlan, p: Permutation) -> ColoringCertificate:
-    """Level/side coloring of R(p): classes (even/odd, left/right) avoid N± and
-    therefore τ(N±); LR-minima ride along in class 0."""
-    w = plan.witnesses
+def _level_side_classes(p: Permutation) -> tuple[int, ...]:
+    """Level/side coloring of R(p) for route c's parts (τ⁺, τ⁺, τ⁻, τ⁻):
+    classes (even/odd, left/right) avoid N± and therefore τ(N±); LR-minima
+    ride along in class 0."""
     reduced, positions = reduced_envelope_map(p)
     arc_class = {
         i: level % 2 + (2 if side < 0 else 0)
         for comp in CrossingGraph(reduced.arcs).components(range(len(reduced)))
         for i, (level, side) in comp.items()
     }
-    parts = (w.tau_plus, w.tau_plus, w.tau_minus, w.tau_minus)
     class_of_position = {pos: arc_class[j] for j, pos in enumerate(positions)}
-    colors = tuple(class_of_position.get(i, 0) for i in range(1, len(p) + 1))
-    return ColoringCertificate(subject=p, parts=parts, colors=colors)
+    return tuple(class_of_position.get(i, 0) for i in range(1, len(p) + 1))
 
 
 @dataclass(frozen=True)

@@ -55,10 +55,6 @@ class Permutation:
 EMPTY = Permutation(())
 
 
-def perm(*values: int) -> Permutation:
-    return Permutation(values)
-
-
 @dataclass(frozen=True)
 class Embedding:
     """Strictly increasing 1-based positions of an occurrence in the host."""
@@ -395,9 +391,10 @@ def _avoider_level(basis: frozenset[Permutation], n: int) -> tuple[Permutation, 
     out = []
     for q in _avoider_level(basis, n - 1):
         for last in range(1, n + 1):
-            cand = tuple(v + (v >= last) for v in q.values) + (last,)
-            if not any(ends_with_occurrence(b.values, cand) for b in basis):
-                out.append(Permutation(cand))
+            # last - 0.5 sits where the shifted values put last: same order type
+            probe = q.values + (last - 0.5,)
+            if not any(ends_with_occurrence(b.values, probe) for b in basis):
+                out.append(Permutation(tuple(v + (v >= last) for v in q.values) + (last,)))
     return tuple(sorted(out, key=lambda p: p.values))
 
 

@@ -281,7 +281,8 @@ def match_split(
     state: MatchingSplitState | None = None,
 ) -> ColoringCertificate:
     """Recursive splitter: color the arcs of an m(pattern)- and obstacle-avoiding
-    matching with copies of the base part multiset, one class per (copy, part).
+    matching with copies of the base part multiset; with k base parts, part j
+    of copy c is colour c·k + j.
 
     Recursion: a ⊎-decomposable obstacle M₁⊎M₂ splits the host at the first
     prefix containing M₁ (the straddling arcs form a permutation matching and
@@ -317,7 +318,7 @@ def _split_avoiding(
     root_color = base(Matching(((1, 2),))).colors[0] if arcs else None
 
     def solve(subset: list[int], obs: Matching, depth: int) -> tuple[dict, int]:
-        """Returns ({arc index: (copy, part)}, copies used); subset is sorted."""
+        """Returns ({arc index: copy·k + part}, copies used); subset is sorted."""
         if not subset:
             return {}, 0
         # at the root, the entry search has just checked this very obstacle
@@ -352,17 +353,17 @@ def _split_avoiding(
         colors1, k1 = solve(left, m1, depth + 1)
         colors2, k2 = solve(right, m2, depth + 1)
         out = dict(colors1)
-        out.update({i: (c + k1, j) for i, (c, j) in colors2.items()})
+        out.update({i: c + k1 * k for i, c in colors2.items()})
         mid_cert = base(Matching.from_arcs(arcs[i] for i in middle))
         for i, color in zip(middle, mid_cert.colors):
-            out[i] = (k1 + k2, color)
+            out[i] = (k1 + k2) * k + color
         return out, k1 + k2 + 1
 
     def _solve_connected(comp, obs_plus, obs_minus, depth):
         # sections (even, +), (even, -), (odd, +), (odd, -) get disjoint copies,
         # shared by their levels; groups go level ascending, + before -
         ordered = sorted(comp, key=lambda i: (comp[i][0], -comp[i][1], i))
-        section_colors: list[dict] = [{ordered[0]: (0, root_color)}, {}, {}, {}]
+        section_colors: list[dict] = [{ordered[0]: root_color}, {}, {}, {}]
         section_copies = [1, 0, 0, 0]
         for (level, side), members in groupby(ordered[1:], key=comp.get):
             section, sub_obs = 2 * (level % 2) + (side < 0), obs_plus if side > 0 else obs_minus
@@ -370,21 +371,18 @@ def _split_avoiding(
                 block_colors, block_copies = solve(block, sub_obs, depth + 1)
                 section_colors[section].update(block_colors)
                 section_copies[section] = max(section_copies[section], block_copies)
-        local: dict[int, tuple[int, int]] = {}
+        local: dict[int, int] = {}
         offset = 0
         for colors, copies in zip(section_colors, section_copies):
-            local.update({i: (c + offset, j) for i, (c, j) in colors.items()})
+            local.update({i: c + offset * k for i, c in colors.items()})
             offset += copies
         return local, offset
 
     color_map, copies = solve(list(range(len(arcs))), obstacle, 0)
     if copies > 4 ** weight(obstacle):
         raise VerificationError("palette exceeded the 4^weight bound")
-    parts = base.parts * copies
-    colors = tuple(
-        color_map[i][0] * k + color_map[i][1] for i in range(len(arcs))
-    )
-    return ColoringCertificate(subject=n, parts=parts, colors=colors)
+    colors = tuple(color_map[i] for i in range(len(arcs)))
+    return ColoringCertificate(subject=n, parts=base.parts * copies, colors=colors)
 
 
 def oneplus_split(

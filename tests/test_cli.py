@@ -173,6 +173,10 @@ def test_construct_verbs(capsys):
     assert lines == [{"perm": "1 2"}]
     code, _ = run_lines(capsys, ["construct", "nplus", "--sigma", "132"])
     assert code == 1  # 132 is decomposable
+    code, lines = run_lines(capsys, ["construct", "nminus", "--sigma", "231"])
+    assert code == 0 and lines == [{"arcs": "1-5 2-8 3-7 4-6"}]
+    assert run(["construct", "tau", "--sigma", "231"]) == 1
+    assert capsys.readouterr().err == "error: construct tau needs --matching\n"
 
 
 def test_color_matching(capsys, monkeypatch):
@@ -207,6 +211,16 @@ def test_input_errors_follow_the_exit_code_contract(capsys, monkeypatch, tmp_pat
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
         assert run(argv + ["--input", "-"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+    # an empty basis entry would be Av(ε), the empty class, and pass vacuously
+    for argv in (
+        ["verify", "--class", "1324,", "--parts", "132,213", "--max-n", "6"],
+        ["enumerate", "--avoid", "132,", "--n", "4", "--count"],
+    ):
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:"), argv
+    code, lines = run_lines(capsys, ["enumerate", "--avoid", "132,ε", "--n", "4", "--count"])
+    assert code == 0 and lines == [{"n": 4, "count": 0}]  # an explicit ε stays accepted
     # integer options out of range are usage errors at parse time, before any
     # input is read or worker pool started
     for argv in (

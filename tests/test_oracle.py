@@ -163,6 +163,22 @@ def test_verify_splitting_uses_splitter_fast_path():
     assert len(report.failures) == report.checked
     assert report.failures[0] == ("ε", "splitter raised RuntimeError: boom")
     assert report.fallbacks == 0
+    # Av(123) does not merge into {Av(12)}: on "1 2" the oracle finds no merge,
+    # and the failure also names what is wrong with the splitter's certificate
+    report = verify_splitting(
+        {P("123")},
+        SplittingSpec.of(P("12")),
+        2,
+        splitter=lambda p: ColoringCertificate(p, (P("12"),), (0,) * len(p)),
+    )
+    assert report.checked == 4 and report.fallbacks == 1
+    assert report.failures == [
+        (
+            "1 2",
+            "no merge into the spec exists; splitter certificate invalid: "
+            "class 0 contains 1 2 at positions [1, 2]",
+        )
+    ]
 
 
 def test_report_json():
