@@ -3,12 +3,14 @@
 Everything here checks certificates and classes from first principles: merge
 membership by exhaustive backtracking over part assignments, matching
 avoidance by scanning arc subsets, witness properties by enumerating all
-two-colorings.  The only search code shared with the constructive side is
-the occurrence search behind perms.avoids, perms.contains and
-perms.ends_with_occurrence, which all take plain value sequences, so color
-classes are searched as they stand; the oracle stays independent because it
-searches exhaustively instead of following the constructions' case analysis.
-Matching containment is re-implemented here as a plain subset scan.
+two-colorings.  Color classes are searched as plain value sequences, as they
+stand.  merge_check decides each class with perms.avoids, which sweeps the
+I_a ⊕ D_k-shaped patterns (every pattern of order 3 among them) instead of
+backtracking, so for those parts it shares no search with the constructive
+side's perms.ends_with_occurrence; for the other parts both use the same
+occurrence search.  The oracle stays independent because it searches exhaustively
+instead of following the constructions' case analysis.  Matching containment
+is re-implemented here as a plain subset scan.
 """
 from __future__ import annotations
 
@@ -78,8 +80,15 @@ def _submatching_occurrence(
 
 
 def merge_check(cert: ColoringCertificate) -> bool:
-    """True iff every color class of the certificate avoids its part pattern."""
-    return not merge_violations(cert)
+    """True iff every color class of the certificate avoids its part pattern;
+    False at the first class that does not.  merge_violations says where."""
+    if not isinstance(cert.subject, Permutation):
+        return not merge_violations(cert)
+    vals = cert.subject.values
+    return all(
+        avoids(part, [v for v, col in zip(vals, cert.colors) if col == c])
+        for c, part in enumerate(cert.parts)
+    )
 
 
 def merge_violations(cert: ColoringCertificate) -> list[str]:

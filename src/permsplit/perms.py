@@ -197,10 +197,104 @@ def contains(
     return None if chosen is None else Embedding(tuple(q + 1 for q in chosen))
 
 
+@lru_cache(maxsize=None)
+def _sweep_shape(pattern: tuple[int, ...]) -> tuple[int, int, bool, bool] | None:
+    """(a, k, reversed, negated) if reversing and/or complementing `pattern`
+    gives I_a ⊕ D_k, the run 1..a followed by the decreasing block m..a+1;
+    the image with the longest run wins.  None for every other pattern.
+
+    >>> _sweep_shape((1, 4, 3, 2)), _sweep_shape((3, 2, 1)), _sweep_shape((1, 3, 2, 4))
+    ((1, 3, False, False), (3, 0, False, True), None)
+    """
+    m = len(pattern)
+    best = None
+    for rev in (False, True):
+        for neg in (False, True):
+            image = pattern[::-1] if rev else pattern
+            if neg:
+                image = tuple(m + 1 - v for v in image)
+            a = 0
+            while a < m and image[a] == a + 1:
+                a += 1
+            if image[a:] == tuple(range(m, a, -1)) and (best is None or a > best[0]):
+                best = (a, m - a, rev, neg)
+    return best
+
+
+def _contains_run_then_drop(a: int, k: int, seq: Sequence[int]) -> bool:
+    """Does `seq` contain I_a ⊕ D_k?  True iff at some split t the least
+    maximum of an increasing a-run in seq[:t] lies below the greatest minimum
+    of a decreasing k-run in seq[t:].
+
+    The prefix side takes `a` left-to-right passes: pass j keeps, for each t,
+    the least last value of an increasing j-run inside seq[:t].  The suffix
+    side is one right-to-left pass: the greatest last value of a decreasing
+    j-run that starts at position t is a prefix-maximum query, over the values
+    below seq[t], on a Fenwick tree holding the decreasing (j-1)-runs to the
+    right; k-1 trees, indexed by value rank.  Stops at the first split found.
+    """
+    n, inf = len(seq), float("inf")
+    least = [-inf] * (n + 1)
+    for _ in range(a):
+        row, cur = [inf], inf
+        for lo, v in zip(least, seq):
+            if lo < v < cur:
+                cur = v
+            row.append(cur)
+        least = row
+    if not k:
+        return least[n] < inf
+    rank = {v: r for r, v in enumerate(sorted(seq), 1)} if k > 1 else {}
+    trees = [[-inf] * (n + 1) for _ in range(k - 1)]
+    best = -inf  # greatest last value of a decreasing k-run inside seq[t:]
+    for t in range(n - 1, -1, -1):
+        h = seq[t]
+        if trees:
+            r = rank[h]
+        for tree in trees:
+            # add the (j-1)-run ending at value h, then ask for a j-run from t
+            # (a node already >= h ends the update: later nodes cover its range)
+            i = r
+            while i <= n and tree[i] < h:
+                tree[i] = h
+                i += i & -i
+            i, h = r - 1, -inf
+            while i:
+                if tree[i] > h:
+                    h = tree[i]
+                i &= i - 1
+            if h == -inf:
+                break
+        if h > best:
+            best = h
+            if least[t] < best:
+                return True
+    return False
+
+
 def avoids(pattern: Permutation | Sequence[int], host: Permutation | Sequence[int]) -> bool:
-    """The yes/no form of `contains`: no embedding is built."""
+    """Does `host` avoid `pattern`?  Both may be any sequences of distinct
+    values, like `contains`, but the method is chosen from the pattern alone:
+    a reverse and/or complement of I_a ⊕ D_k (every pattern of order 3, and
+    1234, 1243, 1432, 2134, 2341, 3214, 3421, 4123, 4312, 4321 of order 4) is
+    decided by `_contains_run_then_drop` on the host reversed and/or negated;
+    every other pattern by the backtracking of `contains`, with no embedding
+    built.
+
+    >>> avoids((1, 4, 3, 2), (2, 3, 1, 5, 4)), avoids((1, 3, 2, 4), (20, 40, 10, 30))
+    (True, True)
+    """
     seq = host.values if isinstance(host, Permutation) else host
-    return _first_occurrence(tuple(pattern), seq, False) is None
+    pattern = tuple(pattern)
+    shape = _sweep_shape(pattern)
+    if shape is None:
+        return _first_occurrence(pattern, seq, False) is None
+    a, k, rev, neg = shape
+    if rev:
+        seq = seq[::-1]
+    if neg:
+        seq = [-v for v in seq]
+    return not _contains_run_then_drop(a, k, seq)
 
 
 def ends_with_occurrence(pattern: Sequence[int], seq: Sequence[int]) -> bool:

@@ -1,15 +1,17 @@
-"""Brute-force oracles used to derive expected values independently.
+"""Brute-force oracles used to derive expected values independently, and
+seeded host generators.
 
 These deliberately do not reuse the library's search code: containment is an
 exhaustive subsequence scan, avoider enumeration is a filter over all n!
-permutations, matching avoidance is an exhaustive subset scan.
+permutations, matching avoidance is an exhaustive subset scan.  The hosts are
+built from a seed and the Permutation constructor alone.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
 from permsplit.matchings import Matching
-from permsplit.perms import Permutation
+from permsplit.perms import EMPTY, Permutation, complement, reverse, skew_sum
 
 
 def order_isomorphic(seq_a, seq_b) -> bool:
@@ -57,3 +59,60 @@ def brute_matching_contains(pattern: Matching, host: Matching) -> bool:
         if normal == pattern.arcs:
             return True
     return False
+
+
+def dyck_321_avoider(n: int, rng) -> Permutation:
+    """A 321-avoider of order n from a seeded Dyck path.
+
+    The path is the rotation of a shuffled word of n up- and n+1 down-steps
+    that starts after its first lowest prefix (cycle lemma), minus the final
+    down-step.  A peak after u up-steps and d down-steps is the LR-maximum u
+    at position d+1; the other values fill the gaps in increasing order.
+    """
+    word = [1] * n + [-1] * (n + 1)
+    rng.shuffle(word)
+    height = low = start = 0
+    for i, step in enumerate(word):
+        height += step
+        if height < low:
+            low, start = height, i + 1
+    path = (word[start:] + word[:start])[:-1]
+    vals = [0] * n
+    up = down = 0
+    for i, step in enumerate(path):
+        if step == 1:
+            up += 1
+            if i + 1 < len(path) and path[i + 1] == -1:
+                vals[down] = up
+        else:
+            down += 1
+    rest = iter(sorted(set(range(1, n + 1)) - set(vals)))
+    return Permutation(tuple(v if v else next(rest) for v in vals))
+
+
+def seeded_hosts(seed: int, count: int, lo: int = 30, hi: int = 300) -> list[Permutation]:
+    """`count` seeded hosts of order lo..hi (log-uniform), cycling through six
+    families: 321-avoiders, their reverses, their complements, skew sums of
+    321-avoiders of order 2-6, skew sums of increasing runs of order 1-8,
+    and uniform random permutations."""
+    import math
+    import random
+
+    rng = random.Random(seed)
+    hosts = []
+    for i in range(count):
+        n = round(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+        family = i % 6
+        if family < 3:
+            p = dyck_321_avoider(n, rng)
+            hosts.append((p, reverse(p), complement(p))[family])
+        elif family < 5:
+            host = EMPTY
+            while len(host) < n:
+                k = min(n - len(host), rng.randint(2, 6) if family == 3 else rng.randint(1, 8))
+                piece = dyck_321_avoider(k, rng) if family == 3 else Permutation(tuple(range(1, k + 1)))
+                host = skew_sum(host, piece)
+            hosts.append(host)
+        else:
+            hosts.append(Permutation(tuple(rng.sample(range(1, n + 1), n))))
+    return hosts

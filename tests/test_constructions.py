@@ -28,6 +28,7 @@ from permsplit.matchings import (
     matchings_up_to,
     weight,
 )
+from permsplit.oracle import merge_check
 from permsplit.perms import (
     EMPTY,
     Permutation,
@@ -225,6 +226,7 @@ def test_route_cde_certificates_are_pinned():
         if pattern == P("4123"):
             p = Permutation(p.values[::-1])
         cert = theorem_certificate(pattern, p)
+        assert merge_check(cert), (pattern.text(), p.text())
         digest.update(json.dumps(cert.to_json_dict()).encode() + b"\n")
     assert digest.hexdigest() == ROUTE_CDE_CERTIFICATES_SHA256
 
@@ -337,6 +339,7 @@ def test_large_route_ab_certificates_are_pinned():
         digest = hashlib.sha256()
         for n in (64, 96, 128, 192, 256, 512):
             cert = theorem_certificate(pattern, _skew_sum_of_members(pattern, n, rng))
+            assert merge_check(cert), (text, n)
             digest.update(json.dumps(cert.to_json_dict()).encode() + b"\n")
         assert digest.hexdigest() == expected, text
 

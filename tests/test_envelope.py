@@ -138,3 +138,24 @@ def test_matching_to_perm_examples():
 def test_matching_to_perm_inverts_reduced_envelope():
     for m in matchings_up_to(3):
         assert reduced_envelope(matching_to_perm(m)) == m
+
+
+def test_envelope_equivalence_cross_checks_avoids_on_large_hosts():
+    # R(p) ⊇ m(σ) iff p ⊇ 1⊕σ: the matching search on the envelope decides the
+    # same question as avoids on p.  1⊕21 and 1⊕321 are swept by avoids, the
+    # other three backtrack.
+    from conftest import seeded_hosts
+
+    from permsplit.matchings import matching_contains
+    from permsplit.perms import avoids, direct_sum
+
+    hosts = seeded_hosts(1432, 24)
+    for text in ("21", "321", "231", "312", "2413"):
+        sigma = P(text)
+        one_plus = direct_sum(P("1"), sigma)
+        answers = set()
+        for p in hosts:
+            avoided = avoids(one_plus, p)
+            assert avoided == (not matching_contains(m_of(sigma), reduced_envelope(p))), (text, p)
+            answers.add(avoided)
+        assert answers == {True, False}, text

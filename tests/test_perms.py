@@ -3,7 +3,14 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
-from conftest import brute_avoiders, brute_contains, brute_least_embedding, order_isomorphic
+from conftest import (
+    brute_avoiders,
+    brute_contains,
+    brute_least_embedding,
+    dyck_321_avoider,
+    order_isomorphic,
+    seeded_hosts,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,7 +178,7 @@ def _planted_occurrences() -> list[tuple[Permutation, Permutation]]:
             continue
         planted = sorted(rng.sample(range(1, n + 1), m))
         rest = sorted(set(range(1, n + 1)) - set(planted))
-        prefix = _dyck_321_avoider(n - m, rng)
+        prefix = dyck_321_avoider(n - m, rng)
         host = [rest[v - 1] for v in prefix.values] + [planted[v - 1] for v in patt.values]
         pairs.append((patt, Permutation(tuple(host))))
     return pairs
@@ -350,10 +357,53 @@ def test_identity_and_decreasing():
 
 
 def test_avoids_against_brute():
-    for n in range(6):
+    patterns = [p for m in range(5) for p in all_perms(m)]
+    for n in range(7):
         for host in all_perms(n):
-            for patt in all_perms(3):
+            for patt in patterns:
                 assert avoids(patt, host) == (not brute_contains(patt, host))
+
+
+def _sweep_patterns(m: int) -> list[Permutation]:
+    """The patterns of order m that are reverses and/or complements of some
+    I_a ⊕ D_k, the shapes `avoids` sweeps instead of backtracking."""
+    shapes = [Permutation((*range(1, a + 1), *range(m, a, -1))) for a in range(m + 1)]
+    images = {f(q) for q in shapes for f in (lambda q: q, reverse, complement, reverse_complement)}
+    return sorted(images, key=lambda q: q.values)
+
+
+def test_avoids_sweeps_exactly_the_documented_patterns():
+    from permsplit import perms
+
+    for m in range(6):
+        swept = [q for q in all_perms(m) if perms._sweep_shape(q.values) is not None]
+        assert swept == _sweep_patterns(m)
+    assert _sweep_patterns(3) == list(all_perms(3))
+    assert {"".join(q.text().split()) for q in _sweep_patterns(4)} == {
+        "1234", "1243", "1432", "2134", "2341", "3214", "3421", "4123", "4312", "4321",
+    }
+    assert len(_sweep_patterns(5)) == 14
+
+
+def test_avoids_sweep_and_contains_backtracking_agree_on_order_7():
+    patterns = [q for m in range(5) for q in _sweep_patterns(m)]
+    for host in all_perms(7):
+        for patt in patterns:
+            assert avoids(patt, host) == (contains(patt, host) is None), (patt, host)
+
+
+def test_avoids_sweep_and_contains_backtracking_agree_on_large_hosts():
+    # order-5 sweep patterns on seeded hosts of order 30-300, also as raw
+    # value sequences with gaps and negatives, in the same order as the host
+    seen = set()
+    for host in seeded_hosts(2026, 42):
+        raw = [5 * v - 3 * len(host) for v in host.values]
+        for patt in _sweep_patterns(5):
+            want = contains(patt, host) is None
+            assert avoids(patt, host) == want, (patt, host)
+            assert avoids(patt, raw) == want
+            seen.add(want)
+    assert seen == {True, False}
 
 
 def test_value_sequences_search_like_their_ranks():
@@ -376,35 +426,6 @@ def test_value_sequences_search_like_their_ranks():
             assert ends_with_occurrence(patt.values, vals) == ends
 
 
-def _dyck_321_avoider(n: int, rng) -> Permutation:
-    """A 321-avoider of order n from a seeded Dyck path.
-
-    The path is the rotation of a shuffled word of n up- and n+1 down-steps
-    that starts after its first lowest prefix (cycle lemma), minus the final
-    down-step.  A peak after u up-steps and d down-steps is the LR-maximum u
-    at position d+1; the other values fill the gaps in increasing order.
-    """
-    word = [1] * n + [-1] * (n + 1)
-    rng.shuffle(word)
-    height = low = start = 0
-    for i, step in enumerate(word):
-        height += step
-        if height < low:
-            low, start = height, i + 1
-    path = (word[start:] + word[:start])[:-1]
-    vals = [0] * n
-    up = down = 0
-    for i, step in enumerate(path):
-        if step == 1:
-            up += 1
-            if i + 1 < len(path) and path[i + 1] == -1:
-                vals[down] = up
-        else:
-            down += 1
-    rest = iter(sorted(set(range(1, n + 1)) - set(vals)))
-    return Permutation(tuple(v if v else next(rest) for v in vals))
-
-
 def _large_hosts() -> list[Permutation]:
     """Twelve seeded hosts of order 16-64 like the large certificate subjects:
     321-avoiders, their reverses, and skew sums of small 321-avoiders."""
@@ -413,12 +434,12 @@ def _large_hosts() -> list[Permutation]:
     rng = random.Random(2001)
     hosts = []
     for _ in range(4):
-        p = _dyck_321_avoider(rng.randint(16, 64), rng)
+        p = dyck_321_avoider(rng.randint(16, 64), rng)
         hosts += [p, reverse(p)]
     for _ in range(4):
         host, total = EMPTY, rng.randint(16, 64)
         while len(host) < total:
-            host = skew_sum(host, _dyck_321_avoider(min(total - len(host), rng.randint(2, 6)), rng))
+            host = skew_sum(host, dyck_321_avoider(min(total - len(host), rng.randint(2, 6)), rng))
         hosts.append(host)
     return hosts
 
