@@ -44,7 +44,7 @@ from .perms import (
     sum_components,
     sum_decompose,
 )
-from .splitters import ColoringCertificate, SplittingSpec, easy_split_parts, greedy_split
+from .splitters import ColoringCertificate, SplittingSpec, easy_split_parts, greedy_colors
 
 UNSPLITTABLE_SMALL = frozenset(
     Permutation.from_text(t) for t in ("1", "12", "21", "132", "213", "231", "312")
@@ -238,22 +238,25 @@ def theorem_certificate(pattern: Permutation, p: Permutation) -> ColoringCertifi
 
 
 def _certify(plan: TheoremPlan, p: Permutation) -> ColoringCertificate:
-    """theorem_certificate for a p already known to avoid plan.pattern.  Every
-    route's part list is plan.spec's; routes d and e colour the image of p
-    under their symmetry, which maps avoiders of plan.pattern onto avoiders of
-    plan.inner.pattern, so the recursion does not check containment again."""
-    parts = plan.spec.flatten()
+    """theorem_certificate for a p already known to avoid plan.pattern: every
+    route's part list is plan.spec's, and only the colours are computed."""
+    return ColoringCertificate(subject=p, parts=plan.spec.flatten(), colors=_colors(plan, p))
+
+
+def _colors(plan: TheoremPlan, p: Permutation) -> tuple[int, ...]:
+    """The colours of p's certificate against plan.spec.flatten().  Routes d
+    and e colour the image of p under their symmetry, which maps avoiders of
+    plan.pattern onto avoiders of plan.inner.pattern, so the recursion does
+    not check containment again."""
     if plan.route in ("a", "b"):
         # the triple sums to plan.pattern (route b) or contains it (route a),
         # so p meets greedy_three_sum's precondition unchecked
-        return greedy_split(parts, p)
+        return greedy_colors(plan.spec.flatten()[0], p)
     if plan.route == "c":
-        colors = _level_side_classes(p)
-    else:
-        colors = _certify(plan.inner, SYMMETRIES[plan.symmetry](p)).colors
-        if plan.symmetry == "reverse-complement":  # it also reverses positions
-            colors = colors[::-1]
-    return ColoringCertificate(subject=p, parts=parts, colors=colors)
+        return _level_side_classes(p)
+    colors = _colors(plan.inner, SYMMETRIES[plan.symmetry](p))
+    # reverse-complement also reverses positions
+    return colors[::-1] if plan.symmetry == "reverse-complement" else colors
 
 
 def _level_side_classes(p: Permutation) -> tuple[int, ...]:
@@ -261,13 +264,11 @@ def _level_side_classes(p: Permutation) -> tuple[int, ...]:
     classes (even/odd, left/right) avoid N± and therefore τ(N±); LR-minima
     ride along in class 0."""
     reduced, positions = reduced_envelope_map(p)
-    arc_class = {
-        i: level % 2 + (2 if side < 0 else 0)
-        for comp in CrossingGraph(reduced.arcs).components(range(len(reduced)))
-        for i, (level, side) in comp.items()
-    }
-    class_of_position = {pos: arc_class[j] for j, pos in enumerate(positions)}
-    return tuple(class_of_position.get(i, 0) for i in range(1, len(p) + 1))
+    colors = [0] * len(p)
+    for comp in CrossingGraph(reduced.arcs).components(range(len(reduced))):
+        for j, (level, side) in comp.items():
+            colors[positions[j] - 1] = level % 2 + (2 if side < 0 else 0)
+    return tuple(colors)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,22 @@ class EnvelopeDecomposition:
         return {"perm": self.perm.text(), "path": self.path, "arcs": self.arcs.text()}
 
 
+def _envelope_labels(p: Permutation) -> tuple[list[int], list[int]]:
+    """down[v], the label of the down-step in row v, and right[i], that of
+    the right-step in column i (index 0 unused); formulas in
+    reduced_envelope_map."""
+    n = len(p)
+    down = [0] * (n + 1)
+    right = [0] * (n + 1)
+    low = n + 1  # prefix minimum so far: rows low..n are stepped
+    for i, v in enumerate(p.values, start=1):
+        while low > v:
+            low -= 1
+            down[low] = n - low + i
+        right[i] = i + n + 1 - low
+    return down, right
+
+
 def envelope_of(p: Permutation) -> EnvelopeDecomposition:
     """Build the envelope path of p, label its steps, and read off E(p).
 
@@ -38,27 +54,11 @@ def envelope_of(p: Permutation) -> EnvelopeDecomposition:
     >>> envelope_of(Permutation.from_text("21")).arcs.text()
     '1-2 3-4'
     """
-    n = len(p)
-    steps: list[str] = []
-    down_label_of_row: dict[int, int] = {}
-    right_label_of_col: dict[int, int] = {}
-    height = n
-    prefix_min = n + 1
-    label = 0
-    for i, v in enumerate(p.values, start=1):
-        prefix_min = min(prefix_min, v)
-        while height > prefix_min - 1:
-            label += 1
-            steps.append("D")
-            down_label_of_row[height] = label
-            height -= 1
-        label += 1
-        steps.append("R")
-        right_label_of_col[i] = label
-    elem_to_arc = tuple(
-        (down_label_of_row[v], right_label_of_col[i])
-        for i, v in enumerate(p.values, start=1)
-    )
+    down, right = _envelope_labels(p)
+    steps = ["R"] * (2 * len(p))
+    for label in down[1:]:
+        steps[label - 1] = "D"
+    elem_to_arc = tuple((down[v], right[i]) for i, v in enumerate(p.values, start=1))
     return EnvelopeDecomposition(
         perm=p,
         path="".join(steps),
@@ -107,12 +107,32 @@ def reduced_envelope_map(p: Permutation) -> tuple[Matching, tuple[int, ...]]:
 
     The j-th entry is the 1-based position of the element whose envelope arc
     became the j-th arc of R(p) (both sides in left-endpoint order).
+
+    Element i's envelope arc joins the down-step of row p(i), labelled
+    n - p(i) + f(p(i)), to the right-step of column i, labelled
+    i + n + 1 - prefmin(i): the path steps down row v in the first column
+    f(v) whose prefix minimum is <= v.  The arc is short exactly when p(i) is
+    an LR-minimum.  Down labels grow as v falls, so visiting values n..1
+    lists the long arcs in left-endpoint order, and one counting pass over
+    the labels renormalises them: O(n), no sort.
     """
-    env = envelope_of(p)
-    long_arcs = sorted(arc for arc in env.arcs.arcs if arc[1] - arc[0] > 1)
-    position_of = {arc: i for i, arc in enumerate(env.elem_to_arc, start=1)}
-    reduced = Matching.from_arcs(long_arcs)
-    return reduced, tuple(position_of[arc] for arc in long_arcs)
+    n = len(p)
+    down, right = _envelope_labels(p)
+    column = [0] * (n + 1)
+    for i, v in enumerate(p.values, start=1):
+        column[v] = i
+    ends = [(down[v], right[column[v]], column[v]) for v in range(n, 0, -1)]
+    ends = [end for end in ends if end[1] - end[0] > 1]
+    rank = [0] * (2 * n + 1)
+    for a, b, _ in ends:
+        rank[a] = rank[b] = 1
+    r = 0
+    for label in range(1, 2 * n + 1):
+        if rank[label]:
+            r += 1
+            rank[label] = r
+    arcs = tuple((rank[a], rank[b]) for a, b, _ in ends)
+    return Matching(arcs), tuple(i for _, _, i in ends)
 
 
 def tangle(m: Matching, interval: tuple[float, float]) -> Matching:

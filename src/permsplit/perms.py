@@ -11,6 +11,7 @@ empty permutation prints as "ε" (the empty string is accepted on input).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import permutations
@@ -106,11 +107,12 @@ def _neighbour_bounds(
 
 
 def _first_occurrence(
-    pattern: tuple[int, ...], seq: Sequence[int], pinned: bool
+    pattern: tuple[int, ...], seq: Sequence[int], pinned: bool, bound: float = math.inf
 ) -> list[int] | None:
     """0-based positions of the lexicographically least occurrence of
-    `pattern` in `seq`, or None; with `pinned`, the last pattern entry sits
-    on seq's last entry and only the other positions are returned.
+    `pattern` in `seq` whose free entries all lie below `bound`, or None;
+    with `pinned`, the last pattern entry sits on seq's last entry and only
+    the other positions are returned.
 
     Backtracking over positions in increasing order.  If the entries placed
     so far are order-isomorphic to their pattern entries, a candidate for
@@ -132,8 +134,9 @@ def _first_occurrence(
         return None
     lo, hi, roles = _neighbour_bounds(pattern, pinned)
     free = len(lo)
-    # vals[j] is the value placed for pattern[j]; slots m, m+1 bound nothing
-    vals = [0] * m + [float("-inf"), float("inf")]
+    # vals[j] is the value placed for pattern[j]; slots m, m+1 bound what no
+    # placed entry bounds
+    vals = [0] * m + [-math.inf, bound]
     if pinned:
         vals[m - 1] = seq[-1]
     chosen = [0] * free
@@ -313,6 +316,30 @@ def ends_with_occurrence(pattern: Sequence[int], seq: Sequence[int]) -> bool:
     return not pattern or _first_occurrence(tuple(pattern), seq, True) is not None
 
 
+def least_top(pattern: Sequence[int], seq: Sequence[int], bound: float = math.inf) -> float:
+    """The least maximum of an occurrence of `pattern` in `seq` with every
+    value below `bound`, or `bound` if there is none; -inf for the empty
+    pattern.
+
+    The backtracking finds the lexicographically least occurrence, not the
+    lowest, so the search is repeated below the top it last found until it
+    fails; each repeat lowers the top.
+
+    >>> least_top((1, 2), (3, 4, 1, 2)), least_top((1, 2), (3, 4, 1, 2), bound=2)
+    (2, 2)
+    >>> least_top((2, 1), (1, 3, 2)), least_top((2, 1), (1, 2)), least_top((), (1,))
+    (3, inf, -inf)
+    """
+    pattern = tuple(pattern)
+    if not pattern:
+        return -math.inf
+    k = pattern.index(len(pattern))  # the entry that is the top
+    top = bound
+    while (chosen := _first_occurrence(pattern, seq, False, top)) is not None:
+        top = seq[chosen[k]]
+    return top
+
+
 def direct_sum(a: Permutation, b: Permutation) -> Permutation:
     """Concatenate with b's values shifted above a's.
 
@@ -482,13 +509,35 @@ def _avoider_level(basis: frozenset[Permutation], n: int) -> tuple[Permutation, 
         return ()
     if n == 0:
         return (EMPTY,)
+    # X⊖1's greatest bottom is minus the least top of X's complement among
+    # the negated values; b = 1 is X⊕1 with X = ε, whose top -inf allows none
+    caps, floors, rest = [], [], []
+    for b in basis:
+        m = len(b)
+        if b.values[-1] == m:
+            caps.append(b.values[:-1])
+        elif b.values[-1] == 1:
+            floors.append(tuple(m + 1 - v for v in b.values[:-1]))
+        else:
+            rest.append(b.values)
+    # shifted[last][v] is where value v of a parent moves when last is appended
+    shifted = [tuple(v + (v >= last) for v in range(n)) for last in range(n + 1)]
     out = []
     for q in _avoider_level(basis, n - 1):
-        for last in range(1, n + 1):
+        lo, hi = 1, n
+        for x in caps:
+            hi = min(hi, least_top(x, q.values))
+        if floors:
+            negated = [-v for v in q.values]
+            for x in floors:
+                lo = max(lo, 1 - least_top(x, negated))
+        if hi < lo:
+            continue
+        for last in range(lo, hi + 1):
             # last - 0.5 sits where the shifted values put last: same order type
-            probe = q.values + (last - 0.5,)
-            if not any(ends_with_occurrence(b.values, probe) for b in basis):
-                out.append(Permutation(tuple(v + (v >= last) for v in q.values) + (last,)))
+            if rest and any(ends_with_occurrence(b, q.values + (last - 0.5,)) for b in rest):
+                continue
+            out.append(Permutation(tuple(map(shifted[last].__getitem__, q.values)) + (last,)))
     return tuple(sorted(out, key=lambda p: p.values))
 
 
@@ -496,8 +545,14 @@ def enumerate_avoiders(basis: Iterable[Permutation], n: int) -> Iterator[Permuta
     """All members of Av(basis) of order exactly n, in lexicographic order.
 
     Generated by appending each last value 1..n (values at or above it shift
-    up) to every avoider of order n-1, testing only occurrences through that
-    entry; hereditariness makes this complete and free of duplicates.
+    up) to every avoider of order n-1; hereditariness makes this complete and
+    free of duplicates, and only occurrences through the new entry can be new.
+    A basis element X⊕1 (last entry its maximum) forbids exactly the last
+    values above the least top t of an X in the parent, so it allows 1..t;
+    X⊖1 allows g+1..n, where g is the greatest bottom of an X.  These
+    thresholds are read off the parent once, and only the other basis
+    elements are tested per candidate, by a search through the new entry,
+    inside the intersected interval.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -11,6 +11,7 @@ actually allocated, never the worst-case bound.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import groupby
@@ -38,6 +39,7 @@ from .perms import (
     decreasing,
     direct_sum,
     ends_with_occurrence,
+    least_top,
     sum_decompose,
 )
 
@@ -122,21 +124,86 @@ def greedy_split(parts: Sequence[Permutation], p: Permutation) -> ColoringCertif
     Left-to-right scan: color an element blue if coloring it red would complete
     a red occurrence of α⊕β, or if some earlier blue element is smaller;
     otherwise red.  The red class avoids α⊕β by construction, and the blue one
-    avoids β⊕γ whenever p avoids α⊕β⊕γ.
+    avoids β⊕γ whenever p avoids α⊕β⊕γ.  Route a's red part α⊕1 = Y ⊕ I_j
+    is tested against thresholds, the least tops of Y ⊕ I_i in the red class
+    (`greedy_colors`), instead of by a search per element.
     """
     ab, bg = parts
+    return ColoringCertificate(subject=p, parts=(ab, bg), colors=greedy_colors(ab, p))
+
+
+def greedy_colors(red: Permutation, p: Permutation) -> tuple[int, ...]:
+    """greedy_split's colours (0 red, 1 blue) for the red part `red`.
+
+    A red part Y ⊕ I_j with j >= 1 trailing singletons (route a's α⊕1
+    always is) is tested by thresholds, `_threshold_colors`; any other (route
+    b's 1⊕σ) by one `ends_with_occurrence` search per element.
+    """
+    m = len(red)
+    j = 0
+    while j < m and red.values[m - 1 - j] == m - j:
+        j += 1
+    if j:
+        return _threshold_colors(red.values[: m - j], j, p.values)
     red_vals: list[int] = []
-    blue_min = len(p) + 1
+    blue_min = math.inf
     colors: list[int] = []
     for v in p.values:
         red_vals.append(v)
-        if blue_min < v or ends_with_occurrence(ab.values, red_vals):
+        if blue_min < v or ends_with_occurrence(red.values, red_vals):
             red_vals.pop()
             colors.append(1)
             blue_min = min(blue_min, v)
         else:
             colors.append(0)
-    return ColoringCertificate(subject=p, parts=(ab, bg), colors=tuple(colors))
+    return tuple(colors)
+
+
+def _threshold_colors(y: tuple[int, ...], j: int, values: Sequence[int]) -> tuple[int, ...]:
+    """greedy_colors for the red part Y ⊕ I_j, j >= 1.
+
+    T_i is the least top of a Y ⊕ I_i in the red class so far (T_0 = -inf
+    for Y = ε, +inf while there is none).  v completes a red Y ⊕ I_j iff
+    v > T_{j-1}, and a red v sets T_i = v where T_{i-1} < v < T_i; the T_i
+    increase, so that is one i at most, as in patience sorting.
+    T_0 is only known as floor0 <= T_0 <= top0: a question T_0 < x the
+    bounds leave open costs one `least_top` search below x, which pins T_0
+    when it finds a Y; a red push u lowers floor0 to u, since T_0 can only
+    drop to u or above.
+    """
+    red_vals: list[int] = []
+    top0 = floor0 = math.inf if y else -math.inf
+    tops = [math.inf] * j  # tops[i] is T_i for 1 <= i < j
+
+    def t0_below(x: int) -> bool:
+        nonlocal top0, floor0
+        if x > top0:
+            return True
+        if x <= floor0:
+            return False
+        top = least_top(y, red_vals, bound=x)
+        if top < x:
+            top0 = floor0 = top
+            return True
+        floor0 = x
+        return False
+
+    blue_min = math.inf
+    colors: list[int] = []
+    for v in values:
+        if blue_min < v or (v > tops[-1] if j > 1 else t0_below(v)):
+            colors.append(1)
+            blue_min = min(blue_min, v)
+            continue
+        colors.append(0)
+        for i in range(j - 1, 1, -1):
+            if tops[i - 1] < v < tops[i]:
+                tops[i] = v
+        if j > 1 and v < tops[1] and t0_below(v):
+            tops[1] = v
+        red_vals.append(v)
+        floor0 = min(floor0, v)
+    return tuple(colors)
 
 
 def easy_split_parts(alpha: Permutation, beta: Permutation) -> SplittingSpec:

@@ -344,6 +344,38 @@ def test_large_route_ab_certificates_are_pinned():
         assert digest.hexdigest() == expected, text
 
 
+# SHA-256 of the JSON streams of route a certificates for 2134 = 21⊕12, whose
+# red part 213 = 21 ⊕ I_1 keeps a nonempty Y, over Av_7(2134) and on seeded
+# skew sums of order-8 class members, n = 64-512; recorded before the greedy
+# splitter read route a's red part as thresholds
+ROUTE_A_2134_SHA256 = {
+    "sweep": "436a7fbc89fcbcb3a7c732dda49d5f5c8fee5d44d88149fbe8bccb03515d693d",
+    "large": "302d7e24fb030b80c5d0b9b6ea6bdae7ac5927aed7306ced88e3281c018358ec",
+}
+
+
+def test_route_a_certificates_with_nonempty_y_are_pinned():
+    import hashlib
+    import json
+    import random
+
+    from permsplit.perms import enumerate_avoiders
+
+    pattern = P("2134")
+    assert theorem_plan(pattern).route == "a"
+    sweep = enumerate_avoiders({pattern}, 7)
+    rng = random.Random(2013)
+    large = [_skew_sum_of_members(pattern, n, rng) for n in (64, 96, 128, 192, 256, 512)]
+    for name, hosts in (("sweep", sweep), ("large", large)):
+        digest = hashlib.sha256()
+        for p in hosts:
+            cert = theorem_certificate(pattern, p)
+            if name == "large":
+                assert merge_check(cert), len(p)
+            digest.update(json.dumps(cert.to_json_dict()).encode() + b"\n")
+        assert digest.hexdigest() == ROUTE_A_2134_SHA256[name], name
+
+
 def test_theorem_split_every_decomposable_size4_pattern():
     # module invariant: the router's spec verifies for all 22 decomposable
     # size-4 patterns at n <= 7, with the constructive certificate fast path

@@ -159,3 +159,49 @@ def test_envelope_equivalence_cross_checks_avoids_on_large_hosts():
             assert avoided == (not matching_contains(m_of(sigma), reduced_envelope(p))), (text, p)
             answers.add(avoided)
         assert answers == {True, False}, text
+
+
+def _path_walk(p: Permutation) -> tuple[str, tuple, tuple, tuple]:
+    """The envelope by walking the lattice path step by step, as first
+    written: (path, E(p) arcs sorted, arc per element, (R(p) arcs, covered
+    positions)), with R(p) renormalised by a sort and an arc-keyed dict."""
+    n = len(p)
+    steps: list[str] = []
+    down_label_of_row: dict[int, int] = {}
+    right_label_of_col: dict[int, int] = {}
+    height, prefix_min, label = n, n + 1, 0
+    for i, v in enumerate(p.values, start=1):
+        prefix_min = min(prefix_min, v)
+        while height > prefix_min - 1:
+            label += 1
+            steps.append("D")
+            down_label_of_row[height] = label
+            height -= 1
+        label += 1
+        steps.append("R")
+        right_label_of_col[i] = label
+    elem_to_arc = tuple(
+        (down_label_of_row[v], right_label_of_col[i]) for i, v in enumerate(p.values, start=1)
+    )
+    long_arcs = sorted(arc for arc in elem_to_arc if arc[1] - arc[0] > 1)
+    position_of = {arc: i for i, arc in enumerate(elem_to_arc, start=1)}
+    rank = {e: r for r, e in enumerate(sorted(e for arc in long_arcs for e in arc), start=1)}
+    reduced = tuple((rank[a], rank[b]) for a, b in long_arcs)
+    positions = tuple(position_of[arc] for arc in long_arcs)
+    return "".join(steps), tuple(sorted(elem_to_arc)), elem_to_arc, (reduced, positions)
+
+
+def test_envelope_labels_match_the_path_walk():
+    # the label formulas against the step-by-step walk: every permutation of
+    # order <= 7 and seeded hosts of order 30-300, and R(p) alone, the
+    # certificate path, on every permutation of order 8
+    from conftest import seeded_hosts
+
+    for p in [p for n in range(8) for p in all_perms(n)] + seeded_hosts(105, 24):
+        env = envelope_of(p)
+        reduced, positions = reduced_envelope_map(p)
+        got = (env.path, env.arcs.arcs, env.elem_to_arc, (reduced.arcs, positions))
+        assert got == _path_walk(p), p
+    for p in all_perms(8):
+        reduced, positions = reduced_envelope_map(p)
+        assert (reduced.arcs, positions) == _path_walk(p)[3], p

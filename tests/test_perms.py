@@ -31,6 +31,7 @@ from permsplit.perms import (
     inflate_lr_minima,
     inverse,
     is_simple,
+    least_top,
     lr_minima,
     reverse,
     reverse_complement,
@@ -338,6 +339,14 @@ def test_enumerate_avoiders_matches_brute_filter():
         {P("132"), P("213")},
         {P("2413"), P("3142")},
         {P("123"), P("3214")},
+        # last entry the maximum (X⊕1), the minimum (X⊖1), or neither
+        {P("1")},
+        {P("12")},
+        {P("1234")},
+        {P("1432")},
+        {P("2431")},
+        {P("1324"), P("2143")},
+        {P("132"), P("4321")},
     ]
     for basis in bases:
         for n in range(7):
@@ -348,6 +357,54 @@ def test_enumerate_avoiders_larger_spot_check():
     # one n=7 sweep against the brute filter of all 5040 permutations
     basis = {P("1324")}
     assert list(enumerate_avoiders(basis, 7)) == brute_avoiders(basis, 7)
+
+
+# SHA-256 of the avoider lists at orders 0-8 (one permutation per line, in
+# size-then-lex order), recorded before enumeration read X⊕1 and X⊖1 basis
+# elements as thresholds: 1234 and 1324 end in their maximum, 2431 and 4321 in
+# their minimum, 1432 and 2143 in neither
+AVOIDER_LISTS_SHA256 = {
+    "1": "95db3a9172d0d9780d59ed7586ad2820a56f2c23cba67a4ce97a9595846182cc",
+    "12": "ea9f91e397cab7cde38661d7da2e5924a4c68e0ae779e70b2f7a97b9bd0558d2",
+    "1234": "502663ca93e2d19ac396f468ad9a39e87e6212847d1f86b1e28b0e21019de07e",
+    "1324": "6c7f7a23b373f144199720988d979a0fc4e09af89dad42cba268f6811db9af97",
+    "1432": "2bd5c8a623887167d5efe0c63088df9b3f9364c86994efaca5375610fd20395a",
+    "2431": "b47881bb176984d8bfd52bdddb49f22743b3d6ec28c0038468b1deb245b3123e",
+    "1324 2143": "0865a798d1f31860e0816974e8283e0138ec035633450b1ead4d02b6a82d0cd0",
+    "132 4321": "ca0f73e80c0dabd642508fb9f53edb6f75a080de5499a67142f5fa0552f19a20",
+}
+
+
+def test_avoider_lists_are_pinned():
+    import hashlib
+
+    from permsplit.perms import avoiders_up_to
+
+    for text, expected in AVOIDER_LISTS_SHA256.items():
+        digest = hashlib.sha256()
+        for p in avoiders_up_to({P(b) for b in text.split()}, 8):
+            digest.update(p.text().encode() + b"\n")
+        assert digest.hexdigest() == expected, text
+
+
+def test_least_top_matches_brute_force():
+    patterns = [p.values for m in range(1, 5) for p in all_perms(m)]
+    for n in range(6):
+        for host in all_perms(n):
+            scaled = [3 * v - 10 for v in host.values]
+            for patt in patterns:
+                tops = [
+                    max(sub)
+                    for pos in combinations(range(n), len(patt))
+                    for sub in [[host.values[i] for i in pos]]
+                    if order_isomorphic(patt, sub)
+                ]
+                for bound in (float("inf"), *range(1, n + 2)):
+                    want = min((t for t in tops if t < bound), default=bound)
+                    assert least_top(patt, host.values, bound) == want
+                want = min(tops, default=float("inf"))
+                assert least_top(patt, scaled) == 3 * want - 10
+    assert least_top((), (1, 2)) == float("-inf")
 
 
 def test_identity_and_decreasing():

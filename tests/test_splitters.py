@@ -361,3 +361,100 @@ def test_refine_colorer_degenerate_and_errors():
         refine_colorer(P("321"), skew_spec, 1, skew_colorer, P("12"))  # 312 indecomposable
     with pytest.raises(PreconditionError):
         refine_colorer(P("132"), spec, 0, colorer, P("12"))  # pi decomposable
+
+
+def _rescan_greedy_colors(red: Permutation, p: Permutation) -> tuple[int, ...]:
+    """The greedy scan as first written: one search for an occurrence of
+    `red` through each new element over the whole red class."""
+    from permsplit.perms import ends_with_occurrence
+
+    red_vals: list[int] = []
+    blue_min = len(p) + 1
+    colors: list[int] = []
+    for v in p.values:
+        red_vals.append(v)
+        if blue_min < v or ends_with_occurrence(red.values, red_vals):
+            red_vals.pop()
+            colors.append(1)
+            blue_min = min(blue_min, v)
+        else:
+            colors.append(0)
+    return tuple(colors)
+
+
+def _route_a_reds() -> dict[Permutation, Permutation]:
+    """Each red part α⊕1 of a route-a pattern of order 4-6, mapped to the
+    first pattern that has it."""
+    from permsplit.constructions import theorem_plan
+    from permsplit.errors import PreconditionError
+    from permsplit.perms import all_perms
+
+    reds: dict[Permutation, Permutation] = {}
+    for m in (4, 5, 6):
+        for pattern in all_perms(m):
+            try:
+                plan = theorem_plan(pattern)
+            except PreconditionError:
+                continue
+            if plan.route == "a":
+                reds.setdefault(plan.spec.flatten()[0], pattern)
+    return reds
+
+
+def test_greedy_thresholds_match_the_rescan():
+    # a route-a red part Y ⊕ I_j runs on thresholds; both bodies colour alike
+    # on every permutation of order <= 5, on Av_7 of each route-a pattern of
+    # order 4-5 and on one seeded host of order 30-500 per family.  (The
+    # rescan itself backtracks for seconds per host on 321-avoiders of order
+    # ~300 when Y contains 321, so the large hosts are one per family.)
+    from conftest import seeded_hosts
+
+    from permsplit.perms import all_perms, enumerate_avoiders
+    from permsplit.splitters import greedy_colors
+
+    reds = _route_a_reds()
+    assert len(reds) == 22 and {len(r) for r in reds} == {3, 4, 5}
+    assert any(r.values[-2] != len(r) - 1 for r in reds)  # some Y ≠ ε
+    small = [p for n in range(6) for p in all_perms(n)]
+    large = seeded_hosts(2134, 6, 30, 500)
+    for red, pattern in reds.items():
+        hosts = small + large
+        if len(pattern) <= 5:
+            hosts += list(enumerate_avoiders({pattern}, 7))
+        for p in hosts:
+            assert greedy_colors(red, p) == _rescan_greedy_colors(red, p), (red, p)
+
+
+def test_route_a_greedy_at_order_ten_thousand_runs_no_search(monkeypatch):
+    # certify 1243 (red part 123 = ε ⊕ I_3) on a seeded skew sum of order-8
+    # members of Av(1243), n = 10^4: the greedy scan makes no occurrence search
+    import random
+
+    from permsplit import perms
+    from permsplit.constructions import theorem_certificate, theorem_plan
+    from permsplit.oracle import merge_check
+    from permsplit.perms import avoids
+
+    pattern, rng = P("1243"), random.Random(1243)
+    pieces: list[tuple[int, ...]] = []
+    while len(pieces) < 1250:
+        piece = tuple(rng.sample(range(1, 9), 8))
+        if avoids(pattern, piece):
+            pieces.append(piece)
+    host = Permutation(
+        tuple(8 * (len(pieces) - 1 - k) + v for k, piece in enumerate(pieces) for v in piece)
+    )
+    calls = []
+    search = perms._first_occurrence
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(perms, "_first_occurrence", counted)
+    cert = greedy_split(theorem_plan(pattern).spec.flatten(), host)
+    assert calls == []
+    monkeypatch.undo()
+    assert theorem_certificate(pattern, host) == cert
+    assert 0 < cert.colors.count(1) < len(host)
+    assert merge_check(cert)
