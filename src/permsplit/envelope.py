@@ -114,7 +114,8 @@ def reduced_envelope_map(p: Permutation) -> tuple[Matching, tuple[int, ...]]:
     f(v) whose prefix minimum is <= v.  The arc is short exactly when p(i) is
     an LR-minimum.  Down labels grow as v falls, so visiting values n..1
     lists the long arcs in left-endpoint order, and one counting pass over
-    the labels renormalises them: O(n), no sort.
+    the labels renormalises them: O(n), no sort, and the matching is built
+    without `Matching`'s O(n log n) validation.
     """
     n = len(p)
     down, right = _envelope_labels(p)
@@ -132,7 +133,7 @@ def reduced_envelope_map(p: Permutation) -> tuple[Matching, tuple[int, ...]]:
             r += 1
             rank[label] = r
     arcs = tuple((rank[a], rank[b]) for a, b, _ in ends)
-    return Matching(arcs), tuple(i for _, _, i in ends)
+    return Matching._trusted(arcs), tuple(i for _, _, i in ends)
 
 
 def tangle(m: Matching, interval: tuple[float, float]) -> Matching:

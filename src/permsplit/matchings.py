@@ -39,6 +39,15 @@ class Matching:
         if list(arcs) != sorted(arcs):
             raise ValueError("arcs must be sorted by left endpoint")
 
+    @classmethod
+    def _trusted(cls, arcs: tuple[Arc, ...]) -> "Matching":
+        """A matching from normalized arc tuples its builder sorted by left
+        endpoint by construction: no copy and no validation.  Equality and
+        hashing are the dataclass's."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "arcs", arcs)
+        return m
+
     def __len__(self) -> int:
         return len(self.arcs)
 

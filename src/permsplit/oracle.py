@@ -1,7 +1,10 @@
 """Independent brute-force verification of splittings and Ramsey-style searches.
 
 Everything here checks certificates and classes from first principles: merge
-membership by exhaustive backtracking over part assignments, matching
+membership by exhaustive backtracking over part assignments (verify_splitting
+resumes each member's search at its parent's colouring, which skips only
+tuples that already failed, so the search stays exhaustive and finds the
+same lexicographically first certificate as merge_member), matching
 avoidance by scanning arc subsets, witness properties by enumerating all
 two-colorings.  Color classes are searched as plain value sequences, as they
 stand.  merge_check decides each class with perms.avoids, which sweeps the
@@ -113,41 +116,72 @@ def merge_violations(cert: ColoringCertificate) -> list[str]:
     return out
 
 
+def _merge_search(
+    parts: Sequence[Permutation],
+) -> Callable[[Sequence[int], Sequence[int]], tuple[int, ...] | None]:
+    """The exhaustive merge search into `parts`, as a function
+    colors(values, start) of a value sequence and a leaf to begin at.
+
+    colors returns the lexicographically least colour tuple, at or after the
+    leaf `start` in the search order, under which every class avoids its
+    part; None if there is none.  It backtracks over part assignments element
+    by element, kept iterative so that it can begin at `start`: as if every
+    tuple before it had failed, and with `start` itself trusted, so the
+    caller guarantees that it colours values[:len(start)] validly.  A branch
+    is pruned as soon as a class completes its forbidden pattern; only
+    occurrences through the newest element need testing, and none while the
+    class is shorter than its pattern.
+
+    Identical empty parts are interchangeable: a class opens only once its
+    previous identical twin has, so identical classes fill up in index order,
+    and the least tuple, which always fills them so, is never pruned.  The
+    twin table is built here, once per part list.
+    """
+    patterns = [part.values for part in parts]
+    k = len(patterns)
+    twin = [max((j for j in range(c) if parts[j] == parts[c]), default=-1) for c in range(k)]
+
+    def colors(values: Sequence[int], start: Sequence[int] = ()) -> tuple[int, ...] | None:
+        n = len(values)
+        classes: list[list[int]] = [[] for _ in range(k)]
+        chosen = list(start)
+        for v, c in zip(values, chosen):
+            classes[c].append(v)
+        i, c = len(chosen), 0  # next: element i, trying colours c, c+1, ...
+        while i < n:
+            v = values[i]
+            while c < k:
+                cls = classes[c]
+                if cls or twin[c] < 0 or classes[twin[c]]:
+                    cls.append(v)
+                    if len(cls) < len(patterns[c]) or not ends_with_occurrence(patterns[c], cls):
+                        break
+                    cls.pop()
+                c += 1
+            if c < k:
+                chosen.append(c)
+                i, c = i + 1, 0
+            elif i:
+                i -= 1
+                c = chosen.pop()
+                classes[c].pop()
+                c += 1
+            else:
+                return None
+        return tuple(chosen)
+
+    return colors
+
+
 def merge_member(
     p: Permutation, spec: SplittingSpec | Sequence[Permutation]
 ) -> ColoringCertificate | None:
-    """Exhaustive backtracking over part assignments, element by element.
-
-    Prunes a branch as soon as a partial class completes its forbidden
-    pattern; only occurrences through the newest element need testing.
-    Returns the lexicographically first certificate in part-index order.
+    """The lexicographically first certificate, in part-index order, of a
+    merge of p into the parts, or None: `_merge_search` from the empty start.
     """
     parts = spec.flatten() if isinstance(spec, SplittingSpec) else tuple(spec)
-    k = len(parts)
-    n = len(p)
-    class_vals: list[list[int]] = [[] for _ in range(k)]
-    colors = [0] * n
-
-    def place(i: int) -> bool:
-        if i == n:
-            return True
-        v = p.values[i]
-        for c in range(k):
-            if not class_vals[c] and any(
-                parts[c2] == parts[c] and not class_vals[c2] for c2 in range(c)
-            ):
-                continue  # identical empty parts are interchangeable
-            class_vals[c].append(v)
-            if not ends_with_occurrence(parts[c].values, class_vals[c]):
-                colors[i] = c
-                if place(i + 1):
-                    return True
-            class_vals[c].pop()
-        return False
-
-    if not place(0):
-        return None
-    return ColoringCertificate(subject=p, parts=parts, colors=tuple(colors))
+    colors = _merge_search(parts)(p.values)
+    return None if colors is None else ColoringCertificate(subject=p, parts=parts, colors=colors)
 
 
 def verify_splitting(
@@ -158,13 +192,34 @@ def verify_splitting(
 ) -> VerificationReport:
     """Check that every member of Av(class_basis) up to order n_max merges
     into the spec: fast path through the supplied constructive splitter when
-    its certificate validates, exhaustive merge_member otherwise.  A splitter
-    raising PreconditionError counts as a fallback; any other exception it
-    raises is a failure of that subject."""
+    its certificate validates, the exhaustive merge search otherwise.  A
+    splitter raising PreconditionError counts as a fallback; any other
+    exception it raises is a failure of that subject.
+
+    The members form a generating tree: the parent of p = q + last is q, p
+    without its last entry, reduced.  p's first n-1 entries are
+    order-isomorphic to q, so every colour tuple that fails for q fails for
+    p's prefix too, and p's search resumes at q's lexicographically first
+    colouring instead of at all zeros.  It is still exhaustive over the rest
+    and finds the same lexicographically first colouring as
+    merge_member(p, spec).  A child of a parent with no merge has none
+    either, because merging is hereditary, and is not searched.  Children
+    of parents that the splitter handled, or that failed through the
+    splitter, search from scratch.  Only the previous level's colourings are
+    kept, and no certificate is built for a searched member.
+    """
     basis = frozenset(class_basis)
-    spec_counts = Counter(spec.flatten())
+    parts = spec.flatten()
+    spec_counts = Counter(parts)
+    search = _merge_search(parts)
     report = VerificationReport()
+    # found[q.values]: the searched member q's least colouring, None if none
+    found: dict[tuple[int, ...], tuple[int, ...] | None] = {}
     for n in range(n_max + 1):
+        parents, found = found, {}
+        # unshift[last][v]: where value v of a member ending in last sits in
+        # its parent
+        unshift = [tuple(v - (v > last) for v in range(n + 1)) for last in range(n + 1)]
         for p in enumerate_avoiders(basis, n):
             report.checked += 1
             constructive = None
@@ -187,8 +242,13 @@ def verify_splitting(
                     continue
             if splitter is not None:
                 report.fallbacks += 1
-            cert = merge_member(p, spec)
-            if cert is None:
+            vals = p.values
+            parent = tuple(map(unshift[vals[-1]].__getitem__, vals[:-1])) if vals else ()
+            start = parents.get(parent, ())  # a parent never searched: from scratch
+            colors = None if start is None else search(vals, start)
+            if n < n_max:
+                found[vals] = colors
+            if colors is None:
                 detail = "no merge into the spec exists"
                 if constructive is not None:
                     detail += "; splitter certificate invalid: " + "; ".join(
@@ -196,7 +256,7 @@ def verify_splitting(
                     )
                 report.failures.append((p.text(), detail))
             else:
-                report.max_colors_used = max(report.max_colors_used, cert.colors_used())
+                report.max_colors_used = max(report.max_colors_used, len(set(colors)))
     return report
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import permutations
+from itertools import compress, permutations
 from typing import Iterable, Iterator, Sequence
 
 
@@ -27,6 +27,14 @@ class Permutation:
         object.__setattr__(self, "values", vals)
         if sorted(vals) != list(range(1, len(vals) + 1)):
             raise ValueError(f"not a permutation of 1..{len(vals)}: {vals!r}")
+
+    @classmethod
+    def _trusted(cls, values: tuple[int, ...]) -> "Permutation":
+        """A permutation from a tuple its builder made one by construction:
+        no copy and no sort check.  Equality and hashing are the dataclass's."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "values", values)
+        return p
 
     def __len__(self) -> int:
         return len(self.values)
@@ -200,11 +208,21 @@ def contains(
     return None if chosen is None else Embedding(tuple(q + 1 for q in chosen))
 
 
+def _run_drop_shape(image: Sequence[int]) -> tuple[int, int] | None:
+    """(a, k) if `image` is I_a ⊕ D_k, the run 1..a followed by the
+    decreasing block m..a+1; None otherwise."""
+    m = len(image)
+    a = 0
+    while a < m and image[a] == a + 1:
+        a += 1
+    return (a, m - a) if tuple(image[a:]) == tuple(range(m, a, -1)) else None
+
+
 @lru_cache(maxsize=None)
 def _sweep_shape(pattern: tuple[int, ...]) -> tuple[int, int, bool, bool] | None:
     """(a, k, reversed, negated) if reversing and/or complementing `pattern`
-    gives I_a ⊕ D_k, the run 1..a followed by the decreasing block m..a+1;
-    the image with the longest run wins.  None for every other pattern.
+    gives I_a ⊕ D_k; the image with the longest run wins.  None for every
+    other pattern.
 
     >>> _sweep_shape((1, 4, 3, 2)), _sweep_shape((3, 2, 1)), _sweep_shape((1, 3, 2, 4))
     ((1, 3, False, False), (3, 0, False, True), None)
@@ -216,27 +234,29 @@ def _sweep_shape(pattern: tuple[int, ...]) -> tuple[int, int, bool, bool] | None
             image = pattern[::-1] if rev else pattern
             if neg:
                 image = tuple(m + 1 - v for v in image)
-            a = 0
-            while a < m and image[a] == a + 1:
-                a += 1
-            if image[a:] == tuple(range(m, a, -1)) and (best is None or a > best[0]):
-                best = (a, m - a, rev, neg)
+            shape = _run_drop_shape(image)
+            if shape is not None and (best is None or shape[0] > best[0]):
+                best = (*shape, rev, neg)
     return best
 
 
-def _contains_run_then_drop(a: int, k: int, seq: Sequence[int]) -> bool:
-    """Does `seq` contain I_a ⊕ D_k?  True iff at some split t the least
-    maximum of an increasing a-run in seq[:t] lies below the greatest minimum
-    of a decreasing k-run in seq[t:].
+def _run_drop_splits(a: int, k: int, seq: Sequence[int]) -> Iterator[tuple[float, float]]:
+    """(top, bottom) at each split t, from len(seq) down to 0, where bottom,
+    the greatest bottom (last value) of a decreasing k-run inside seq[t:], has
+    just risen and lies above top, the least top (last value) of an
+    increasing a-run inside seq[:t]; the empty run's bottom is inf.  seq
+    contains I_a ⊕ D_k iff there is such a split.  The top only grows as t
+    falls, so a value lies strictly between top and bottom at some split iff
+    it does at one of those given.
 
     The prefix side takes `a` left-to-right passes: pass j keeps, for each t,
-    the least last value of an increasing j-run inside seq[:t].  The suffix
-    side is one right-to-left pass: the greatest last value of a decreasing
-    j-run that starts at position t is a prefix-maximum query, over the values
-    below seq[t], on a Fenwick tree holding the decreasing (j-1)-runs to the
-    right; k-1 trees, indexed by value rank.  Stops at the first split found.
+    the least top of an increasing j-run inside seq[:t].  The suffix side is
+    one right-to-left pass: the greatest bottom of a decreasing j-run that
+    starts at position t is a prefix-maximum query, over the values below
+    seq[t], on a Fenwick tree holding the decreasing (j-1)-runs to the right;
+    k-1 trees, indexed by value rank.
     """
-    n, inf = len(seq), float("inf")
+    n, inf = len(seq), math.inf
     least = [-inf] * (n + 1)
     for _ in range(a):
         row, cur = [inf], inf
@@ -246,10 +266,12 @@ def _contains_run_then_drop(a: int, k: int, seq: Sequence[int]) -> bool:
             row.append(cur)
         least = row
     if not k:
-        return least[n] < inf
+        if least[n] < inf:
+            yield least[n], inf
+        return
     rank = {v: r for r, v in enumerate(sorted(seq), 1)} if k > 1 else {}
     trees = [[-inf] * (n + 1) for _ in range(k - 1)]
-    best = -inf  # greatest last value of a decreasing k-run inside seq[t:]
+    best = -inf
     for t in range(n - 1, -1, -1):
         h = seq[t]
         if trees:
@@ -271,8 +293,23 @@ def _contains_run_then_drop(a: int, k: int, seq: Sequence[int]) -> bool:
         if h > best:
             best = h
             if least[t] < best:
-                return True
-    return False
+                yield least[t], best
+
+
+def _forbidden_lasts(a: int, k: int, seq: Sequence[int]) -> list[tuple[int, int]]:
+    """Closed intervals of the values v such that seq + (v - 0.5,) contains
+    I_a ⊕ D_k (a >= 1, k >= 2) through its last entry; seq holds distinct
+    integers.
+
+    The new entry, the bottom of the decreasing block, completes an
+    occurrence iff at some split an increasing a-run before it tops out below
+    it and a decreasing (k-1)-run after it bottoms out above it:
+    top < v - 0.5 < bottom, that is top + 1 <= v <= bottom.
+
+    >>> _forbidden_lasts(1, 3, (2, 4, 3, 1))
+    [(3, 3)]
+    """
+    return [(top + 1, bottom) for top, bottom in _run_drop_splits(a, k - 1, seq)]
 
 
 def avoids(pattern: Permutation | Sequence[int], host: Permutation | Sequence[int]) -> bool:
@@ -280,7 +317,7 @@ def avoids(pattern: Permutation | Sequence[int], host: Permutation | Sequence[in
     values, like `contains`, but the method is chosen from the pattern alone:
     a reverse and/or complement of I_a ⊕ D_k (every pattern of order 3, and
     1234, 1243, 1432, 2134, 2341, 3214, 3421, 4123, 4312, 4321 of order 4) is
-    decided by `_contains_run_then_drop` on the host reversed and/or negated;
+    decided by `_run_drop_splits` on the host reversed and/or negated;
     every other pattern by the backtracking of `contains`, with no embedding
     built.
 
@@ -297,7 +334,7 @@ def avoids(pattern: Permutation | Sequence[int], host: Permutation | Sequence[in
         seq = seq[::-1]
     if neg:
         seq = [-v for v in seq]
-    return not _contains_run_then_drop(a, k, seq)
+    return next(_run_drop_splits(a, k, seq), None) is None
 
 
 def ends_with_occurrence(pattern: Sequence[int], seq: Sequence[int]) -> bool:
@@ -510,14 +547,20 @@ def _avoider_level(basis: frozenset[Permutation], n: int) -> tuple[Permutation, 
     if n == 0:
         return (EMPTY,)
     # X⊖1's greatest bottom is minus the least top of X's complement among
-    # the negated values; b = 1 is X⊕1 with X = ε, whose top -inf allows none
-    caps, floors, rest = [], [], []
+    # the negated values; b = 1 is X⊕1 with X = ε, whose top -inf allows none.
+    # drops holds (negated, a, k) for I_a ⊕ D_k and its complement.
+    caps, floors, drops, rest = [], [], [], []
     for b in basis:
         m = len(b)
+        complemented = tuple(m + 1 - v for v in b.values)
         if b.values[-1] == m:
             caps.append(b.values[:-1])
         elif b.values[-1] == 1:
-            floors.append(tuple(m + 1 - v for v in b.values[:-1]))
+            floors.append(complemented[:-1])
+        elif shape := _run_drop_shape(b.values):
+            drops.append((False, *shape))
+        elif shape := _run_drop_shape(complemented):
+            drops.append((True, *shape))
         else:
             rest.append(b.values)
     # shifted[last][v] is where value v of a parent moves when last is appended
@@ -527,17 +570,29 @@ def _avoider_level(basis: frozenset[Permutation], n: int) -> tuple[Permutation, 
         lo, hi = 1, n
         for x in caps:
             hi = min(hi, least_top(x, q.values))
-        if floors:
+        if floors or drops:
             negated = [-v for v in q.values]
-            for x in floors:
-                lo = max(lo, 1 - least_top(x, negated))
+        for x in floors:
+            lo = max(lo, 1 - least_top(x, negated))
         if hi < lo:
             continue
-        for last in range(lo, hi + 1):
+        lasts = range(lo, hi + 1)
+        if drops:
+            free = [True] * (n + 1)
+            for neg, a, k in drops:
+                # the negated child appends 1 - last: [low, high] maps to
+                # [1 - high, 1 - low]
+                for low, high in _forbidden_lasts(a, k, negated if neg else q.values):
+                    if neg:
+                        low, high = 1 - high, 1 - low
+                    free[low:high + 1] = [False] * (high + 1 - low)
+            lasts = compress(lasts, free[lo:hi + 1])
+        for last in lasts:
             # last - 0.5 sits where the shifted values put last: same order type
             if rest and any(ends_with_occurrence(b, q.values + (last - 0.5,)) for b in rest):
                 continue
-            out.append(Permutation(tuple(map(shifted[last].__getitem__, q.values)) + (last,)))
+            child = tuple(map(shifted[last].__getitem__, q.values)) + (last,)
+            out.append(Permutation._trusted(child))
     return tuple(sorted(out, key=lambda p: p.values))
 
 
@@ -549,10 +604,17 @@ def enumerate_avoiders(basis: Iterable[Permutation], n: int) -> Iterator[Permuta
     free of duplicates, and only occurrences through the new entry can be new.
     A basis element X⊕1 (last entry its maximum) forbids exactly the last
     values above the least top t of an X in the parent, so it allows 1..t;
-    X⊖1 allows g+1..n, where g is the greatest bottom of an X.  These
-    thresholds are read off the parent once, and only the other basis
-    elements are tested per candidate, by a search through the new entry,
-    inside the intersected interval.
+    X⊖1 allows g+1..n, where g is the greatest bottom of an X.  A basis
+    element I_a ⊕ D_k with a >= 1 and k >= 2 (132, 1243, 1432, ...), whose
+    last entry a+1 is neither, forbids the last values v with
+    top < v - 0.5 < bottom at some split of the parent, top the least top of
+    an increasing a-run before it and bottom the greatest bottom of a
+    decreasing (k-1)-run after it; its complement (312, 3421, 4123, ...) the
+    same on the negated parent.  These thresholds and intervals are read off
+    the parent once, in the passes `avoids` sweeps with, and only the other
+    basis elements are tested per candidate, by a search through the new
+    entry, among the allowed values.  Children are built without
+    `Permutation`'s sort check.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

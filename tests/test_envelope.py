@@ -87,6 +87,10 @@ def test_reduced_envelope_map_positions():
             assert reduced == reduced_envelope(p)
             covered = set(range(1, n + 1)) - set(lr_minima(p))
             assert set(positions) == covered
+            # built without validation, it passes the validating constructor
+            checked = Matching(reduced.arcs)
+            assert checked == reduced and hash(checked) == hash(reduced)
+            assert all(type(arc) is tuple for arc in reduced.arcs)
 
 
 def test_tangle_examples():

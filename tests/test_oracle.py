@@ -181,6 +181,128 @@ def test_verify_splitting_uses_splitter_fast_path():
     ]
 
 
+def _reference_report(class_basis, spec, n_max, splitter=None) -> VerificationReport:
+    """verify_splitting with a merge_member search from scratch per member."""
+    from collections import Counter
+
+    from permsplit.oracle import merge_violations
+
+    spec_counts = Counter(spec.flatten())
+    report = VerificationReport()
+    for p in avoiders_up_to(class_basis, n_max):
+        report.checked += 1
+        constructive = None
+        if splitter is not None:
+            try:
+                constructive = splitter(p)
+            except PreconditionError:
+                pass
+            except Exception as exc:
+                report.failures.append((p.text(), f"splitter raised {type(exc).__name__}: {exc}"))
+                continue
+        if constructive is not None:
+            if not (Counter(constructive.parts) - spec_counts) and merge_check(constructive):
+                report.max_colors_used = max(report.max_colors_used, constructive.colors_used())
+                continue
+        if splitter is not None:
+            report.fallbacks += 1
+        cert = merge_member(p, spec)
+        if cert is None:
+            detail = "no merge into the spec exists"
+            if constructive is not None:
+                detail += "; splitter certificate invalid: " + "; ".join(
+                    merge_violations(constructive)
+                )
+            report.failures.append((p.text(), detail))
+        else:
+            report.max_colors_used = max(report.max_colors_used, cert.colors_used())
+    return report
+
+
+def _theorem_on_even_orders(p):
+    from permsplit.constructions import theorem_certificate
+
+    if len(p) % 2:
+        raise PreconditionError("odd order")
+    return theorem_certificate(P("1432"), p)
+
+
+def _all_in_one_class_but_order_two(p):
+    if len(p) == 2:
+        raise RuntimeError("boom")
+    return ColoringCertificate(p, (P("12"),), (0,) * len(p))
+
+
+def _theorem_spec():
+    from permsplit.constructions import theorem_split
+
+    return theorem_split(P("1432"))
+
+
+@pytest.mark.parametrize(
+    "basis, spec, n_max, splitter",
+    [
+        ("1432", _theorem_spec, 7, None),
+        # Av(123) does not merge into {Av(12)}: children of failures fail
+        ("123", lambda: SplittingSpec.of(P("12")), 5, None),
+        # identical parts: the interchangeable-twin rule
+        ("321", lambda: SplittingSpec(((P("21"), 2),)), 7, None),
+        # children of members the splitter handled search from scratch
+        ("1432", _theorem_spec, 7, _theorem_on_even_orders),
+        # invalid certificates fall back; children of a crash search from scratch
+        ("123", lambda: SplittingSpec.of(P("12")), 5, _all_in_one_class_but_order_two),
+    ],
+)
+def test_verify_splitting_matches_a_search_from_scratch_per_member(
+    monkeypatch, basis, spec, n_max, splitter
+):
+    from permsplit import oracle
+
+    # every colouring the resumed searches find, to hold against merge_member's
+    found = {}
+    make_search = oracle._merge_search
+
+    def recording(parts):
+        search = make_search(parts)
+
+        def colors(values, start=()):
+            found[values] = search(values, start)
+            return found[values]
+
+        return colors
+
+    spec = spec()
+    monkeypatch.setattr(oracle, "_merge_search", recording)
+    got = verify_splitting({P(basis)}, spec, n_max, splitter=splitter)
+    monkeypatch.undo()
+    want = _reference_report({P(basis)}, spec, n_max, splitter=splitter)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert found and got.checked > n_max
+    for values, colors in found.items():
+        cert = merge_member(Permutation(values), spec)
+        assert colors == (None if cert is None else cert.colors), values
+
+
+def test_verify_splitting_resumes_each_search_at_the_parent(monkeypatch):
+    # merge_member from scratch on every member of Av_{<=8}(1432) makes
+    # 151,547 calls
+    from permsplit import oracle
+
+    calls = []
+    search = oracle.ends_with_occurrence
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(oracle, "ends_with_occurrence", counted)
+    report = verify_splitting({P("1432")}, _theorem_spec(), 8)
+    assert report.to_json_dict() == {
+        "checked": 19177, "failures": [], "max_colors_used": 2, "fallbacks": 0, "pass": True,
+    }
+    assert len(calls) <= 25_000
+
+
 def test_report_json():
     report = VerificationReport(checked=3, failures=[("2 1", "why")], max_colors_used=2)
     d = report.to_json_dict()

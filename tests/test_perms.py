@@ -347,6 +347,12 @@ def test_enumerate_avoiders_matches_brute_filter():
         {P("2431")},
         {P("1324"), P("2143")},
         {P("132"), P("4321")},
+        # I_a ⊕ D_k (a >= 1, k >= 2) or its complement: forbidden intervals
+        {P("312")},
+        {P("1243")},
+        {P("4123")},
+        {P("3421")},
+        {P("1432"), P("4123")},
     ]
     for basis in bases:
         for n in range(7):
@@ -362,7 +368,9 @@ def test_enumerate_avoiders_larger_spot_check():
 # SHA-256 of the avoider lists at orders 0-8 (one permutation per line, in
 # size-then-lex order), recorded before enumeration read X⊕1 and X⊖1 basis
 # elements as thresholds: 1234 and 1324 end in their maximum, 2431 and 4321 in
-# their minimum, 1432 and 2143 in neither
+# their minimum, 1432 and 2143 in neither.  The entries from 132 on were
+# recorded before enumeration read I_a ⊕ D_k basis elements (132, 1243,
+# 1432) and their complements (312, 3421, 4123) as forbidden intervals.
 AVOIDER_LISTS_SHA256 = {
     "1": "95db3a9172d0d9780d59ed7586ad2820a56f2c23cba67a4ce97a9595846182cc",
     "12": "ea9f91e397cab7cde38661d7da2e5924a4c68e0ae779e70b2f7a97b9bd0558d2",
@@ -372,6 +380,12 @@ AVOIDER_LISTS_SHA256 = {
     "2431": "b47881bb176984d8bfd52bdddb49f22743b3d6ec28c0038468b1deb245b3123e",
     "1324 2143": "0865a798d1f31860e0816974e8283e0138ec035633450b1ead4d02b6a82d0cd0",
     "132 4321": "ca0f73e80c0dabd642508fb9f53edb6f75a080de5499a67142f5fa0552f19a20",
+    "132": "480d2e67653478ff9a128aa040d1a4f071cd13ffa495b873299aa2b25ccdb3c9",
+    "312": "ec994cd483b9c49ce4980a729a252910a3b107aec23dcd4dacbd6bef6b1c4ec9",
+    "1243": "755e35b452af539c5355c2dd6f4cab5bf48128d8025765a342756fe4de06bcbf",
+    "4123": "3825099863d451e31d24feedbcb8e71dc1aee9ef06f4f344a21be649b6d47087",
+    "3421": "dc65eedfc93a9036659de4514613a22e8bb4cb26bce05eee86957b592e6ae9bf",
+    "1432 4123": "565c9c332ee1f102428b30ed3e46aa7e5613d80ffa0cd9a94eea20b26678eb28",
 }
 
 
@@ -385,6 +399,48 @@ def test_avoider_lists_are_pinned():
         for p in avoiders_up_to({P(b) for b in text.split()}, 8):
             digest.update(p.text().encode() + b"\n")
         assert digest.hexdigest() == expected, text
+
+
+def test_forbidden_lasts_match_the_pinned_search():
+    # every value v whose v - 0.5, appended, completes I_a ⊕ D_k lies in one
+    # of the intervals, and no other
+    from permsplit.perms import _forbidden_lasts
+
+    shapes = [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4), (3, 2)]
+    for n in range(7):
+        for host in all_perms(n):
+            for a, k in shapes:
+                pattern = (*range(1, a + 1), *range(a + k, a, -1))
+                intervals = _forbidden_lasts(a, k, host.values)
+                for v in range(1, n + 2):
+                    want = ends_with_occurrence(pattern, host.values + (v - 0.5,))
+                    assert any(lo <= v <= hi for lo, hi in intervals) == want, (host, a, k, v)
+
+
+def test_interval_bases_enumerate_without_a_pinned_search(monkeypatch):
+    # one level of Av(1432, 4123), its parents from the cache: every basis
+    # element is read as forbidden intervals, none is searched per child
+    from permsplit import perms
+
+    basis = frozenset({P("1432"), P("4123")})
+    parents = perms._avoider_level(basis, 7)
+    calls = []
+    search = perms._first_occurrence
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(perms, "_first_occurrence", counted)
+    level = perms._avoider_level.__wrapped__(basis, 8)
+    assert calls == []
+    assert len(level) > len(parents) and all(avoids(b, p) for p in level for b in basis)
+
+
+def test_trusted_children_compare_and_hash_like_checked_ones():
+    for p in enumerate_avoiders({P("1432")}, 6):
+        checked = Permutation(p.values)
+        assert p == checked and hash(p) == hash(checked) and type(p.values) is tuple
 
 
 def test_least_top_matches_brute_force():
