@@ -12,6 +12,7 @@ empty permutation prints as "ε" (the empty string is accepted on input).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import compress, permutations
@@ -208,24 +209,33 @@ def contains(
     return None if chosen is None else Embedding(tuple(q + 1 for q in chosen))
 
 
-def _run_drop_shape(image: Sequence[int]) -> tuple[int, int] | None:
-    """(a, k) if `image` is I_a ⊕ D_k, the run 1..a followed by the
-    decreasing block m..a+1; None otherwise."""
+def _run_drop_shape(image: Sequence[int]) -> tuple[int, int, int] | None:
+    """(a, k, b) if `image` is I_a ⊕ D_k ⊕ I_b: the run 1..a, the decreasing
+    block a+k..a+1, then the run a+k+1..m (the identity is (m, 0, 0));
+    None otherwise."""
     m = len(image)
     a = 0
     while a < m and image[a] == a + 1:
         a += 1
-    return (a, m - a) if tuple(image[a:]) == tuple(range(m, a, -1)) else None
+    if a == m:
+        return m, 0, 0
+    top = image[a]
+    if tuple(image[a:]) != (*range(top, a, -1), *range(top + 1, m + 1)):
+        return None
+    return a, top - a, m - top
 
 
 @lru_cache(maxsize=None)
-def _sweep_shape(pattern: tuple[int, ...]) -> tuple[int, int, bool, bool] | None:
-    """(a, k, reversed, negated) if reversing and/or complementing `pattern`
-    gives I_a ⊕ D_k; the image with the longest run wins.  None for every
-    other pattern.
+def _sweep_shape(pattern: tuple[int, ...]) -> tuple[int, int, int, bool, bool] | None:
+    """(a, k, b, reversed, negated) if reversing and/or complementing
+    `pattern` gives I_a ⊕ D_k (b = 0) or I_a ⊕ D_2 ⊕ I_b (a, b >= 1); an
+    image with b = 0 wins, then the one with the longest leading run.  None
+    for every other pattern.
 
-    >>> _sweep_shape((1, 4, 3, 2)), _sweep_shape((3, 2, 1)), _sweep_shape((1, 3, 2, 4))
-    ((1, 3, False, False), (3, 0, False, True), None)
+    >>> _sweep_shape((1, 4, 3, 2)), _sweep_shape((3, 2, 1))
+    ((1, 3, 0, False, False), (3, 0, 0, False, True))
+    >>> _sweep_shape((1, 3, 2, 4)), _sweep_shape((1, 4, 3, 2, 5))
+    ((1, 2, 1, False, False), None)
     """
     m = len(pattern)
     best = None
@@ -235,7 +245,9 @@ def _sweep_shape(pattern: tuple[int, ...]) -> tuple[int, int, bool, bool] | None
             if neg:
                 image = tuple(m + 1 - v for v in image)
             shape = _run_drop_shape(image)
-            if shape is not None and (best is None or shape[0] > best[0]):
+            if shape is None or (shape[2] and (shape[0] == 0 or shape[1] != 2)):
+                continue  # a trailing run is swept only as I_a ⊕ D_2 ⊕ I_b, a >= 1
+            if best is None or (not shape[2], shape[0]) > (not best[2], best[0]):
                 best = (*shape, rev, neg)
     return best
 
@@ -312,29 +324,122 @@ def _forbidden_lasts(a: int, k: int, seq: Sequence[int]) -> list[tuple[int, int]
     return [(top + 1, bottom) for top, bottom in _run_drop_splits(a, k - 1, seq)]
 
 
+class RunDropState:
+    """Which next values complete an I_a ⊕ D_2 (a >= 1) through themselves,
+    over a growing sequence of distinct nonnegative integers: the incremental
+    form of `_forbidden_lasts(a, 2, ·)`.
+
+    v completes one iff some pushed y > v has T_a(before y) < v, where
+    T_a(before y) is the least top of an increasing a-run among the values
+    pushed before y.  The least tops T_1 < ... < T_a are kept as in patience
+    sorting, and T_a only drops.  Each drop starts an epoch, which records
+    the values pushed so far as a bitset held in a Python int.  The
+    candidates for y are then the values pushed since the first epoch whose
+    T_a lies below v: one `bisect` and one XOR/shift.  Memory is one bitset
+    per epoch, at most n bits each.
+
+    >>> state = RunDropState(1)
+    >>> for v in (2, 4, 1):
+    ...     state.push(v)
+    >>> state.completes(3), state.completes(5), state.completes(3, upper=4)
+    (True, False, False)
+    """
+
+    __slots__ = ("tops", "bits", "drops", "before")
+
+    def __init__(self, a: int):
+        self.tops = [math.inf] * a  # tops[i] is T_{i+1}
+        self.bits = 0  # bit y is set once y is pushed
+        self.drops: list[int] = []  # minus T_a at each epoch's start, increasing
+        self.before: list[int] = []  # bits at each epoch's start
+
+    def push(self, v: int) -> None:
+        self.bits |= 1 << v
+        tops = self.tops
+        i = bisect_left(tops, v)
+        if i < len(tops):
+            tops[i] = v
+            if i == len(tops) - 1:
+                self.drops.append(-v)
+                self.before.append(self.bits)
+
+    def completes(self, v: int, upper: int | None = None) -> bool:
+        """Is there a pushed y with v < y (and y < upper, if given) and
+        T_a(before y) < v?"""
+        e = bisect_right(self.drops, -v)
+        if e == len(self.drops):
+            return False
+        fresh = self.bits ^ self.before[e]
+        if upper is None:
+            return fresh.bit_length() > v + 1
+        return upper > v + 1 and (fresh >> (v + 1)) & ((1 << (upper - v - 1)) - 1) != 0
+
+
+def _run_drop_run_found(a: int, b: int, seq: Sequence[int]) -> bool:
+    """Does `seq`, distinct nonnegative integers, contain I_a ⊕ D_2 ⊕ I_b
+    (a, b >= 1)?
+
+    It does iff some z has an earlier y with
+    T_a(before y) < z < y < G_b(after z), where G_b is the greatest bottom
+    of an increasing b-run (the suffix maximum when b = 1): a
+    `RunDropState` query with an upper bound.  The suffix side takes `b`
+    right-to-left passes, the mirror of `_run_drop_splits`' prefix passes.
+    """
+    n = len(seq)
+    greatest = [math.inf] * (n + 1)
+    for _ in range(b):
+        row, cur = [-1] * (n + 1), -1
+        for t in range(n - 1, -1, -1):
+            v = seq[t]
+            if cur < v < greatest[t + 1]:
+                cur = v
+            row[t] = cur
+        greatest = row
+    state = RunDropState(a)
+    for t, z in enumerate(seq):
+        if state.completes(z, greatest[t + 1]):
+            return True
+        state.push(z)
+    return False
+
+
 def avoids(pattern: Permutation | Sequence[int], host: Permutation | Sequence[int]) -> bool:
     """Does `host` avoid `pattern`?  Both may be any sequences of distinct
-    values, like `contains`, but the method is chosen from the pattern alone:
-    a reverse and/or complement of I_a ⊕ D_k (every pattern of order 3, and
-    1234, 1243, 1432, 2134, 2341, 3214, 3421, 4123, 4312, 4321 of order 4) is
-    decided by `_run_drop_splits` on the host reversed and/or negated;
-    every other pattern by the backtracking of `contains`, with no embedding
-    built.
+    values, like `contains`, but the method is chosen from the pattern alone,
+    on the host reversed and/or negated as `_sweep_shape` says:
+
+    - a reverse and/or complement of I_a ⊕ D_k (every pattern of order 3, and
+      1234, 1243, 1432, 2134, 2341, 3214, 3421, 4123, 4312, 4321 of order 4)
+      by `_run_drop_splits`;
+    - a reverse and/or complement of I_a ⊕ D_2 ⊕ I_b with a, b >= 1 (1324
+      and 4231 of order 4) by `_run_drop_run_found`, on the host's value
+      ranks (a permutation's values need no ranking);
+    - every other pattern by the backtracking of `contains`, with no
+      embedding built.
 
     >>> avoids((1, 4, 3, 2), (2, 3, 1, 5, 4)), avoids((1, 3, 2, 4), (20, 40, 10, 30))
     (True, True)
+    >>> avoids((4, 2, 3, 1), (-1, -5, -3, -9))
+    False
     """
     seq = host.values if isinstance(host, Permutation) else host
     pattern = tuple(pattern)
     shape = _sweep_shape(pattern)
     if shape is None:
         return _first_occurrence(pattern, seq, False) is None
-    a, k, rev, neg = shape
+    a, k, b, rev, neg = shape
     if rev:
         seq = seq[::-1]
     if neg:
         seq = [-v for v in seq]
-    return next(_run_drop_splits(a, k, seq), None) is None
+    if not b:
+        return next(_run_drop_splits(a, k, seq), None) is None
+    if not isinstance(host, Permutation):
+        rank = {v: r for r, v in enumerate(sorted(seq))}
+        seq = [rank[v] for v in seq]
+    elif neg:
+        seq = [v + len(seq) for v in seq]  # -n..-1 onto 0..n-1
+    return not _run_drop_run_found(a, b, seq)
 
 
 def ends_with_occurrence(pattern: Sequence[int], seq: Sequence[int]) -> bool:
@@ -558,9 +663,9 @@ def _avoider_level(basis: frozenset[Permutation], n: int) -> tuple[Permutation, 
         elif b.values[-1] == 1:
             floors.append(complemented[:-1])
         elif shape := _run_drop_shape(b.values):
-            drops.append((False, *shape))
+            drops.append((False, *shape[:2]))
         elif shape := _run_drop_shape(complemented):
-            drops.append((True, *shape))
+            drops.append((True, *shape[:2]))
         else:
             rest.append(b.values)
     # shifted[last][v] is where value v of a parent moves when last is appended

@@ -35,6 +35,8 @@ from .matchings import (
 )
 from .perms import (
     Permutation,
+    RunDropState,
+    all_perms,
     avoids,
     decreasing,
     direct_sum,
@@ -136,8 +138,10 @@ def greedy_colors(red: Permutation, p: Permutation) -> tuple[int, ...]:
     """greedy_split's colours (0 red, 1 blue) for the red part `red`.
 
     A red part Y ⊕ I_j with j >= 1 trailing singletons (route a's α⊕1
-    always is) is tested by thresholds, `_threshold_colors`; any other (route
-    b's 1⊕σ) by one `ends_with_occurrence` search per element.
+    always is) is tested by thresholds, `_threshold_colors`.  A red part
+    I_a ⊕ D_2 (route b's 132 = 1⊕21) is tested by a `RunDropState` over the
+    red class, `_run_drop_colors`.  Any other (route b's 1⊕σ for a longer
+    σ) takes one `ends_with_occurrence` search per element.
     """
     m = len(red)
     j = 0
@@ -145,6 +149,8 @@ def greedy_colors(red: Permutation, p: Permutation) -> tuple[int, ...]:
         j += 1
     if j:
         return _threshold_colors(red.values[: m - j], j, p.values)
+    if m >= 3 and red.values == (*range(1, m - 1), m, m - 1):
+        return _run_drop_colors(m - 2, p.values)
     red_vals: list[int] = []
     blue_min = math.inf
     colors: list[int] = []
@@ -159,6 +165,23 @@ def greedy_colors(red: Permutation, p: Permutation) -> tuple[int, ...]:
     return tuple(colors)
 
 
+def _run_drop_colors(a: int, values: Sequence[int]) -> tuple[int, ...]:
+    """greedy_colors for the red part I_a ⊕ D_2, a >= 1, on a permutation's
+    values: v completes a red one iff the red class's `RunDropState` says so,
+    one bisect and one XOR per element."""
+    red = RunDropState(a)
+    blue_min = math.inf
+    colors: list[int] = []
+    for v in values:
+        if blue_min < v or red.completes(v):
+            colors.append(1)
+            blue_min = min(blue_min, v)
+        else:
+            colors.append(0)
+            red.push(v)
+    return tuple(colors)
+
+
 def _threshold_colors(y: tuple[int, ...], j: int, values: Sequence[int]) -> tuple[int, ...]:
     """greedy_colors for the red part Y ⊕ I_j, j >= 1.
 
@@ -170,7 +193,12 @@ def _threshold_colors(y: tuple[int, ...], j: int, values: Sequence[int]) -> tupl
     bounds leave open costs one `least_top` search below x, which pins T_0
     when it finds a Y; a red push u lowers floor0 to u, since T_0 can only
     drop to u or above.
+    When p avoids a pattern of order <= 3 that Y contains (decided by the
+    sweep of `avoids`), no red class contains Y: T_0 stays +inf, so every
+    element is red and no search runs.
     """
+    if y and any(avoids(q, values) for q in _small_subpatterns(y)):
+        return (0,) * len(values)
     red_vals: list[int] = []
     top0 = floor0 = math.inf if y else -math.inf
     tops = [math.inf] * j  # tops[i] is T_i for 1 <= i < j
@@ -204,6 +232,12 @@ def _threshold_colors(y: tuple[int, ...], j: int, values: Sequence[int]) -> tupl
         red_vals.append(v)
         floor0 = min(floor0, v)
     return tuple(colors)
+
+
+@lru_cache(maxsize=None)
+def _small_subpatterns(y: tuple[int, ...]) -> tuple[Permutation, ...]:
+    """The patterns of order min(3, |y|) that y contains."""
+    return tuple(q for q in all_perms(min(3, len(y))) if not avoids(q, y))
 
 
 def easy_split_parts(alpha: Permutation, beta: Permutation) -> SplittingSpec:

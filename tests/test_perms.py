@@ -477,12 +477,23 @@ def test_avoids_against_brute():
                 assert avoids(patt, host) == (not brute_contains(patt, host))
 
 
-def _sweep_patterns(m: int) -> list[Permutation]:
-    """The patterns of order m that are reverses and/or complements of some
-    I_a ⊕ D_k, the shapes `avoids` sweeps instead of backtracking."""
-    shapes = [Permutation((*range(1, a + 1), *range(m, a, -1))) for a in range(m + 1)]
+def _shape_images(shapes: list[Permutation]) -> list[Permutation]:
     images = {f(q) for q in shapes for f in (lambda q: q, reverse, complement, reverse_complement)}
     return sorted(images, key=lambda q: q.values)
+
+
+def _run_drop_run_patterns(m: int) -> list[Permutation]:
+    """The patterns of order m that are reverses and/or complements of some
+    I_a ⊕ D_2 ⊕ I_b with a, b >= 1."""
+    shapes = [(*range(1, a + 1), a + 2, a + 1, *range(a + 3, m + 1)) for a in range(1, m - 2)]
+    return _shape_images([Permutation(q) for q in shapes])
+
+
+def _sweep_patterns(m: int) -> list[Permutation]:
+    """The patterns of order m that `avoids` sweeps instead of backtracking:
+    reverses and/or complements of some I_a ⊕ D_k or I_a ⊕ D_2 ⊕ I_b."""
+    shapes = [Permutation((*range(1, a + 1), *range(m, a, -1))) for a in range(m + 1)]
+    return sorted({*_shape_images(shapes), *_run_drop_run_patterns(m)}, key=lambda q: q.values)
 
 
 def test_avoids_sweeps_exactly_the_documented_patterns():
@@ -493,9 +504,13 @@ def test_avoids_sweeps_exactly_the_documented_patterns():
         assert swept == _sweep_patterns(m)
     assert _sweep_patterns(3) == list(all_perms(3))
     assert {"".join(q.text().split()) for q in _sweep_patterns(4)} == {
-        "1234", "1243", "1432", "2134", "2341", "3214", "3421", "4123", "4312", "4321",
+        "1234", "1243", "1324", "1432", "2134", "2341", "3214", "3421", "4123", "4231", "4312",
+        "4321",
     }
-    assert len(_sweep_patterns(5)) == 14
+    assert {"".join(q.text().split()) for q in _run_drop_run_patterns(5)} == {
+        "12435", "13245", "53421", "54231",
+    }
+    assert len(_sweep_patterns(5)) == 18
 
 
 def test_avoids_sweep_and_contains_backtracking_agree_on_order_7():
@@ -505,13 +520,48 @@ def test_avoids_sweep_and_contains_backtracking_agree_on_order_7():
             assert avoids(patt, host) == (contains(patt, host) is None), (patt, host)
 
 
+def test_run_drop_run_sweep_against_brute_force():
+    # every I_a ⊕ D_2 ⊕ I_b image of order <= 5 on every host of order <= 7,
+    # on the host and on a raw value sequence with gaps and negatives, and
+    # 1324 on every host of order 8
+    patterns = _run_drop_run_patterns(4) + _run_drop_run_patterns(5)
+    for n in range(8):
+        for host in all_perms(n):
+            raw = [7 * v - 4 * n for v in host.values]
+            for patt in patterns:
+                want = not brute_contains(patt, host)
+                assert avoids(patt, host) == want, (patt, host)
+                assert avoids(patt, raw) == want
+    p1324 = P("1324")
+    assert all(avoids(p1324, host) == (not brute_contains(p1324, host)) for host in all_perms(8))
+
+
+def test_run_drop_state_matches_forbidden_lasts_on_every_prefix():
+    # pushing 2v and asking about 2v - 1 puts the asked value between the
+    # pushed ones, like _forbidden_lasts' v - 0.5
+    from permsplit.perms import RunDropState, _forbidden_lasts
+
+    for a in (1, 2, 3):
+        for n in range(8):
+            for host in all_perms(n):
+                state = RunDropState(a)
+                for t in range(n + 1):
+                    intervals = _forbidden_lasts(a, 2, host.values[:t])
+                    for v in range(1, n + 2):
+                        want = any(lo <= v <= hi for lo, hi in intervals)
+                        assert state.completes(2 * v - 1) == want, (a, host, t, v)
+                    if t < n:
+                        state.push(2 * host.values[t])
+
+
 def test_avoids_sweep_and_contains_backtracking_agree_on_large_hosts():
-    # order-5 sweep patterns on seeded hosts of order 30-300, also as raw
-    # value sequences with gaps and negatives, in the same order as the host
+    # sweep patterns of order 4-5 on seeded hosts of order 30-300, also as
+    # raw value sequences with gaps and negatives, in the same order as the
+    # host
     seen = set()
     for host in seeded_hosts(2026, 42):
         raw = [5 * v - 3 * len(host) for v in host.values]
-        for patt in _sweep_patterns(5):
+        for patt in _run_drop_run_patterns(4) + _sweep_patterns(5):
             want = contains(patt, host) is None
             assert avoids(patt, host) == want, (patt, host)
             assert avoids(patt, raw) == want

@@ -425,25 +425,25 @@ def test_greedy_thresholds_match_the_rescan():
             assert greedy_colors(red, p) == _rescan_greedy_colors(red, p), (red, p)
 
 
-def test_route_a_greedy_at_order_ten_thousand_runs_no_search(monkeypatch):
-    # certify 1243 (red part 123 = ε ⊕ I_3) on a seeded skew sum of order-8
-    # members of Av(1243), n = 10^4: the greedy scan makes no occurrence search
-    import random
+def test_greedy_run_drop_state_matches_the_rescan():
+    # a red part I_a ⊕ D_2 runs on a RunDropState: route b's 132 on every
+    # permutation of order <= 7, 1243 and 12354 on those of order <= 6, and
+    # all three on seeded hosts of order 30-300
+    from conftest import seeded_hosts
 
+    from permsplit.perms import all_perms
+    from permsplit.splitters import greedy_colors
+
+    large = seeded_hosts(1324, 12)
+    for red, n_max in ((P("132"), 7), (P("1243"), 6), (P("12354"), 6)):
+        for p in [p for n in range(n_max + 1) for p in all_perms(n)] + large:
+            assert greedy_colors(red, p) == _rescan_greedy_colors(red, p), (red, p)
+
+
+def _counting_searches(monkeypatch) -> list:
+    """Record every `perms._first_occurrence` call from here on."""
     from permsplit import perms
-    from permsplit.constructions import theorem_certificate, theorem_plan
-    from permsplit.oracle import merge_check
-    from permsplit.perms import avoids
 
-    pattern, rng = P("1243"), random.Random(1243)
-    pieces: list[tuple[int, ...]] = []
-    while len(pieces) < 1250:
-        piece = tuple(rng.sample(range(1, 9), 8))
-        if avoids(pattern, piece):
-            pieces.append(piece)
-    host = Permutation(
-        tuple(8 * (len(pieces) - 1 - k) + v for k, piece in enumerate(pieces) for v in piece)
-    )
     calls = []
     search = perms._first_occurrence
 
@@ -452,6 +452,72 @@ def test_route_a_greedy_at_order_ten_thousand_runs_no_search(monkeypatch):
         return search(*args)
 
     monkeypatch.setattr(perms, "_first_occurrence", counted)
+    return calls
+
+
+def _skew_sum_of_avoiders(pattern: Permutation, seed: int) -> Permutation:
+    """A skew sum of 1,250 seeded members of Av_8(pattern), n = 10^4."""
+    import random
+
+    from permsplit.perms import avoids
+
+    rng = random.Random(seed)
+    pieces: list[tuple[int, ...]] = []
+    while len(pieces) < 1250:
+        piece = tuple(rng.sample(range(1, 9), 8))
+        if avoids(pattern, piece):
+            pieces.append(piece)
+    return Permutation(
+        tuple(8 * (len(pieces) - 1 - k) + v for k, piece in enumerate(pieces) for v in piece)
+    )
+
+
+def test_threshold_colors_skip_a_y_the_host_cannot_hold(monkeypatch):
+    # red part 24315 (Y = 2431 ⊇ 321) on a seeded 321-avoider of order 298:
+    # no red class can hold a Y, so every element is red without a search
+    # (before the sweep settled it, the T_0 searches took seconds on this host)
+    import hashlib
+
+    from conftest import seeded_hosts
+
+    from permsplit.splitters import greedy_colors
+
+    host = seeded_hosts(2134, 12, 30, 500)[6]
+    assert len(host) == 298
+    calls = _counting_searches(monkeypatch)
+    colors = greedy_colors(P("24315"), host)
+    assert calls == []
+    assert colors == (0,) * len(host)
+    assert hashlib.sha256(repr(colors).encode()).hexdigest() == (
+        "524547de01c79295b4b130b6c83d8d32a938373284316ef10c94d345b0d9f1ab"
+    )
+
+
+def test_route_b_certificate_at_order_ten_thousand_runs_no_search(monkeypatch):
+    # certify 1324 (precondition 1324 = I_1 ⊕ D_2 ⊕ I_1 by the sweep, red part
+    # 132 = I_1 ⊕ D_2 by the RunDropState) on a seeded skew sum of order-8
+    # members of Av(1324), n = 10^4: neither makes an occurrence search
+    from permsplit.constructions import theorem_certificate
+    from permsplit.oracle import merge_check
+
+    pattern = P("1324")
+    host = _skew_sum_of_avoiders(pattern, 1324)
+    calls = _counting_searches(monkeypatch)
+    cert = theorem_certificate(pattern, host)
+    assert calls == []
+    assert 0 < cert.colors.count(1) < len(host)
+    assert merge_check(cert)
+
+
+def test_route_a_greedy_at_order_ten_thousand_runs_no_search(monkeypatch):
+    # certify 1243 (red part 123 = ε ⊕ I_3) on a seeded skew sum of order-8
+    # members of Av(1243), n = 10^4: the greedy scan makes no occurrence search
+    from permsplit.constructions import theorem_certificate, theorem_plan
+    from permsplit.oracle import merge_check
+
+    pattern = P("1243")
+    host = _skew_sum_of_avoiders(pattern, 1243)
+    calls = _counting_searches(monkeypatch)
     cert = greedy_split(theorem_plan(pattern).spec.flatten(), host)
     assert calls == []
     monkeypatch.undo()
