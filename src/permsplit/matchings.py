@@ -136,18 +136,10 @@ def perm_of(m: Matching) -> Permutation | None:
 
 
 @lru_cache(maxsize=None)
-def _right_end_bounds(
-    pattern: tuple[Arc, ...]
-) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[int, ...]]:
+def _right_end_bounds(pattern: tuple[Arc, ...]) -> tuple[tuple[int, int, int, int], ...]:
     """For each pattern arc t, the earlier arcs whose right ends are nearest
     below and above its left end, then below and above its right end
-    (k and k+1 stand for none, k = number of arcs); and how the later arcs
-    read arc t's right end.
-
-    The role is 1 if the right end is read only as a lower bound, 2 if only
-    as an upper bound, 3 if both ways and 0 if unread, as in
-    `perms._neighbour_bounds`: the failed-candidate rule needs nothing else.
-    """
+    (k and k+1 stand for none, k = number of arcs)."""
     k = len(pattern)
     out = []
     for t, arc in enumerate(pattern):
@@ -158,10 +150,7 @@ def _right_end_bounds(
             row.append(max(below, key=lambda j: pattern[j][1], default=k))
             row.append(min(above, key=lambda j: pattern[j][1], default=k + 1))
         out.append(tuple(row))
-    lower = {row[i] for row in out for i in (0, 2)}
-    upper = {row[i] for row in out for i in (1, 3)}
-    roles = tuple((t in lower) + 2 * (t in upper) for t in range(k))
-    return tuple(out), roles
+    return tuple(out)
 
 
 def matching_contains(pattern: Matching, host: Matching | Sequence[Arc]) -> bool:
@@ -174,38 +163,20 @@ def matching_contains(pattern: Matching, host: Matching | Sequence[Arc]) -> bool
     against its two ends, so a candidate is kept iff each of its ends lies
     strictly between the chosen right ends nearest below and above the
     pattern's (neighbour bounds, one cached table per pattern).
-
-    Failed-candidate rule, as in `perms._first_occurrence`: once arc t's
-    subtree has failed with right end f, a later candidate for t can finish
-    an occurrence only if its right end reads better to the later arcs.  One
-    read only as a lower bound keeps only right ends below f, one read only
-    as an upper bound only those above f, one read both ways keeps all, and
-    an unread one backtracks at once.
     """
     ha = host.arcs if isinstance(host, Matching) else host
     k, q = len(pattern.arcs), len(ha)
     if k > q:
         return False
-    bounds, roles = _right_end_bounds(pattern.arcs)
+    bounds = _right_end_bounds(pattern.arcs)
     # rights[j] is the right end chosen for pattern arc j; slots k, k+1 bound nothing
     rights = [0] * k + [float("-inf"), float("inf")]
     chosen = [0] * k
-    # retry: arc t is re-entered after the subtree of its candidate rights[t] failed
-    retry = False
     t = start = 0
     while t < k:
         llo, lhi, rlo, rhi = bounds[t]
         a, b, c, d = rights[llo], rights[lhi], rights[rlo], rights[rhi]
-        stop = q - k + t + 1
-        if retry:
-            role = roles[t]  # 1 lower bound, 2 upper bound, 3 both, 0 unread
-            if role == 1:
-                d = rights[t]
-            elif role == 2:
-                c = rights[t]
-            elif not role:
-                stop = start
-        for idx in range(start, stop):
+        for idx in range(start, q - k + t + 1):
             left, right = ha[idx]
             if a < left < b and c < right < d:
                 break
@@ -214,13 +185,11 @@ def matching_contains(pattern: Matching, host: Matching | Sequence[Arc]) -> bool
                 return False
             t -= 1
             start = chosen[t] + 1
-            retry = True
             continue
         chosen[t] = idx
         rights[t] = right
         t += 1
         start = idx + 1
-        retry = False
     return True
 
 

@@ -209,10 +209,14 @@ def contains(
     return None if chosen is None else Embedding(tuple(q + 1 for q in chosen))
 
 
-def _run_drop_shape(image: Sequence[int]) -> tuple[int, int, int] | None:
+def run_drop_shape(image: Sequence[int]) -> tuple[int, int, int] | None:
     """(a, k, b) if `image` is I_a ⊕ D_k ⊕ I_b: the run 1..a, the decreasing
     block a+k..a+1, then the run a+k+1..m (the identity is (m, 0, 0));
-    None otherwise."""
+    None otherwise.
+
+    >>> run_drop_shape((1, 4, 3, 2)), run_drop_shape((1, 3, 2, 4)), run_drop_shape((2, 1, 4, 3))
+    ((1, 3, 0), (1, 2, 1), None)
+    """
     m = len(image)
     a = 0
     while a < m and image[a] == a + 1:
@@ -244,7 +248,7 @@ def _sweep_shape(pattern: tuple[int, ...]) -> tuple[int, int, int, bool, bool] |
             image = pattern[::-1] if rev else pattern
             if neg:
                 image = tuple(m + 1 - v for v in image)
-            shape = _run_drop_shape(image)
+            shape = run_drop_shape(image)
             if shape is None or (shape[2] and (shape[0] == 0 or shape[1] != 2)):
                 continue  # a trailing run is swept only as I_a ⊕ D_2 ⊕ I_b, a >= 1
             if best is None or (not shape[2], shape[0]) > (not best[2], best[0]):
@@ -332,36 +336,55 @@ class RunDropState:
     v completes one iff some pushed y > v has T_a(before y) < v, where
     T_a(before y) is the least top of an increasing a-run among the values
     pushed before y.  The least tops T_1 < ... < T_a are kept as in patience
-    sorting, and T_a only drops.  Each drop starts an epoch, which records
-    the values pushed so far as a bitset held in a Python int.  The
-    candidates for y are then the values pushed since the first epoch whose
-    T_a lies below v: one `bisect` and one XOR/shift.  Memory is one bitset
-    per epoch, at most n bits each.
+    sorting, and T_a only drops.  Each drop starts an epoch; a pushed value's
+    tag is the number of epochs started before it, so the candidates for y
+    are the values tagged above e, the first epoch whose T_a lies below v
+    (one `bisect`).  A monotone stack of (tag, largest value pushed with
+    that tag or later) answers "is one of them above v?" with a second.
+    The bounded question (y < upper as well) needs `size` > every pushed
+    value: when the stack leaves it open, it reads the largest tag among
+    the values in (v, upper) from a max segment tree over values.  Each push
+    or question takes O(log n) time, and memory is O(n).
 
-    >>> state = RunDropState(1)
+    >>> state = RunDropState(1, size=5)
     >>> for v in (2, 4, 1):
     ...     state.push(v)
     >>> state.completes(3), state.completes(5), state.completes(3, upper=4)
     (True, False, False)
     """
 
-    __slots__ = ("tops", "bits", "drops", "before")
+    __slots__ = ("tops", "drops", "tags", "maxes", "size", "tree")
 
-    def __init__(self, a: int):
+    def __init__(self, a: int, size: int = 0):
         self.tops = [math.inf] * a  # tops[i] is T_{i+1}
-        self.bits = 0  # bit y is set once y is pushed
         self.drops: list[int] = []  # minus T_a at each epoch's start, increasing
-        self.before: list[int] = []  # bits at each epoch's start
+        # tags increase and maxes decrease: maxes[i] is the largest value
+        # pushed with a tag >= tags[i]
+        self.tags: list[int] = []
+        self.maxes: list[int] = []
+        self.size = size
+        self.tree = [0] * (2 * size)  # leaf size + y holds y's tag, 0 if unpushed
 
     def push(self, v: int) -> None:
-        self.bits |= 1 << v
+        tag = len(self.drops)
+        tags, maxes = self.tags, self.maxes
+        while maxes and maxes[-1] < v:
+            tags.pop()
+            maxes.pop()
+        if not tags or tags[-1] != tag:
+            tags.append(tag)
+            maxes.append(v)
+        if self.size:
+            tree, i = self.tree, v + self.size
+            while i and tree[i] < tag:  # tags only grow: an ancestor >= tag ends it
+                tree[i] = tag
+                i >>= 1
         tops = self.tops
         i = bisect_left(tops, v)
         if i < len(tops):
             tops[i] = v
             if i == len(tops) - 1:
                 self.drops.append(-v)
-                self.before.append(self.bits)
 
     def completes(self, v: int, upper: int | None = None) -> bool:
         """Is there a pushed y with v < y (and y < upper, if given) and
@@ -369,14 +392,32 @@ class RunDropState:
         e = bisect_right(self.drops, -v)
         if e == len(self.drops):
             return False
-        fresh = self.bits ^ self.before[e]
-        if upper is None:
-            return fresh.bit_length() > v + 1
-        return upper > v + 1 and (fresh >> (v + 1)) & ((1 << (upper - v - 1)) - 1) != 0
+        i = bisect_right(self.tags, e)
+        if i == len(self.tags):
+            return False
+        top = self.maxes[i]
+        if top <= v:
+            return False
+        if upper is None or top < upper:
+            return True
+        tree = self.tree
+        lo, hi = v + 1 + self.size, min(upper, self.size) + self.size
+        while lo < hi:
+            if lo & 1:
+                if tree[lo] > e:
+                    return True
+                lo += 1
+            if hi & 1:
+                hi -= 1
+                if tree[hi] > e:
+                    return True
+            lo >>= 1
+            hi >>= 1
+        return False
 
 
 def _run_drop_run_found(a: int, b: int, seq: Sequence[int]) -> bool:
-    """Does `seq`, distinct nonnegative integers, contain I_a ⊕ D_2 ⊕ I_b
+    """Does `seq`, n distinct integers in 0..n, contain I_a ⊕ D_2 ⊕ I_b
     (a, b >= 1)?
 
     It does iff some z has an earlier y with
@@ -395,11 +436,13 @@ def _run_drop_run_found(a: int, b: int, seq: Sequence[int]) -> bool:
                 cur = v
             row[t] = cur
         greatest = row
-    state = RunDropState(a)
+    state = RunDropState(a, n + 1)  # seq holds 0..n-1 or 1..n
+    completes, push = state.completes, state.push
     for t, z in enumerate(seq):
-        if state.completes(z, greatest[t + 1]):
+        upper = greatest[t + 1]
+        if upper > z + 1 and completes(z, upper):
             return True
-        state.push(z)
+        push(z)
     return False
 
 
@@ -653,7 +696,8 @@ def _avoider_level(basis: frozenset[Permutation], n: int) -> tuple[Permutation, 
         return (EMPTY,)
     # X⊖1's greatest bottom is minus the least top of X's complement among
     # the negated values; b = 1 is X⊕1 with X = ε, whose top -inf allows none.
-    # drops holds (negated, a, k) for I_a ⊕ D_k and its complement.
+    # drops holds (negated, a, k) for I_a ⊕ D_k and its complement; a shape
+    # with a trailing run (1324 = I_1 ⊕ D_2 ⊕ I_1) is no forbidden interval.
     caps, floors, drops, rest = [], [], [], []
     for b in basis:
         m = len(b)
@@ -662,9 +706,9 @@ def _avoider_level(basis: frozenset[Permutation], n: int) -> tuple[Permutation, 
             caps.append(b.values[:-1])
         elif b.values[-1] == 1:
             floors.append(complemented[:-1])
-        elif shape := _run_drop_shape(b.values):
+        elif (shape := run_drop_shape(b.values)) and not shape[2]:
             drops.append((False, *shape[:2]))
-        elif shape := _run_drop_shape(complemented):
+        elif (shape := run_drop_shape(complemented)) and not shape[2]:
             drops.append((True, *shape[:2]))
         else:
             rest.append(b.values)

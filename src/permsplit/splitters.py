@@ -42,6 +42,7 @@ from .perms import (
     direct_sum,
     ends_with_occurrence,
     least_top,
+    run_drop_shape,
     sum_decompose,
 )
 
@@ -149,8 +150,8 @@ def greedy_colors(red: Permutation, p: Permutation) -> tuple[int, ...]:
         j += 1
     if j:
         return _threshold_colors(red.values[: m - j], j, p.values)
-    if m >= 3 and red.values == (*range(1, m - 1), m, m - 1):
-        return _run_drop_colors(m - 2, p.values)
+    if (shape := run_drop_shape(red.values)) and shape[0] >= 1 and shape[1:] == (2, 0):
+        return _run_drop_colors(shape[0], p.values)
     red_vals: list[int] = []
     blue_min = math.inf
     colors: list[int] = []
@@ -168,7 +169,7 @@ def greedy_colors(red: Permutation, p: Permutation) -> tuple[int, ...]:
 def _run_drop_colors(a: int, values: Sequence[int]) -> tuple[int, ...]:
     """greedy_colors for the red part I_a ⊕ D_2, a >= 1, on a permutation's
     values: v completes a red one iff the red class's `RunDropState` says so,
-    one bisect and one XOR per element."""
+    two bisects per element."""
     red = RunDropState(a)
     blue_min = math.inf
     colors: list[int] = []

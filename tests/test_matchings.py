@@ -125,45 +125,6 @@ def test_matching_contains_matches_brute_force():
             assert matching_contains(patt, sub) == expected
 
 
-def _plain_matching_contains(pattern: Matching, host) -> bool:
-    """The neighbour-bound backtracking of `matching_contains` without the
-    failed-candidate rule: every candidate is tried after a failed one."""
-    from permsplit.matchings import _right_end_bounds
-
-    ha = host.arcs if isinstance(host, Matching) else host
-    k, q = len(pattern), len(ha)
-    bounds, _ = _right_end_bounds(pattern.arcs)
-    rights = [0] * k + [float("-inf"), float("inf")]
-    chosen = [0] * k
-    t = start = 0
-    while t < k:
-        llo, lhi, rlo, rhi = bounds[t]
-        a, b, c, d = rights[llo], rights[lhi], rights[rlo], rights[rhi]
-        for idx in range(start, q - k + t + 1):
-            left, right = ha[idx]
-            if a < left < b and c < right < d:
-                break
-        else:
-            if t == 0:
-                return False
-            t -= 1
-            start = chosen[t] + 1
-            continue
-        chosen[t], rights[t] = idx, right
-        t += 1
-        start = idx + 1
-    return True
-
-
-def test_failed_candidate_rule_keeps_every_matching_answer():
-    # every matching of <= 6 arcs against every pattern of <= 3 arcs
-    patterns = list(matchings_up_to(3))
-    for host in matchings_up_to(6):
-        for patt in patterns:
-            want = _plain_matching_contains(patt, host)
-            assert matching_contains(patt, host) == want, (patt, host)
-
-
 def test_matching_containment_mirrors_permutation_containment():
     # Observation: σ ≤ π iff m(σ) ≤ m(π); exhaustive for |σ| ≤ 3, |π| ≤ 6
     pats = [p for k in range(4) for p in all_perms(k)]

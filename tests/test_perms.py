@@ -532,8 +532,17 @@ def test_run_drop_run_sweep_against_brute_force():
                 want = not brute_contains(patt, host)
                 assert avoids(patt, host) == want, (patt, host)
                 assert avoids(patt, raw) == want
-    p1324 = P("1324")
-    assert all(avoids(p1324, host) == (not brute_contains(p1324, host)) for host in all_perms(8))
+    # order 8 without the 70-subset scan: each "contains" is certified by an
+    # embedding, so a count of |Av_8(1324)| = 15,793 leaves no false "avoids"
+    p1324, avoiders = P("1324"), 0
+    for host in all_perms(8):
+        if avoids(p1324, host):
+            avoiders += 1
+        else:
+            emb = contains(p1324, host)
+            assert emb is not None, host
+            assert order_isomorphic(p1324.values, [host.values[i - 1] for i in emb.positions])
+    assert avoiders == 15_793
 
 
 def test_run_drop_state_matches_forbidden_lasts_on_every_prefix():
@@ -552,6 +561,54 @@ def test_run_drop_state_matches_forbidden_lasts_on_every_prefix():
                         assert state.completes(2 * v - 1) == want, (a, host, t, v)
                     if t < n:
                         state.push(2 * host.values[t])
+
+
+def test_run_drop_state_bounded_question_against_brute_force():
+    # completes(v, upper) on every prefix of every host of order <= 6, for
+    # every v and upper, against the definition: some pushed y with
+    # v < y < upper has T_a(before y) < v
+    from permsplit.perms import RunDropState
+
+    def least_top(a, seq):
+        runs = (c for c in combinations(seq, a) if list(c) == sorted(c))
+        return min((c[-1] for c in runs), default=float("inf"))
+
+    for a in (1, 2):
+        for n in range(7):
+            for host in all_perms(n):
+                pushed = [2 * v for v in host.values]
+                tops = [least_top(a, pushed[:j]) for j in range(n)]
+                state = RunDropState(a, size=2 * n + 1)
+                for t in range(n + 1):
+                    for v in range(1, 2 * n + 2, 2):
+                        ys = [y for y, top in zip(pushed[:t], tops) if v < y and top < v]
+                        least = min(ys, default=float("inf"))
+                        for upper in range(v, 2 * n + 4):
+                            assert state.completes(v, upper) == (least < upper), (a, host, t, v)
+                    if t < n:
+                        state.push(pushed[t])
+
+
+def test_run_drop_state_memory_is_linear_on_a_decreasing_host():
+    # on decreasing(10^4) every push starts an epoch: the 1324 sweep and a
+    # route-b certificate stay within a few MB (a bitset per epoch would
+    # need about n^2/8 bytes, 12.5 MB here)
+    import tracemalloc
+
+    from permsplit.constructions import theorem_certificate
+
+    host = decreasing(10**4)
+    tracemalloc.start()
+    try:
+        assert avoids(P("1324"), host)
+        _, avoids_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        cert = theorem_certificate(P("1324"), host)
+        _, cert_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.colors == (0,) * len(host)
+    assert avoids_peak < 3_000_000 and cert_peak < 3_000_000, (avoids_peak, cert_peak)
 
 
 def test_avoids_sweep_and_contains_backtracking_agree_on_large_hosts():
