@@ -234,12 +234,7 @@ def theorem_certificate(pattern: Permutation, p: Permutation) -> ColoringCertifi
     plan = theorem_plan(pattern)
     if not avoids(pattern, p):
         raise PreconditionError(f"{p.text()} contains {pattern.text()}")
-    return _certify(plan, p)
-
-
-def _certify(plan: TheoremPlan, p: Permutation) -> ColoringCertificate:
-    """theorem_certificate for a p already known to avoid plan.pattern: every
-    route's part list is plan.spec's, and only the colours are computed."""
+    # every route's part list is plan.spec's: only the colours are computed
     return ColoringCertificate(subject=p, parts=plan.spec.flatten(), colors=_colors(plan, p))
 
 

@@ -8,10 +8,10 @@ same lexicographically first certificate as merge_member), matching
 avoidance by scanning arc subsets, witness properties by enumerating all
 two-colorings.  Color classes are searched as plain value sequences, as they
 stand.  merge_check decides each class with perms.avoids, which sweeps the
-I_a ⊕ D_k-shaped patterns (every pattern of order 3 among them) instead of
-backtracking, so for those parts it shares no search with the constructive
-side's occurrence searches; for the other parts both use the same
-backtracking.  The oracle stays independent because it searches exhaustively
+I_a ⊕ D_k- and I_a ⊕ D_2 ⊕ I_b-shaped patterns (every pattern of order 3
+among them) instead of backtracking, so for those parts it shares no search
+with the constructive side's occurrence searches; for the other parts both
+use the same backtracking.  The oracle stays independent because it searches exhaustively
 instead of following the constructions' case analysis.  Matching containment
 is re-implemented here as a plain subset scan.
 """

@@ -270,7 +270,7 @@ def _run_drop_splits(a: int, k: int, seq: Sequence[int]) -> Iterator[tuple[float
     one right-to-left pass: the greatest bottom of a decreasing j-run that
     starts at position t is a prefix-maximum query, over the values below
     seq[t], on a Fenwick tree holding the decreasing (j-1)-runs to the right;
-    k-1 trees, indexed by value rank.
+    k-1 trees, indexed by value: with k >= 2, seq is a permutation of 1..n.
     """
     n, inf = len(seq), math.inf
     least = [-inf] * (n + 1)
@@ -285,13 +285,10 @@ def _run_drop_splits(a: int, k: int, seq: Sequence[int]) -> Iterator[tuple[float
         if least[n] < inf:
             yield least[n], inf
         return
-    rank = {v: r for r, v in enumerate(sorted(seq), 1)} if k > 1 else {}
     trees = [[-inf] * (n + 1) for _ in range(k - 1)]
     best = -inf
     for t in range(n - 1, -1, -1):
-        h = seq[t]
-        if trees:
-            r = rank[h]
+        h = r = seq[t]
         for tree in trees:
             # add the (j-1)-run ending at value h, then ask for a j-run from t
             # (a node already >= h ends the update: later nodes cover its range)
@@ -315,7 +312,7 @@ def _run_drop_splits(a: int, k: int, seq: Sequence[int]) -> Iterator[tuple[float
 def _forbidden_lasts(a: int, k: int, seq: Sequence[int]) -> list[tuple[int, int]]:
     """Closed intervals of the values v such that seq + (v - 0.5,) contains
     I_a ⊕ D_k (a >= 1, k >= 2) through its last entry; seq holds distinct
-    integers.
+    integers, and with k >= 3 it must be a permutation of 1..len(seq).
 
     The new entry, the bottom of the decreasing block, completes an
     occurrence iff at some split an increasing a-run before it tops out below
@@ -330,8 +327,8 @@ def _forbidden_lasts(a: int, k: int, seq: Sequence[int]) -> list[tuple[int, int]
 
 class RunDropState:
     """Which next values complete an I_a ⊕ D_2 (a >= 1) through themselves,
-    over a growing sequence of distinct nonnegative integers: the incremental
-    form of `_forbidden_lasts(a, 2, ·)`.
+    over a growing sequence of distinct integers: the incremental form of
+    `_forbidden_lasts(a, 2, ·)`.
 
     v completes one iff some pushed y > v has T_a(before y) < v, where
     T_a(before y) is the least top of an increasing a-run among the values
@@ -342,9 +339,9 @@ class RunDropState:
     (one `bisect`).  A monotone stack of (tag, largest value pushed with
     that tag or later) answers "is one of them above v?" with a second.
     The bounded question (y < upper as well) needs `size` > every pushed
-    value: when the stack leaves it open, it reads the largest tag among
-    the values in (v, upper) from a max segment tree over values.  Each push
-    or question takes O(log n) time, and memory is O(n).
+    value (`ValueError` otherwise): when the stack leaves it open, it reads
+    the largest tag among the values in (v, upper) from a max segment tree
+    over values.  Each push or question takes O(log n) time; memory is O(n).
 
     >>> state = RunDropState(1, size=5)
     >>> for v in (2, 4, 1):
@@ -375,6 +372,8 @@ class RunDropState:
             tags.append(tag)
             maxes.append(v)
         if self.size:
+            if not 0 <= v < self.size:
+                raise ValueError(f"push({v}) outside 0..{self.size - 1}")
             tree, i = self.tree, v + self.size
             while i and tree[i] < tag:  # tags only grow: an ancestor >= tag ends it
                 tree[i] = tag
@@ -389,6 +388,8 @@ class RunDropState:
     def completes(self, v: int, upper: int | None = None) -> bool:
         """Is there a pushed y with v < y (and y < upper, if given) and
         T_a(before y) < v?"""
+        if upper is not None and not self.size:
+            raise ValueError("completes(v, upper) needs a RunDropState built with size")
         e = bisect_right(self.drops, -v)
         if e == len(self.drops):
             return False
@@ -417,7 +418,7 @@ class RunDropState:
 
 
 def _run_drop_run_found(a: int, b: int, seq: Sequence[int]) -> bool:
-    """Does `seq`, n distinct integers in 0..n, contain I_a ⊕ D_2 ⊕ I_b
+    """Does `seq`, a permutation of 1..n, contain I_a ⊕ D_2 ⊕ I_b
     (a, b >= 1)?
 
     It does iff some z has an earlier y with
@@ -429,14 +430,14 @@ def _run_drop_run_found(a: int, b: int, seq: Sequence[int]) -> bool:
     n = len(seq)
     greatest = [math.inf] * (n + 1)
     for _ in range(b):
-        row, cur = [-1] * (n + 1), -1
+        row, cur = [0] * (n + 1), 0
         for t in range(n - 1, -1, -1):
             v = seq[t]
             if cur < v < greatest[t + 1]:
                 cur = v
             row[t] = cur
         greatest = row
-    state = RunDropState(a, n + 1)  # seq holds 0..n-1 or 1..n
+    state = RunDropState(a, n + 1)
     completes, push = state.completes, state.push
     for t, z in enumerate(seq):
         upper = greatest[t + 1]
@@ -449,16 +450,19 @@ def _run_drop_run_found(a: int, b: int, seq: Sequence[int]) -> bool:
 def avoids(pattern: Permutation | Sequence[int], host: Permutation | Sequence[int]) -> bool:
     """Does `host` avoid `pattern`?  Both may be any sequences of distinct
     values, like `contains`, but the method is chosen from the pattern alone,
-    on the host reversed and/or negated as `_sweep_shape` says:
+    on the host reversed and/or complemented as `_sweep_shape` says:
 
     - a reverse and/or complement of I_a ⊕ D_k (every pattern of order 3, and
       1234, 1243, 1432, 2134, 2341, 3214, 3421, 4123, 4312, 4321 of order 4)
       by `_run_drop_splits`;
     - a reverse and/or complement of I_a ⊕ D_2 ⊕ I_b with a, b >= 1 (1324
-      and 4231 of order 4) by `_run_drop_run_found`, on the host's value
-      ranks (a permutation's values need no ranking);
+      and 4231 of order 4) by `_run_drop_run_found`;
     - every other pattern by the backtracking of `contains`, with no
       embedding built.
+
+    This is the only code that maps a host for the sweeps, whose trees read
+    values as indices (k >= 2 or b >= 1): it ranks a host that is no
+    `Permutation` onto 1..n, then reverses it and complements by n + 1 - v.
 
     >>> avoids((1, 4, 3, 2), (2, 3, 1, 5, 4)), avoids((1, 3, 2, 4), (20, 40, 10, 30))
     (True, True)
@@ -471,18 +475,17 @@ def avoids(pattern: Permutation | Sequence[int], host: Permutation | Sequence[in
     if shape is None:
         return _first_occurrence(pattern, seq, False) is None
     a, k, b, rev, neg = shape
+    if (k >= 2 or b) and not isinstance(host, Permutation):
+        rank = {v: r for r, v in enumerate(sorted(seq), 1)}
+        seq = [rank[v] for v in seq]
     if rev:
         seq = seq[::-1]
     if neg:
-        seq = [-v for v in seq]
-    if not b:
-        return next(_run_drop_splits(a, k, seq), None) is None
-    if not isinstance(host, Permutation):
-        rank = {v: r for r, v in enumerate(sorted(seq))}
-        seq = [rank[v] for v in seq]
-    elif neg:
-        seq = [v + len(seq) for v in seq]  # -n..-1 onto 0..n-1
-    return not _run_drop_run_found(a, b, seq)
+        top = len(seq) + 1
+        seq = [top - v for v in seq]
+    if b:
+        return not _run_drop_run_found(a, b, seq)
+    return next(_run_drop_splits(a, k, seq), None) is None
 
 
 def ends_with_occurrence(pattern: Sequence[int], seq: Sequence[int]) -> bool:
@@ -694,10 +697,11 @@ def _avoider_level(basis: frozenset[Permutation], n: int) -> tuple[Permutation, 
         return ()
     if n == 0:
         return (EMPTY,)
-    # X⊖1's greatest bottom is minus the least top of X's complement among
-    # the negated values; b = 1 is X⊕1 with X = ε, whose top -inf allows none.
-    # drops holds (negated, a, k) for I_a ⊕ D_k and its complement; a shape
-    # with a trailing run (1324 = I_1 ⊕ D_2 ⊕ I_1) is no forbidden interval.
+    # X⊖1's greatest bottom is n minus the least top of X's complement in the
+    # complemented parent n - v; b = 1 is X⊕1 with X = ε, whose top -inf
+    # allows none.  drops holds (complemented, a, k) for I_a ⊕ D_k and its
+    # complement; a shape with a trailing run (1324 = I_1 ⊕ D_2 ⊕ I_1) is no
+    # forbidden interval.
     caps, floors, drops, rest = [], [], [], []
     for b in basis:
         m = len(b)
@@ -720,20 +724,20 @@ def _avoider_level(basis: frozenset[Permutation], n: int) -> tuple[Permutation, 
         for x in caps:
             hi = min(hi, least_top(x, q.values))
         if floors or drops:
-            negated = [-v for v in q.values]
+            complement_q = [n - v for v in q.values]  # a permutation of 1..n-1
         for x in floors:
-            lo = max(lo, 1 - least_top(x, negated))
+            lo = max(lo, n + 1 - least_top(x, complement_q))
         if hi < lo:
             continue
         lasts = range(lo, hi + 1)
         if drops:
             free = [True] * (n + 1)
             for neg, a, k in drops:
-                # the negated child appends 1 - last: [low, high] maps to
-                # [1 - high, 1 - low]
-                for low, high in _forbidden_lasts(a, k, negated if neg else q.values):
+                # the complemented child appends n + 1 - last: [low, high]
+                # maps to [n + 1 - high, n + 1 - low]
+                for low, high in _forbidden_lasts(a, k, complement_q if neg else q.values):
                     if neg:
-                        low, high = 1 - high, 1 - low
+                        low, high = n + 1 - high, n + 1 - low
                     free[low:high + 1] = [False] * (high + 1 - low)
             lasts = compress(lasts, free[lo:hi + 1])
         for last in lasts:
@@ -759,11 +763,11 @@ def enumerate_avoiders(basis: Iterable[Permutation], n: int) -> Iterator[Permuta
     top < v - 0.5 < bottom at some split of the parent, top the least top of
     an increasing a-run before it and bottom the greatest bottom of a
     decreasing (k-1)-run after it; its complement (312, 3421, 4123, ...) the
-    same on the negated parent.  These thresholds and intervals are read off
-    the parent once, in the passes `avoids` sweeps with, and only the other
-    basis elements are tested per candidate, by a search through the new
-    entry, among the allowed values.  Children are built without
-    `Permutation`'s sort check.
+    same on the complemented parent, whose value v becomes n - v.  These
+    thresholds and intervals are read off the parent once, in the passes
+    `avoids` sweeps with, and only the other basis elements are tested per
+    candidate, by a search through the new entry, among the allowed values.
+    Children are built without `Permutation`'s sort check.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import groupby
-from typing import Callable, Sequence
+from typing import Callable
 
 from .envelope import reduced_envelope_map
 from .errors import InvalidColorerError, PreconditionError, VerificationError
@@ -111,79 +111,61 @@ def greedy_three_sum(
     alpha: Permutation, beta: Permutation, gamma: Permutation, p: Permutation
 ) -> ColoringCertificate:
     """Two-part certificate over {Av(α⊕β), Av(β⊕γ)} for p avoiding α⊕β⊕γ:
-    checks that precondition, then runs greedy_split."""
+    checks that precondition, then colours p by `greedy_colors(α⊕β, p)`."""
     if not (len(alpha) and len(beta) and len(gamma)):
         raise PreconditionError("alpha, beta, gamma must be nonempty")
     ab = direct_sum(alpha, beta)
     abg = direct_sum(ab, gamma)
     if not avoids(abg, p):
         raise PreconditionError(f"{p.text()} contains {abg.text()}")
-    return greedy_split((ab, direct_sum(beta, gamma)), p)
-
-
-def greedy_split(parts: Sequence[Permutation], p: Permutation) -> ColoringCertificate:
-    """Certificate over parts (α⊕β, β⊕γ) for a p already known to avoid α⊕β⊕γ.
-
-    Left-to-right scan: color an element blue if coloring it red would complete
-    a red occurrence of α⊕β, or if some earlier blue element is smaller;
-    otherwise red.  The red class avoids α⊕β by construction, and the blue one
-    avoids β⊕γ whenever p avoids α⊕β⊕γ.  Route a's red part α⊕1 = Y ⊕ I_j
-    is tested against thresholds, the least tops of Y ⊕ I_i in the red class
-    (`greedy_colors`), instead of by a search per element.
-    """
-    ab, bg = parts
-    return ColoringCertificate(subject=p, parts=(ab, bg), colors=greedy_colors(ab, p))
+    return ColoringCertificate(
+        subject=p, parts=(ab, direct_sum(beta, gamma)), colors=greedy_colors(ab, p)
+    )
 
 
 def greedy_colors(red: Permutation, p: Permutation) -> tuple[int, ...]:
-    """greedy_split's colours (0 red, 1 blue) for the red part `red`.
+    """The greedy colours (0 red, 1 blue) of p for the red part `red`.
+
+    Left-to-right scan: colour an element blue if some earlier blue element
+    is smaller, or if colouring it red would complete a red occurrence of
+    `red`; otherwise red.  For red = α⊕β the red class avoids α⊕β by
+    construction, and the blue one avoids β⊕γ whenever p avoids α⊕β⊕γ.
 
     A red part Y ⊕ I_j with j >= 1 trailing singletons (route a's α⊕1
-    always is) is tested by thresholds, `_threshold_colors`.  A red part
-    I_a ⊕ D_2 (route b's 132 = 1⊕21) is tested by a `RunDropState` over the
-    red class, `_run_drop_colors`.  Any other (route b's 1⊕σ for a longer
-    σ) takes one `ends_with_occurrence` search per element.
+    always is) is tested by thresholds, `_threshold_colors`.  Any other is
+    one (completes, push) pair read by the scan: a `RunDropState` over the
+    red class for I_a ⊕ D_2 (route b's 132 = 1⊕21), else a search through
+    the new element (route b's 1⊕σ for a longer σ).
     """
     m = len(red)
     j = 0
     while j < m and red.values[m - 1 - j] == m - j:
         j += 1
     if j:
-        return _threshold_colors(red.values[: m - j], j, p.values)
+        return _threshold_colors(red.values[: m - j], j, p)
     if (shape := run_drop_shape(red.values)) and shape[0] >= 1 and shape[1:] == (2, 0):
-        return _run_drop_colors(shape[0], p.values)
-    red_vals: list[int] = []
+        state = RunDropState(shape[0])
+        completes, push = state.completes, state.push
+    else:
+        red_vals: list[int] = []
+        push = red_vals.append
+
+        def completes(v: int) -> bool:
+            return ends_with_occurrence(red.values, [*red_vals, v])
+
     blue_min = math.inf
     colors: list[int] = []
     for v in p.values:
-        red_vals.append(v)
-        if blue_min < v or ends_with_occurrence(red.values, red_vals):
-            red_vals.pop()
+        if blue_min < v or completes(v):
             colors.append(1)
             blue_min = min(blue_min, v)
         else:
             colors.append(0)
+            push(v)
     return tuple(colors)
 
 
-def _run_drop_colors(a: int, values: Sequence[int]) -> tuple[int, ...]:
-    """greedy_colors for the red part I_a ⊕ D_2, a >= 1, on a permutation's
-    values: v completes a red one iff the red class's `RunDropState` says so,
-    two bisects per element."""
-    red = RunDropState(a)
-    blue_min = math.inf
-    colors: list[int] = []
-    for v in values:
-        if blue_min < v or red.completes(v):
-            colors.append(1)
-            blue_min = min(blue_min, v)
-        else:
-            colors.append(0)
-            red.push(v)
-    return tuple(colors)
-
-
-def _threshold_colors(y: tuple[int, ...], j: int, values: Sequence[int]) -> tuple[int, ...]:
+def _threshold_colors(y: tuple[int, ...], j: int, p: Permutation) -> tuple[int, ...]:
     """greedy_colors for the red part Y ⊕ I_j, j >= 1.
 
     T_i is the least top of a Y ⊕ I_i in the red class so far (T_0 = -inf
@@ -198,8 +180,8 @@ def _threshold_colors(y: tuple[int, ...], j: int, values: Sequence[int]) -> tupl
     sweep of `avoids`), no red class contains Y: T_0 stays +inf, so every
     element is red and no search runs.
     """
-    if y and any(avoids(q, values) for q in _small_subpatterns(y)):
-        return (0,) * len(values)
+    if y and any(avoids(q, p) for q in _small_subpatterns(y)):
+        return (0,) * len(p)
     red_vals: list[int] = []
     top0 = floor0 = math.inf if y else -math.inf
     tops = [math.inf] * j  # tops[i] is T_i for 1 <= i < j
@@ -219,7 +201,7 @@ def _threshold_colors(y: tuple[int, ...], j: int, values: Sequence[int]) -> tupl
 
     blue_min = math.inf
     colors: list[int] = []
-    for v in values:
+    for v in p.values:
         if blue_min < v or (v > tops[-1] if j > 1 else t0_below(v)):
             colors.append(1)
             blue_min = min(blue_min, v)
@@ -252,16 +234,6 @@ def easy_split_parts(alpha: Permutation, beta: Permutation) -> SplittingSpec:
     return SplittingSpec.of(direct_sum(alpha, one), direct_sum(one, beta))
 
 
-def _lds_ending_lengths(p: Permutation) -> list[int]:
-    vals = p.values
-    out = [1] * len(vals)
-    for i in range(len(vals)):
-        for j in range(i):
-            if vals[j] > vals[i]:
-                out[i] = max(out[i], out[j] + 1)
-    return out
-
-
 def dilworth_split(n: int, p: Permutation) -> ColoringCertificate:
     """Color each element by the length of the longest decreasing subsequence
     ending at it; every class is increasing.  Requires p to avoid n(n-1)...1.
@@ -271,7 +243,12 @@ def dilworth_split(n: int, p: Permutation) -> ColoringCertificate:
     """
     if n < 1:
         raise PreconditionError("n must be at least 1")
-    lengths = _lds_ending_lengths(p)
+    vals = p.values
+    lengths = [1] * len(vals)
+    for i in range(len(vals)):
+        for j in range(i):
+            if vals[j] > vals[i]:
+                lengths[i] = max(lengths[i], lengths[j] + 1)
     if lengths and max(lengths) >= n:
         raise PreconditionError(f"{p.text()} contains {decreasing(n).text()}")
     parts = tuple(Permutation((2, 1)) for _ in range(n - 1))

@@ -92,8 +92,9 @@ def test_split_precondition_failure_exits_one(capsys, monkeypatch):
 
 
 # SHA-256 of `split` stdout over the avoiders of orders 1-6 of the pattern,
-# recorded before `split` dispatched through theorem_plan; a change is a
-# behaviour change
+# recorded before `split` dispatched through theorem_plan (13425, route b with
+# the searched red part 1342 = 1⊕231, before greedy_colors read that search
+# as a (completes, push) pair); a change is a behaviour change
 SPLIT_STREAM_SHA256 = {
     ("greedy3", "1324"): "4c27d8f4649936c6056cac70aa341d41f1965420f83f002b1085063912a3e1a2",
     ("greedy3", "1243"): "58eee144767e66df331c1b36f86616b68054cd1b8d63468371714166facae8e7",
@@ -104,6 +105,7 @@ SPLIT_STREAM_SHA256 = {
     ("theorem", "1432"): "169f16c866b728163e19169b56383a1aae0d7b8cc4557d4f3da9f0e89ac7b904",
     ("theorem", "3214"): "4badfc45a4232750ef5121ba5f01f96659b48fe14a455eb933162ffa28245913",
     ("theorem", "4123"): "94e715f5148e0d2549373955b7052cad340a3f879573f000a17fe03ca88b5011",
+    ("theorem", "13425"): "be6d19585795bb14c644bcb497d001d32a559bbf3559ae656aa3316155e2991c",
 }
 
 

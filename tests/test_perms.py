@@ -589,6 +589,27 @@ def test_run_drop_state_bounded_question_against_brute_force():
                         state.push(pushed[t])
 
 
+def test_run_drop_state_refuses_what_its_tree_cannot_answer():
+    # y = 4 answers completes(3, upper=5): T_1(before 4) = 2 < 3 < 4 < 5.
+    # Without a tree the bounded question raises instead of answering False,
+    # and a tree refuses a value outside its leaves instead of overwriting
+    # an internal node
+    from permsplit.perms import RunDropState
+
+    with_tree, without = RunDropState(1, size=6), RunDropState(1)
+    for v in (2, 5, 4):
+        with_tree.push(v)
+        without.push(v)
+    assert with_tree.completes(3, upper=5) is True
+    assert without.completes(3) is True
+    with pytest.raises(ValueError):
+        without.completes(3, upper=5)
+    for v in (-1, 4):
+        with pytest.raises(ValueError):
+            RunDropState(1, size=4).push(v)
+    without.push(-1)  # no tree, no bound on the values
+
+
 def test_run_drop_state_memory_is_linear_on_a_decreasing_host():
     # on decreasing(10^4) every push starts an epoch: the 1324 sweep and a
     # route-b certificate stay within a few MB (a bitset per epoch would
@@ -629,14 +650,19 @@ def test_avoids_sweep_and_contains_backtracking_agree_on_large_hosts():
 def test_value_sequences_search_like_their_ranks():
     # a color class is searched on its raw values: same answer and embedding
     # as on its re-ranked permutation.  The values include 0 and negatives, so
-    # a failed candidate of value 0 must still bound the later candidates.
+    # a failed candidate of value 0 must still bound the later candidates, and
+    # the sweeps whose trees read values as indices (1432, 3214 and 4123 with
+    # k = 3; 1324 and 4231 with b = 1) run on the ranks `avoids` maps them to.
     import random
 
     rng = random.Random(3)
     for _ in range(300):
         vals = rng.sample(range(-20, 40), rng.randint(0, 8))
         ranked = Permutation(tuple(sorted(vals).index(v) + 1 for v in vals))
-        for patt in (P("1"), P("21"), P("132"), P("2413"), P("25314"), P("31524")):
+        for patt in (
+            P("1"), P("21"), P("132"), P("1432"), P("3214"), P("4123"), P("1324"), P("4231"),
+            P("2413"), P("25314"), P("31524"),
+        ):
             emb = contains(patt, ranked)
             assert (emb and emb.positions) == brute_least_embedding(patt, ranked)
             assert contains(patt, vals) == emb

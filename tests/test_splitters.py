@@ -22,7 +22,7 @@ from permsplit.splitters import (
     dilworth_matching_base,
     dilworth_split,
     easy_split_parts,
-    greedy_split,
+    greedy_colors,
     greedy_three_sum,
     match_split,
     oneplus_split,
@@ -88,7 +88,7 @@ def test_greedy_examples():
     cert = greedy_three_sum(ONE, P("21"), ONE, P("2413"))
     assert cert.colors == (0, 0, 0, 1)
     assert cert.parts == (P("132"), P("213"))
-    assert greedy_split(cert.parts, P("2413")) == cert
+    assert greedy_colors(cert.parts[0], P("2413")) == cert.colors
     assert greedy_three_sum(ONE, P("21"), ONE, P("321")).colors == (0, 0, 0)
     assert greedy_three_sum(ONE, ONE, ONE, P("21")).colors == (0, 0)
     assert greedy_three_sum(ONE, P("21"), ONE, EMPTY).colors == ()
@@ -410,7 +410,6 @@ def test_greedy_thresholds_match_the_rescan():
     from conftest import seeded_hosts
 
     from permsplit.perms import all_perms, enumerate_avoiders
-    from permsplit.splitters import greedy_colors
 
     reds = _route_a_reds()
     assert len(reds) == 22 and {len(r) for r in reds} == {3, 4, 5}
@@ -425,17 +424,18 @@ def test_greedy_thresholds_match_the_rescan():
             assert greedy_colors(red, p) == _rescan_greedy_colors(red, p), (red, p)
 
 
-def test_greedy_run_drop_state_matches_the_rescan():
+def test_greedy_run_drop_state_and_search_match_the_rescan():
     # a red part I_a ⊕ D_2 runs on a RunDropState: route b's 132 on every
-    # permutation of order <= 7, 1243 and 12354 on those of order <= 6, and
-    # all three on seeded hosts of order 30-300
+    # permutation of order <= 7, 1243 and 12354 on those of order <= 6; the
+    # red part 1342 = 1⊕231 of route b for 13425 takes the search through
+    # each new element, on every permutation of order <= 6; all four also on
+    # seeded hosts of order 30-300
     from conftest import seeded_hosts
 
     from permsplit.perms import all_perms
-    from permsplit.splitters import greedy_colors
 
     large = seeded_hosts(1324, 12)
-    for red, n_max in ((P("132"), 7), (P("1243"), 6), (P("12354"), 6)):
+    for red, n_max in ((P("132"), 7), (P("1243"), 6), (P("12354"), 6), (P("1342"), 6)):
         for p in [p for n in range(n_max + 1) for p in all_perms(n)] + large:
             assert greedy_colors(red, p) == _rescan_greedy_colors(red, p), (red, p)
 
@@ -480,8 +480,6 @@ def test_threshold_colors_skip_a_y_the_host_cannot_hold(monkeypatch):
 
     from conftest import seeded_hosts
 
-    from permsplit.splitters import greedy_colors
-
     host = seeded_hosts(2134, 12, 30, 500)[6]
     assert len(host) == 298
     calls = _counting_searches(monkeypatch)
@@ -518,9 +516,10 @@ def test_route_a_greedy_at_order_ten_thousand_runs_no_search(monkeypatch):
     pattern = P("1243")
     host = _skew_sum_of_avoiders(pattern, 1243)
     calls = _counting_searches(monkeypatch)
-    cert = greedy_split(theorem_plan(pattern).spec.flatten(), host)
+    colors = greedy_colors(theorem_plan(pattern).spec.flatten()[0], host)
     assert calls == []
     monkeypatch.undo()
-    assert theorem_certificate(pattern, host) == cert
+    cert = theorem_certificate(pattern, host)
+    assert cert.colors == colors
     assert 0 < cert.colors.count(1) < len(host)
     assert merge_check(cert)
