@@ -11,6 +11,7 @@ Input may be unnormalized; output is always normalized and sorted.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -158,17 +159,32 @@ def matching_contains(pattern: Matching, host: Matching | Sequence[Arc]) -> bool
 
     The host may be any arc sequence sorted by left endpoint, such as a subset
     of a matching's arcs: only endpoints are compared, so it need not be
-    normalized.  Backtracking over host arcs in left-endpoint order.  An arc
-    chosen after arc x relates to x only through where x's right end falls
-    against its two ends, so a candidate is kept iff each of its ends lies
-    strictly between the chosen right ends nearest below and above the
-    pattern's (neighbour bounds, one cached table per pattern).
+    normalized.  The method is chosen from the pattern alone:
+
+    - k >= 2 pairwise crossing arcs, m(k…1) = ((1, k+1), …, (k, 2k)), by
+      the sweep `_crossing_chain_found`;
+    - every other pattern, the empty and the single arc included, by the
+      backtracking `_neighbour_bound_search`.
     """
     ha = host.arcs if isinstance(host, Matching) else host
     k, q = len(pattern.arcs), len(ha)
     if k > q:
         return False
-    bounds = _right_end_bounds(pattern.arcs)
+    if k >= 2 and pattern.arcs == tuple((i, i + k) for i in range(1, k + 1)):
+        return _crossing_chain_found(k, ha)
+    return _neighbour_bound_search(pattern.arcs, ha)
+
+
+def _neighbour_bound_search(pattern: tuple[Arc, ...], ha: Sequence[Arc]) -> bool:
+    """Backtracking over host arcs in left-endpoint order, for any pattern.
+
+    An arc chosen after arc x relates to x only through where x's right end
+    falls against its two ends, so a candidate is kept iff each of its ends
+    lies strictly between the chosen right ends nearest below and above the
+    pattern's (neighbour bounds, one cached table per pattern).
+    """
+    k, q = len(pattern), len(ha)
+    bounds = _right_end_bounds(pattern)
     # rights[j] is the right end chosen for pattern arc j; slots k, k+1 bound nothing
     rights = [0] * k + [float("-inf"), float("inf")]
     chosen = [0] * k
@@ -191,6 +207,42 @@ def matching_contains(pattern: Matching, host: Matching | Sequence[Arc]) -> bool
         t += 1
         start = idx + 1
     return True
+
+
+def _crossing_chain_found(k: int, arcs: Sequence[Arc]) -> bool:
+    """Do k >= 2 of the arcs, sorted by left endpoint, pairwise cross?
+
+    They do iff l_1 < … < l_k < r_1 < … < r_k.  Visit the arcs by left end;
+    best_j(a), the greatest r_1 of a j-chain with increasing lefts and rights
+    that ends at arc a, is a prefix-maximum over the right ends below r_a in
+    the Fenwick tree of best_{j-1}, indexed by right-end rank: k - 1 trees.
+    Only r_1 and the last left end meet in l_k < r_1, so the greatest r_1
+    loses nothing, and a chain with best_j(a) <= l_a is dead, since every
+    later arc starts to the right of l_a.  A k-crossing exists iff
+    best_k(a) > l_a for some a.
+    """
+    q, inf = len(arcs), math.inf
+    rank = {r: i for i, r in enumerate(sorted(r for _, r in arcs), 1)}
+    trees = [[-inf] * (q + 1) for _ in range(k - 1)]
+    for left, right in arcs:
+        h, r = right, rank[right]
+        for tree in trees:
+            # add the live (j-1)-chain ending here, then ask for a j-chain
+            # (a node already >= h ends the update: later nodes cover its range)
+            i = r
+            while i <= q and tree[i] < h:
+                tree[i] = h
+                i += i & -i
+            i, h = r - 1, -inf
+            while i:
+                if tree[i] > h:
+                    h = tree[i]
+                i &= i - 1
+            if h <= left:
+                break
+        else:
+            return True
+    return False
 
 
 class CrossingGraph:

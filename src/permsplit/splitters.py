@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import groupby
 from typing import Callable
 
@@ -270,6 +270,12 @@ class MatchingBase:
             raise VerificationError("base colorer must keep a fixed part list")
         return cert
 
+    @cached_property
+    def lone_arc_color(self) -> int:
+        """The colour of a lone arc, which match_split gives every component
+        root; computed once per base."""
+        return self(Matching(((1, 2),))).colors[0]
+
 
 def dilworth_matching_base(n: int) -> MatchingBase:
     """Lift dilworth_split(n, ·) to permutation matchings (arc = element)."""
@@ -372,7 +378,8 @@ def match_split(
 
     Each obstacle's step (M₁, M₂ or M⁺, M⁻) is derived once and cached; the
     recursion works on lists of arc indices into n.arcs and builds a matching
-    only for the base colorer, on the straddling arcs.
+    only for the base colorer, on the straddling arcs.  A `state`, when
+    given, receives the recursion trace; without one none is kept.
     """
     if any(sum_decompose(q) is not None for q in base.parts):
         raise PreconditionError("base part patterns must be sum-indecomposable")
@@ -381,20 +388,19 @@ def match_split(
         raise PreconditionError(f"host contains m({pattern.text()})")
     if obstacle != m_pattern and matching_contains(obstacle, n):
         raise PreconditionError("host contains the obstacle")
-    if state is None:
-        state = MatchingSplitState(pattern_basis=pattern, obstacle=obstacle)
     return _split_avoiding(n, obstacle, base, state)
 
 
 def _split_avoiding(
-    n: Matching, obstacle: Matching, base: MatchingBase, state: MatchingSplitState
+    n: Matching, obstacle: Matching, base: MatchingBase, state: MatchingSplitState | None
 ) -> ColoringCertificate:
-    """match_split on a host already known to avoid m(pattern) and the obstacle."""
+    """match_split on a host already known to avoid m(pattern) and the
+    obstacle; the trace is recorded only into a state the caller passed."""
     arcs = n.arcs
     graph = CrossingGraph(arcs)
     k = len(base.parts)
     # every component root is colored as a lone arc would be
-    root_color = base(Matching(((1, 2),))).colors[0] if arcs else None
+    root_color = base.lone_arc_color if arcs else None
 
     def solve(subset: list[int], obs: Matching, depth: int) -> tuple[dict, int]:
         """Returns ({arc index: copy·k + part}, copies used); subset is sorted."""
@@ -416,7 +422,8 @@ def _split_avoiding(
                 comp_colors, comp_copies = _solve_connected(comp, first, second, depth)
                 colors.update(comp_colors)
                 copies = max(copies, comp_copies)
-        state.record(depth, case, obs, copies)
+        if state is not None:
+            state.record(depth, case, obs, copies)
         return colors, copies
 
     def _solve_decomposable(subset, m1, m2, depth):
@@ -493,12 +500,17 @@ def oneplus_split(
     return ColoringCertificate(subject=rho, parts=parts, colors=colors)
 
 
+@lru_cache(maxsize=None)
+def _clique_setup(n: int) -> tuple[Matching, MatchingBase]:
+    """circle_color's obstacle m(n(n-1)...1) and base colorer, built once per n."""
+    return m_of(decreasing(n)), dilworth_matching_base(n)
+
+
 def circle_color(m: Matching, n: int) -> dict[Arc, int]:
     """Properly color the crossing graph of a matching with no n pairwise
     crossing arcs, via match_split against the obstacle m(n(n-1)...1)."""
-    clique = m_of(decreasing(n))
+    clique, base = _clique_setup(n)
     if matching_contains(clique, m):
         raise PreconditionError(f"matching has {n} pairwise crossing arcs")
-    state = MatchingSplitState(pattern_basis=decreasing(n), obstacle=clique)
-    cert = _split_avoiding(m, clique, dilworth_matching_base(n), state)
+    cert = _split_avoiding(m, clique, base, None)
     return {arc: color for arc, color in zip(m.arcs, cert.colors)}

@@ -266,6 +266,31 @@ def test_large_circle_colorings_and_traces_are_pinned():
     assert digest.hexdigest() == LARGE_CIRCLE_SHA256
 
 
+# SHA-256 of [R(p) arcs, circle_color colours] for a seeded 321-avoider p of
+# order 2,000, recorded before the clique entry check became a sweep
+CIRCLE_2000_SHA256 = "b88530e05631cd07aa74671d8c5c91c129a7db195b04f9dda1cc5adb81550cf9"
+
+
+def test_circle_color_at_order_2000_is_proper_and_pinned():
+    import hashlib
+    import json
+    import random
+
+    from permsplit.splitters import circle_color
+
+    host = reduced_envelope(_random_321_avoider(2000, random.Random(2000)))
+    coloring = circle_color(host, 3)
+    arcs = host.arcs
+    for i, (a, b) in enumerate(arcs):
+        for c, d in arcs[i + 1 :]:
+            if c > b:
+                break
+            if d > b:  # (a, b) and (c, d) cross
+                assert coloring[a, b] != coloring[c, d], ((a, b), (c, d))
+    line = json.dumps([host.text(), [coloring[arc] for arc in arcs]])
+    assert hashlib.sha256(line.encode()).hexdigest() == CIRCLE_2000_SHA256
+
+
 def test_large_route_c_certificates_are_pinned():
     import hashlib
     import json
@@ -275,6 +300,7 @@ def test_large_route_c_certificates_are_pinned():
     digest = hashlib.sha256()
     for n in (128, 192, 256, 384, 512, 768, 1024):
         cert = theorem_certificate(P("1432"), _random_321_avoider(n, rng))
+        assert merge_check(cert), n
         digest.update(json.dumps(cert.to_json_dict()).encode() + b"\n")
     assert digest.hexdigest() == LARGE_ROUTE_C_SHA256
 

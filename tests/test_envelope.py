@@ -165,6 +165,27 @@ def test_envelope_equivalence_cross_checks_avoids_on_large_hosts():
         assert answers == {True, False}, text
 
 
+def test_clique_envelope_equivalence_by_two_sweeps():
+    # R(p) ⊇ m(k…1) iff p ⊇ 1⊕(k…1), k = 2, 3, 4: the clique sweep of
+    # matching_contains on the envelope against the I_1 ⊕ D_k sweep of avoids
+    from conftest import seeded_hosts
+
+    from permsplit.matchings import matching_contains
+    from permsplit.perms import avoids, decreasing, direct_sum
+
+    small = [p for n in range(8) for p in all_perms(n)]
+    large = seeded_hosts(2013, 6, 1000, 10000)
+    for k in (2, 3, 4):
+        clique, one_plus = m_of(decreasing(k)), direct_sum(P("1"), decreasing(k))
+        for hosts in (small, large):
+            answers = set()
+            for p in hosts:
+                avoided = avoids(one_plus, p)
+                assert avoided == (not matching_contains(clique, reduced_envelope(p))), (k, p)
+                answers.add(avoided)
+            assert answers == {True, False}, (k, len(hosts))
+
+
 def _path_walk(p: Permutation) -> tuple[str, tuple, tuple, tuple]:
     """The envelope by walking the lattice path step by step, as first
     written: (path, E(p) arcs sorted, arc per element, (R(p) arcs, covered

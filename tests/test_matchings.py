@@ -125,6 +125,29 @@ def test_matching_contains_matches_brute_force():
             assert matching_contains(patt, sub) == expected
 
 
+def test_clique_sweep_matches_brute_force_and_backtracking():
+    # m(k…1), k pairwise crossing arcs, is swept for k >= 2; the empty and
+    # single-arc patterns, and every other pattern, backtrack
+    from permsplit.matchings import _neighbour_bound_search
+
+    cliques = [Matching(tuple((i, i + k) for i in range(1, k + 1))) for k in range(6)]
+    assert cliques[2] == m_of(P("21")) and cliques[3] == m_of(P("321"))
+    for host in matchings_up_to(5):
+        for clique in cliques:
+            assert matching_contains(clique, host) == brute_matching_contains(clique, host)
+            # unnormalized arc subsets, sorted by left endpoint, are hosts too
+            for sub in (host.arcs[::2], host.arcs[1:]):
+                expected = brute_matching_contains(clique, Matching.from_arcs(sub))
+                assert matching_contains(clique, sub) == expected
+    for host in matchings_up_to(6):
+        for clique in cliques[:5]:
+            expected = _neighbour_bound_search(clique.arcs, host.arcs)
+            assert matching_contains(clique, host) == expected, (clique, host)
+    assert matching_contains(cliques[0], EMPTY_MATCHING)
+    assert not matching_contains(cliques[1], EMPTY_MATCHING)
+    assert matching_contains(cliques[1], [(0.5, 7)])
+
+
 def test_matching_containment_mirrors_permutation_containment():
     # Observation: σ ≤ π iff m(σ) ≤ m(π); exhaustive for |σ| ≤ 3, |π| ≤ 6
     pats = [p for k in range(4) for p in all_perms(k)]
