@@ -246,57 +246,60 @@ def _crossing_chain_found(k: int, arcs: Sequence[Arc]) -> bool:
 
 
 class CrossingGraph:
-    """Crossing graph of a host's arcs, built once; arcs are named by index.
+    """Crossing graph of a matching's arcs, named by index.
 
-    The arcs must be sorted by left endpoint (as `Matching.arcs` are), so index
-    order is left-endpoint order.  One BFS per component of any index subset
-    gives its members together with their BFS levels and sides, without
-    rebuilding matchings.
+    The arcs must be normalized, with endpoints exactly 1..2q sorted by left
+    end as `Matching.arcs` are (else ValueError), so index order is left-end
+    order.  Arc k's neighbours are the bits of the int nbr[k], about q²/8
+    bytes at worst, set by one scan over the endpoints: at k's right end, the
+    arcs live at its left end that have closed, and the later arcs still live.
     """
 
     def __init__(self, arcs: Sequence[Arc]):
-        self.nbr: list[list[int]] = [[] for _ in arcs]
-        # sweep the later left endpoints inside each arc: those that close
-        # after it cross it, the rest nest below it.  Each list comes out
-        # sorted, lesser neighbours first from earlier rows of the sweep.
-        for i, (_, b) in enumerate(arcs):
-            for j in range(i + 1, len(arcs)):
-                c, d = arcs[j]
-                if c > b:
-                    break
-                if d > b:
-                    self.nbr[i].append(j)
-                    self.nbr[j].append(i)
+        # end[e] is k + 1 where arc k opens, -(k + 1) where it closes
+        end, last = [0] * (2 * len(arcs) + 1), 0
+        for k, (a, b) in enumerate(arcs):
+            if not last < a < b < len(end) or end[a] or end[b]:
+                raise ValueError(f"arc {k} {arcs[k]!r}: arcs must be normalized and sorted")
+            end[a], end[b], last = k + 1, -k - 1, a
+        self.nbr = nbr = [0] * len(arcs)
+        opened, live = nbr[:], 0  # live: arcs opened and not yet closed
+        for k in end[1:]:
+            if k > 0:
+                opened[k - 1] = live
+                live |= 1 << (k - 1)
+            else:
+                k = -k - 1
+                live ^= 1 << k
+                nbr[k] = (opened[k] & ~live) | (live >> (k + 1) << (k + 1))
 
     def components(self, subset: Iterable[int]) -> list[dict[int, tuple[int, int]]]:
         """Components of the graph induced on `subset`, by least arc, each as
-        {arc index: (BFS level, side)} in BFS order from its least arc.
+        {arc index: (BFS level, side)} from its least arc, level by level and
+        by index within a level.
 
         Side +1 means the least arc of the previous level crossing this one
-        lies to its left, -1 to its right; the root gets +1.  A side is set
-        when its arc leaves the queue, from the first arc of the previous
-        level in its sorted neighbour list.
+        lies to its left, -1 to its right; the root gets +1.
         """
-        members = set(subset)
-        out: list[dict[int, tuple[int, int]]] = []
-        seen: set[int] = set()
-        for root in sorted(members):
-            if root in seen:
-                continue
-            comp = {root: (0, 1)}
-            queue = [root]
-            for i in queue:  # the queue grows as the BFS discovers arcs
-                level, side = comp[i]
-                for j in self.nbr[i]:
-                    if j not in members:
-                        continue
-                    if j not in comp:
-                        comp[j] = (level + 1, 0)
-                        queue.append(j)
-                    elif not side and comp[j][0] == level - 1:
-                        side = 1 if j < i else -1
-                comp[i] = (level, side)
-            seen.update(comp)
+        nbr, unseen, out = self.nbr, 0, []
+        for i in subset:
+            unseen |= 1 << i
+        while unseen:
+            frontier = unseen & -unseen
+            unseen ^= frontier
+            root = frontier.bit_length() - 1
+            comp, level, reach = {root: (0, 1)}, 0, nbr[root]
+            while frontier:
+                new = rest = reach & unseen
+                unseen ^= new
+                level, reach = level + 1, 0
+                while rest:
+                    bit = rest & -rest
+                    j = bit.bit_length() - 1
+                    comp[j] = (level, 1 if nbr[j] & frontier & (bit - 1) else -1)
+                    reach |= nbr[j]
+                    rest ^= bit
+                frontier = new
             out.append(comp)
         return out
 

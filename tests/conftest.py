@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from permsplit.matchings import Matching
-from permsplit.perms import EMPTY, Permutation, complement, reverse, skew_sum
+from permsplit.matchings import Matching, crosses
+from permsplit.perms import Permutation, complement, reverse
 
 
 def order_isomorphic(seq_a, seq_b) -> bool:
@@ -61,6 +61,34 @@ def brute_matching_contains(pattern: Matching, host: Matching) -> bool:
     return False
 
 
+def brute_components(arcs, subset) -> list[dict[int, tuple[int, int]]]:
+    """Crossing-graph components of the arcs on `subset` (indices into arcs
+    sorted by left endpoint), by least arc, each as {arc index: (BFS level,
+    side)}: BFS over neighbour sets from `crosses` on all pairs.  A side is +1
+    iff the least-left-end arc of the level above that crosses it starts to
+    its left; roots get +1."""
+    members = sorted(set(subset))
+    nbr = {i: [j for j in members if crosses(arcs[i], arcs[j])] for i in members}
+    out, seen = [], set()
+    for root in members:
+        if root in seen:
+            continue
+        level = {root: 0}
+        queue = [root]
+        for i in queue:
+            for j in nbr[i]:
+                if j not in level:
+                    level[j] = level[i] + 1
+                    queue.append(j)
+        comp = {root: (0, 1)}
+        for i in queue[1:]:
+            nu = min((j for j in nbr[i] if level[j] == level[i] - 1), key=lambda j: arcs[j][0])
+            comp[i] = (level[i], 1 if arcs[nu][0] < arcs[i][0] else -1)
+        seen.update(comp)
+        out.append(comp)
+    return out
+
+
 def dyck_321_avoider(n: int, rng) -> Permutation:
     """A 321-avoider of order n from a seeded Dyck path.
 
@@ -107,12 +135,17 @@ def seeded_hosts(seed: int, count: int, lo: int = 30, hi: int = 300) -> list[Per
             p = dyck_321_avoider(n, rng)
             hosts.append((p, reverse(p), complement(p))[family])
         elif family < 5:
-            host = EMPTY
-            while len(host) < n:
-                k = min(n - len(host), rng.randint(2, 6) if family == 3 else rng.randint(1, 8))
-                piece = dyck_321_avoider(k, rng) if family == 3 else Permutation(tuple(range(1, k + 1)))
-                host = skew_sum(host, piece)
-            hosts.append(host)
+            pieces, size = [], 0
+            while size < n:
+                k = min(n - size, rng.randint(2, 6) if family == 3 else rng.randint(1, 8))
+                pieces.append(dyck_321_avoider(k, rng).values if family == 3 else range(1, k + 1))
+                size += k
+            # the skew sum: each piece lies above all later ones
+            vals = []
+            for piece in pieces:
+                size -= len(piece)
+                vals.extend(v + size for v in piece)
+            hosts.append(Permutation(tuple(vals)))
         else:
             hosts.append(Permutation(tuple(rng.sample(range(1, n + 1), n))))
     return hosts

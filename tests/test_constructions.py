@@ -305,6 +305,31 @@ def test_large_route_c_certificates_are_pinned():
     assert digest.hexdigest() == LARGE_ROUTE_C_SHA256
 
 
+# SHA-256 of the route c, d and e certificates (JSON line each) of the seeded
+# 321-avoider of order 8,000 that bench/generators.py draws from
+# random.Random(1), reversed for route e, recorded while CrossingGraph still
+# kept adjacency lists
+ROUTE_CDE_8000_SHA256 = {
+    "1432": "17c8b398ff7eb3256388d329f4c3875e51514626b68e7788ee1c01951e7b8dd2",
+    "3214": "fa07163986696d1a56c819c736aef37ae11ff8201647843507c751d3f371b547",
+    "4123": "a205f0dff4f255b923ed5b69e59c4fcaf44199455e8de9179dd2fe779b871776",
+}
+
+
+def test_route_cde_certificates_at_order_8000_are_pinned():
+    import hashlib
+    import json
+    import random
+
+    from conftest import dyck_321_avoider
+
+    p = dyck_321_avoider(8000, random.Random(1))
+    for text, expected in ROUTE_CDE_8000_SHA256.items():
+        host = Permutation(p.values[::-1]) if text == "4123" else p
+        line = json.dumps(theorem_certificate(P(text), host).to_json_dict()) + "\n"
+        assert hashlib.sha256(line.encode()).hexdigest() == expected, text
+
+
 # SHA-256 of the JSON streams of route b certificates over Av_7(1324), recorded
 # before the greedy splitter moved onto perms.ends_with_occurrence, and of
 # route a certificates over Av_7(1243), recorded before routes a/b dropped

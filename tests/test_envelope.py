@@ -174,7 +174,7 @@ def test_clique_envelope_equivalence_by_two_sweeps():
     from permsplit.perms import avoids, decreasing, direct_sum
 
     small = [p for n in range(8) for p in all_perms(n)]
-    large = seeded_hosts(2013, 6, 1000, 10000)
+    large = seeded_hosts(2013, 12, 1000, 10000)
     for k in (2, 3, 4):
         clique, one_plus = m_of(decreasing(k)), direct_sum(P("1"), decreasing(k))
         for hosts in (small, large):

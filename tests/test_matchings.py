@@ -3,7 +3,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
-from conftest import brute_matching_contains
+from conftest import brute_components, brute_matching_contains, seeded_hosts
 
 from permsplit.errors import PreconditionError
 from permsplit.matchings import (
@@ -310,6 +310,41 @@ def test_crossing_graph_core_matches_definitions_on_deep_components():
                 depth = max(depth, *(level for level, _ in comp.values()))
                 minus_sides += sum(1 for _, side in comp.values() if side < 0)
     assert depth >= 10 and minus_sides >= 100, (depth, minus_sides)
+
+
+def test_crossing_graph_matches_a_brute_bfs_on_large_envelopes():
+    # R(p) of seeded hosts of order 300-1,500, all six families: the mask BFS
+    # against a BFS over neighbour sets from `crosses` on all pairs, on the
+    # full index set and on seeded subsets
+    import random
+
+    from permsplit.envelope import reduced_envelope
+
+    rng = random.Random(1500)
+    depth = minus_sides = 0
+    for p in seeded_hosts(1500, 12, 300, 1500):
+        arcs = reduced_envelope(p).arcs
+        graph, q = CrossingGraph(arcs), len(arcs)
+        subsets = [range(q)] + [sorted(rng.sample(range(q), rng.randint(q // 4, q))) for _ in range(2)]
+        for subset in subsets:
+            comps = graph.components(subset)
+            assert comps == brute_components(arcs, subset), (p, len(subset))
+            depth = max(depth, *(level for comp in comps for level, _ in comp.values()))
+            minus_sides += sum(1 for comp in comps for _, side in comp.values() if side < 0)
+    assert depth >= 40 and minus_sides >= 1000, (depth, minus_sides)
+
+
+def test_crossing_graph_refuses_arcs_that_are_not_a_normalized_matching():
+    assert CrossingGraph(()).components(()) == []
+    for arcs in (
+        ((1, 3), (2, 5)),  # endpoints not 1..4
+        ((2, 4), (1, 3)),  # not sorted by left end
+        ((1, 4), (2, 4), (3, 5)),  # endpoint 4 twice
+        ((1, 2), (1, 3), (4, 6)),  # endpoint 1 twice
+        ((2, 1), (3, 4)),  # right end before left end
+    ):
+        with pytest.raises(ValueError):
+            CrossingGraph(arcs)
 
 
 def test_mirror_is_an_involution_that_inverts_m_of():

@@ -632,6 +632,23 @@ def test_run_drop_state_memory_is_linear_on_a_decreasing_host():
     assert avoids_peak < 3_000_000 and cert_peak < 3_000_000, (avoids_peak, cert_peak)
 
 
+# SHA-256 of the text lines of every seeded host the tests draw, recorded
+# while seeded_hosts still built its skew sums one perms.skew_sum at a time
+SEEDED_HOSTS_SHA256 = "85f3d8d8743e7f4343ca1b60d756ddefcd721a87fae20effc0c67633e9265e25"
+
+
+def test_seeded_hosts_are_pinned():
+    import hashlib
+
+    digest = hashlib.sha256()
+    calls = [(2026, 42), (1432, 24), (2013, 12, 1000, 10000), (105, 24)]
+    calls += [(2134, 12, 30, 500), (1324, 12), (1500, 12, 300, 1500)]
+    for args in calls:
+        for host in seeded_hosts(*args):
+            digest.update(host.text().encode() + b"\n")
+    assert digest.hexdigest() == SEEDED_HOSTS_SHA256
+
+
 def test_avoids_sweep_and_contains_backtracking_agree_on_large_hosts():
     # sweep patterns of order 4-5 on seeded hosts of order 30-300, also as
     # raw value sequences with gaps and negatives, in the same order as the
