@@ -60,9 +60,13 @@ class Matching:
 
     @staticmethod
     def from_arcs(pairs: Iterable[tuple[float, float]]) -> "Matching":
-        """Build from arcs with arbitrary distinct numeric coordinates."""
+        """Build from arcs with arbitrary distinct finite coordinates (a NaN
+        would make the result depend on the order of the arcs)."""
         raw = [tuple(sorted(pair)) for pair in pairs]
-        coords = sorted(e for arc in raw for e in arc)
+        coords = [e for arc in raw for e in arc]
+        if not all(map(math.isfinite, coords)):
+            raise ValueError(f"endpoint coordinates must be finite: {raw!r}")
+        coords.sort()
         if len(set(coords)) != len(coords):
             raise ValueError(f"duplicate endpoint coordinates in {raw!r}")
         rank = {e: i + 1 for i, e in enumerate(coords)}

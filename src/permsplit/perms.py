@@ -338,29 +338,24 @@ class RunDropState:
     are the values tagged above e, the first epoch whose T_a lies below v
     (one `bisect`).  A monotone stack of (tag, largest value pushed with
     that tag or later) answers "is one of them above v?" with a second.
-    The bounded question (y < upper as well) needs `size` > every pushed
-    value (`ValueError` otherwise): when the stack leaves it open, it reads
-    the largest tag among the values in (v, upper) from a max segment tree
-    over values.  Each push or question takes O(log n) time; memory is O(n).
+    Each push or question takes O(log n) time; memory is O(n).
 
-    >>> state = RunDropState(1, size=5)
+    >>> state = RunDropState(1)
     >>> for v in (2, 4, 1):
     ...     state.push(v)
-    >>> state.completes(3), state.completes(5), state.completes(3, upper=4)
-    (True, False, False)
+    >>> state.completes(3), state.completes(5)
+    (True, False)
     """
 
-    __slots__ = ("tops", "drops", "tags", "maxes", "size", "tree")
+    __slots__ = ("tops", "drops", "tags", "maxes")
 
-    def __init__(self, a: int, size: int = 0):
+    def __init__(self, a: int):
         self.tops = [math.inf] * a  # tops[i] is T_{i+1}
         self.drops: list[int] = []  # minus T_a at each epoch's start, increasing
         # tags increase and maxes decrease: maxes[i] is the largest value
         # pushed with a tag >= tags[i]
         self.tags: list[int] = []
         self.maxes: list[int] = []
-        self.size = size
-        self.tree = [0] * (2 * size)  # leaf size + y holds y's tag, 0 if unpushed
 
     def push(self, v: int) -> None:
         tag = len(self.drops)
@@ -371,13 +366,6 @@ class RunDropState:
         if not tags or tags[-1] != tag:
             tags.append(tag)
             maxes.append(v)
-        if self.size:
-            if not 0 <= v < self.size:
-                raise ValueError(f"push({v}) outside 0..{self.size - 1}")
-            tree, i = self.tree, v + self.size
-            while i and tree[i] < tag:  # tags only grow: an ancestor >= tag ends it
-                tree[i] = tag
-                i >>= 1
         tops = self.tops
         i = bisect_left(tops, v)
         if i < len(tops):
@@ -385,36 +373,13 @@ class RunDropState:
             if i == len(tops) - 1:
                 self.drops.append(-v)
 
-    def completes(self, v: int, upper: int | None = None) -> bool:
-        """Is there a pushed y with v < y (and y < upper, if given) and
-        T_a(before y) < v?"""
-        if upper is not None and not self.size:
-            raise ValueError("completes(v, upper) needs a RunDropState built with size")
+    def completes(self, v: int) -> bool:
+        """Is there a pushed y > v with T_a(before y) < v?"""
         e = bisect_right(self.drops, -v)
         if e == len(self.drops):
             return False
         i = bisect_right(self.tags, e)
-        if i == len(self.tags):
-            return False
-        top = self.maxes[i]
-        if top <= v:
-            return False
-        if upper is None or top < upper:
-            return True
-        tree = self.tree
-        lo, hi = v + 1 + self.size, min(upper, self.size) + self.size
-        while lo < hi:
-            if lo & 1:
-                if tree[lo] > e:
-                    return True
-                lo += 1
-            if hi & 1:
-                hi -= 1
-                if tree[hi] > e:
-                    return True
-            lo >>= 1
-            hi >>= 1
-        return False
+        return i < len(self.tags) and self.maxes[i] > v
 
 
 def _run_drop_run_found(a: int, b: int, seq: Sequence[int]) -> bool:
@@ -422,10 +387,14 @@ def _run_drop_run_found(a: int, b: int, seq: Sequence[int]) -> bool:
     (a, b >= 1)?
 
     It does iff some z has an earlier y with
-    T_a(before y) < z < y < G_b(after z), where G_b is the greatest bottom
-    of an increasing b-run (the suffix maximum when b = 1): a
-    `RunDropState` query with an upper bound.  The suffix side takes `b`
-    right-to-left passes, the mirror of `_run_drop_splits`' prefix passes.
+    T_a(before y) < z < y < G_b(after z), where T_a is the least top of an
+    increasing a-run and G_b the greatest bottom of an increasing b-run (the
+    suffix maximum when b = 1).  The suffix side takes `b` right-to-left
+    passes, the mirror of `_run_drop_splits`' prefix passes.  One
+    left-to-right pass keeps the tops T_1 < ... < T_a as in patience
+    sorting, writes T_a(before y) at leaf y of a min segment tree over
+    values, and asks for each z whether the least leaf in (z, G_b(after z))
+    lies below z.
     """
     n = len(seq)
     greatest = [math.inf] * (n + 1)
@@ -437,13 +406,29 @@ def _run_drop_run_found(a: int, b: int, seq: Sequence[int]) -> bool:
                 cur = v
             row[t] = cur
         greatest = row
-    state = RunDropState(a, n + 1)
-    completes, push = state.completes, state.push
+    size = n + 1
+    tree = [math.inf] * (2 * size)  # leaf size + y: T_a(before y), inf if unpushed
+    tops = [math.inf] * a  # tops[i] is T_{i+1}
     for t, z in enumerate(seq):
-        upper = greatest[t + 1]
-        if upper > z + 1 and completes(z, upper):
-            return True
-        push(z)
+        lo, hi = z + 1 + size, greatest[t + 1] + size
+        while lo < hi:
+            if lo & 1:
+                if tree[lo] < z:
+                    return True
+                lo += 1
+            if hi & 1:
+                hi -= 1
+                if tree[hi] < z:
+                    return True
+            lo >>= 1
+            hi >>= 1
+        top, i = tops[-1], z + size
+        while i and tree[i] > top:  # T_a only drops: an ancestor <= top ends it
+            tree[i] = top
+            i >>= 1
+        i = bisect_left(tops, z)
+        if i < a:
+            tops[i] = z
     return False
 
 

@@ -208,6 +208,9 @@ def test_input_errors_follow_the_exit_code_contract(capsys, monkeypatch, tmp_pat
     cases = (
         (["split", "--method", "theorem", "--pattern", "1324"], '{"arcs": "1-2"}\n'),
         (["color-matching", "--forbid-clique", "3"], '{"perm": "1"}\n'),
+        (["color-matching", "--forbid-clique", "3"], "nan-5 2-3\n"),
+        (["color-matching", "--forbid-clique", "3"], '{"arcs": "2-3 nan-5"}\n'),
+        (["color-matching", "--forbid-clique", "3"], "1-inf 2-3\n"),
     )
     for argv, stdin_text in cases:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))

@@ -39,6 +39,13 @@ def test_normalization_and_text():
     assert Matching.from_text("").arcs == ()
     with pytest.raises(ValueError):
         Matching.from_arcs([(1, 2), (2, 3)])
+    # a NaN breaks the coordinate sort, so either arc order would parse
+    # differently; infinities are refused with it
+    for text in ("nan-5 2-3", "2-3 nan-5", "1-inf 2-3"):
+        with pytest.raises(ValueError):
+            Matching.from_text(text)
+    with pytest.raises(ValueError):
+        Matching.from_arcs([(float("-inf"), 1), (2, 3)])
     with pytest.raises(ValueError):
         Matching(((1, 3), (2, 4), (5, 7)))
 

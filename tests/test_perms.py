@@ -563,51 +563,18 @@ def test_run_drop_state_matches_forbidden_lasts_on_every_prefix():
                         state.push(2 * host.values[t])
 
 
-def test_run_drop_state_bounded_question_against_brute_force():
-    # completes(v, upper) on every prefix of every host of order <= 6, for
-    # every v and upper, against the definition: some pushed y with
-    # v < y < upper has T_a(before y) < v
-    from permsplit.perms import RunDropState
+def test_run_drop_run_found_against_brute_force():
+    # I_a ⊕ D_2 ⊕ I_b for every a, b >= 1 with a + b <= 5 (orders 4-7) on
+    # every host of order <= 7, against the exhaustive scan
+    from permsplit.perms import _run_drop_run_found
 
-    def least_top(a, seq):
-        runs = (c for c in combinations(seq, a) if list(c) == sorted(c))
-        return min((c[-1] for c in runs), default=float("inf"))
-
-    for a in (1, 2):
-        for n in range(7):
-            for host in all_perms(n):
-                pushed = [2 * v for v in host.values]
-                tops = [least_top(a, pushed[:j]) for j in range(n)]
-                state = RunDropState(a, size=2 * n + 1)
-                for t in range(n + 1):
-                    for v in range(1, 2 * n + 2, 2):
-                        ys = [y for y, top in zip(pushed[:t], tops) if v < y and top < v]
-                        least = min(ys, default=float("inf"))
-                        for upper in range(v, 2 * n + 4):
-                            assert state.completes(v, upper) == (least < upper), (a, host, t, v)
-                    if t < n:
-                        state.push(pushed[t])
-
-
-def test_run_drop_state_refuses_what_its_tree_cannot_answer():
-    # y = 4 answers completes(3, upper=5): T_1(before 4) = 2 < 3 < 4 < 5.
-    # Without a tree the bounded question raises instead of answering False,
-    # and a tree refuses a value outside its leaves instead of overwriting
-    # an internal node
-    from permsplit.perms import RunDropState
-
-    with_tree, without = RunDropState(1, size=6), RunDropState(1)
-    for v in (2, 5, 4):
-        with_tree.push(v)
-        without.push(v)
-    assert with_tree.completes(3, upper=5) is True
-    assert without.completes(3) is True
-    with pytest.raises(ValueError):
-        without.completes(3, upper=5)
-    for v in (-1, 4):
-        with pytest.raises(ValueError):
-            RunDropState(1, size=4).push(v)
-    without.push(-1)  # no tree, no bound on the values
+    hosts = [host for n in range(8) for host in all_perms(n)]
+    for a in range(1, 5):
+        for b in range(1, 6 - a):
+            patt = direct_sum(direct_sum(identity(a), decreasing(2)), identity(b))
+            for host in hosts:
+                want = brute_contains(patt, host)
+                assert _run_drop_run_found(a, b, host.values) == want, (a, b, host)
 
 
 def test_run_drop_state_memory_is_linear_on_a_decreasing_host():
