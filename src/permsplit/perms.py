@@ -524,9 +524,8 @@ def direct_sum(a: Permutation, b: Permutation) -> Permutation:
 
 
 def skew_sum(a: Permutation, b: Permutation) -> Permutation:
-    """Concatenate with a's values shifted above b's: the complement of the
-    direct sum of the complements."""
-    return complement(direct_sum(complement(a), complement(b)))
+    """Concatenate with a's values shifted above b's, in one pass."""
+    return Permutation._trusted(tuple(v + len(b) for v in a.values) + b.values)
 
 
 def reverse(p: Permutation) -> Permutation:
@@ -701,8 +700,6 @@ def _avoider_level(basis: frozenset[Permutation], n: int) -> tuple[Permutation, 
             drops.append((True, *shape[:2]))
         else:
             rest.append(b.values)
-    # shifted[last][v] is where value v of a parent moves when last is appended
-    shifted = [tuple(v + (v >= last) for v in range(n)) for last in range(n + 1)]
     out = []
     for q in _avoider_level(basis, n - 1):
         lo, hi = 1, n
@@ -729,7 +726,7 @@ def _avoider_level(basis: frozenset[Permutation], n: int) -> tuple[Permutation, 
             # last - 0.5 sits where the shifted values put last: same order type
             if rest and any(ends_with_occurrence(b, q.values + (last - 0.5,)) for b in rest):
                 continue
-            child = tuple(map(shifted[last].__getitem__, q.values)) + (last,)
+            child = tuple([v + (v >= last) for v in q.values]) + (last,)
             out.append(Permutation._trusted(child))
     return tuple(sorted(out, key=lambda p: p.values))
 
@@ -752,11 +749,15 @@ def enumerate_avoiders(basis: Iterable[Permutation], n: int) -> Iterator[Permuta
     thresholds and intervals are read off the parent once, in the passes
     `avoids` sweeps with, and only the other basis elements are tested per
     candidate, by a search through the new entry, among the allowed values.
-    Children are built without `Permutation`'s sort check.
+    Children are built without `Permutation`'s sort check, and levels bottom-up
+    from order 0, each from its cached parent, so no call recurses deeper.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    yield from _avoider_level(frozenset(basis), n)
+    key = frozenset(basis)
+    for order in range(n):
+        _avoider_level(key, order)
+    yield from _avoider_level(key, n)
 
 
 def avoiders_up_to(basis: Iterable[Permutation], n_max: int) -> Iterator[Permutation]:

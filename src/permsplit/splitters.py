@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import groupby
-from typing import Callable
+from typing import Callable, Iterable
 
 from .envelope import reduced_envelope_map
 from .errors import InvalidColorerError, PreconditionError, VerificationError
@@ -376,10 +376,13 @@ def match_split(
     to the recursion with the obstacle's leftmost/rightmost arc shortened.
     Copies used never exceed 4^weight(obstacle).
 
-    Each obstacle's step (M₁, M₂ or M⁺, M⁻) is derived once and cached; the
-    recursion works on lists of arc indices into n.arcs and builds a matching
-    only for the base colorer, on the straddling arcs.  A `state`, when
-    given, receives the recursion trace; without one none is kept.
+    Each obstacle's step (M₁, M₂ or M⁺, M⁻) is derived once and cached.  The
+    recursion works on arc-index lists; each subtree writes its arcs' colours,
+    counted from its own first copy, into one list for the host and returns
+    its copy count, and one placement step shifts the sections of a ⊎ or M±
+    step past the copies before them.  Only the base colorer, on the
+    straddling arcs, gets a Matching.  A `state`, when given, receives the
+    recursion trace; without one none is kept.
     """
     if any(sum_decompose(q) is not None for q in base.parts):
         raise PreconditionError("base part patterns must be sum-indecomposable")
@@ -399,32 +402,35 @@ def _split_avoiding(
     arcs = n.arcs
     graph = CrossingGraph(arcs)
     k = len(base.parts)
-    # every component root is colored as a lone arc would be
-    root_color = base.lone_arc_color if arcs else None
+    colors = [0] * len(arcs)
 
-    def solve(subset: list[int], obs: Matching, depth: int) -> tuple[dict, int]:
-        """Returns ({arc index: copy·k + part}, copies used); subset is sorted."""
+    def solve(subset: list[int], obs: Matching, depth: int) -> int:
+        """Writes copy·k + part, counted from this subtree's first copy, into
+        colors at the arcs of subset (sorted); returns the copies used."""
         if not subset:
-            return {}, 0
+            return 0
         # at the root, the entry search has just checked this very obstacle
-        if depth:
-            sub = [arcs[i] for i in subset]
-            if matching_contains(obs, sub):
-                raise VerificationError("recursive avoidance guarantee broke")
+        if depth and matching_contains(obs, [arcs[i] for i in subset]):
+            raise VerificationError("recursive avoidance guarantee broke")
         if len(obs) == 1:
             raise VerificationError("nonempty host cannot avoid a single-arc obstacle")
         case, first, second = _obstacle_step(obs)
         if case == "uplus-obstacle":
-            colors, copies = _solve_decomposable(subset, first, second, depth)
+            copies = _solve_decomposable(subset, first, second, depth)
         else:
-            colors, copies = {}, 0
-            for comp in graph.components(subset):
-                comp_colors, comp_copies = _solve_connected(comp, first, second, depth)
-                colors.update(comp_colors)
-                copies = max(copies, comp_copies)
+            copies = max(_solve_connected(c, first, second, depth) for c in graph.components(subset))
         if state is not None:
             state.record(depth, case, obs, copies)
-        return colors, copies
+        return copies
+
+    def stack(sections: Iterable[tuple[list[int], int]]) -> int:
+        """Shifts each section's arcs past the copies before it; returns the total."""
+        offset = 0
+        for members, copies in sections:
+            for i in members:
+                colors[i] += offset * k
+            offset += copies
+        return offset
 
     def _solve_decomposable(subset, m1, m2, depth):
         # the prefix only grows at right endpoints, so the cut is one of them
@@ -436,39 +442,29 @@ def _split_avoiding(
         left = [i for i in subset if arcs[i][1] < cut]
         right = [i for i in subset if arcs[i][0] > cut]
         middle = [i for i in subset if arcs[i][0] < cut <= arcs[i][1]]
-        colors1, k1 = solve(left, m1, depth + 1)
-        colors2, k2 = solve(right, m2, depth + 1)
-        out = dict(colors1)
-        out.update({i: c + k1 * k for i, c in colors2.items()})
-        mid_cert = base(Matching.from_arcs(arcs[i] for i in middle))
-        for i, color in zip(middle, mid_cert.colors):
-            out[i] = (k1 + k2) * k + color
-        return out, k1 + k2 + 1
+        k1, k2 = solve(left, m1, depth + 1), solve(right, m2, depth + 1)
+        for i, color in zip(middle, base(Matching.from_arcs(arcs[i] for i in middle)).colors):
+            colors[i] = color
+        return stack([(left, k1), (right, k2), (middle, 1)])
 
     def _solve_connected(comp, obs_plus, obs_minus, depth):
         # sections (even, +), (even, -), (odd, +), (odd, -) get disjoint copies,
         # shared by their levels; groups go level ascending, + before -
         ordered = sorted(comp, key=lambda i: (comp[i][0], -comp[i][1], i))
-        section_colors: list[dict] = [{ordered[0]: root_color}, {}, {}, {}]
-        section_copies = [1, 0, 0, 0]
-        for (level, side), members in groupby(ordered[1:], key=comp.get):
+        colors[ordered[0]] = base.lone_arc_color  # the root, coloured as a lone arc
+        members: list[list[int]] = [[ordered[0]], [], [], []]
+        copies = [1, 0, 0, 0]
+        for (level, side), group in groupby(ordered[1:], key=comp.get):
             section, sub_obs = 2 * (level % 2) + (side < 0), obs_plus if side > 0 else obs_minus
-            for block in arc_blocks(arcs, members):
-                block_colors, block_copies = solve(block, sub_obs, depth + 1)
-                section_colors[section].update(block_colors)
-                section_copies[section] = max(section_copies[section], block_copies)
-        local: dict[int, int] = {}
-        offset = 0
-        for colors, copies in zip(section_colors, section_copies):
-            local.update({i: c + offset * k for i, c in colors.items()})
-            offset += copies
-        return local, offset
+            for block in arc_blocks(arcs, group):
+                copies[section] = max(copies[section], solve(block, sub_obs, depth + 1))
+                members[section] += block
+        return stack(zip(members, copies))
 
-    color_map, copies = solve(list(range(len(arcs))), obstacle, 0)
+    copies = solve(list(range(len(arcs))), obstacle, 0)
     if copies > 4 ** weight(obstacle):
         raise VerificationError("palette exceeded the 4^weight bound")
-    colors = tuple(color_map[i] for i in range(len(arcs)))
-    return ColoringCertificate(subject=n, parts=base.parts * copies, colors=colors)
+    return ColoringCertificate(subject=n, parts=base.parts * copies, colors=tuple(colors))
 
 
 def oneplus_split(

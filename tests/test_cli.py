@@ -53,6 +53,9 @@ def test_enumerate_and_count(capsys):
     assert code == 0 and lines == [{"perm": "1 2 3 4"}]
     code, lines = run_lines(capsys, ["enumerate", "--avoid", "132", "--n", "6", "--count"])
     assert code == 0 and lines == [{"n": 6, "count": 132}]
+    # an order past the default recursion limit's depth of one level per frame pair
+    code, lines = run_lines(capsys, ["enumerate", "--avoid", "21", "--n", "500", "--count"])
+    assert code == 0 and lines == [{"n": 500, "count": 1}]
 
 
 def test_split_stream_and_round_trip(capsys, monkeypatch):

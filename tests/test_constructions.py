@@ -266,6 +266,17 @@ def test_large_circle_colorings_and_traces_are_pinned():
     assert digest.hexdigest() == LARGE_CIRCLE_SHA256
 
 
+def _assert_proper(host, coloring) -> None:
+    """No two crossing arcs of host share a colour."""
+    arcs = host.arcs
+    for i, (a, b) in enumerate(arcs):
+        for c, d in arcs[i + 1 :]:
+            if c > b:
+                break
+            if d > b:  # (a, b) and (c, d) cross
+                assert coloring[a, b] != coloring[c, d], ((a, b), (c, d))
+
+
 # SHA-256 of [R(p) arcs, circle_color colours] for a seeded 321-avoider p of
 # order 2,000, recorded before the clique entry check became a sweep
 CIRCLE_2000_SHA256 = "b88530e05631cd07aa74671d8c5c91c129a7db195b04f9dda1cc5adb81550cf9"
@@ -280,15 +291,31 @@ def test_circle_color_at_order_2000_is_proper_and_pinned():
 
     host = reduced_envelope(_random_321_avoider(2000, random.Random(2000)))
     coloring = circle_color(host, 3)
-    arcs = host.arcs
-    for i, (a, b) in enumerate(arcs):
-        for c, d in arcs[i + 1 :]:
-            if c > b:
-                break
-            if d > b:  # (a, b) and (c, d) cross
-                assert coloring[a, b] != coloring[c, d], ((a, b), (c, d))
-    line = json.dumps([host.text(), [coloring[arc] for arc in arcs]])
+    _assert_proper(host, coloring)
+    line = json.dumps([host.text(), [coloring[arc] for arc in host.arcs]])
     assert hashlib.sha256(line.encode()).hexdigest() == CIRCLE_2000_SHA256
+
+
+# the same for the seeded 321-avoider of order 8,000 that bench/generators.py
+# draws from random.Random(1) (7,998 arcs, 5 colours), recorded while
+# match_split's subtrees still returned dicts of colours
+CIRCLE_8000_SHA256 = "af9598104d6fe0a4752baeddea274449bdad535c6c05321089b84b76f7a6d69f"
+
+
+def test_circle_color_at_order_8000_is_proper_and_pinned():
+    import hashlib
+    import json
+    import random
+
+    from conftest import dyck_321_avoider
+
+    from permsplit.splitters import circle_color
+
+    host = reduced_envelope(dyck_321_avoider(8000, random.Random(1)))
+    coloring = circle_color(host, 3)
+    _assert_proper(host, coloring)
+    line = json.dumps([host.text(), [coloring[arc] for arc in host.arcs]])
+    assert hashlib.sha256(line.encode()).hexdigest() == CIRCLE_8000_SHA256
 
 
 def test_large_route_c_certificates_are_pinned():

@@ -330,6 +330,35 @@ def test_enumerate_avoiders_examples():
         assert len(list(enumerate_avoiders({P("132")}, n))) == want
 
 
+def test_enumeration_stack_stays_shallow_at_any_order():
+    # each level is built from its cached parent, so Av_300(21) enumerates
+    # under a recursion limit of 150 frames; one frame pair per order would
+    # need 600
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import permsplit
+
+    src = str(Path(permsplit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from permsplit.perms import Permutation, enumerate_avoiders, identity\n"
+        "sys.setrecursionlimit(150)\n"
+        "assert list(enumerate_avoiders({Permutation((2, 1))}, 300)) == [identity(300)]\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_enumerate_avoiders_matches_brute_filter():
     bases = [
         {P("132")},
