@@ -46,7 +46,7 @@ class Permutation:
     def text(self) -> str:
         if not self.values:
             return "ε"
-        return " ".join(str(v) for v in self.values)
+        return " ".join(map(str, self.values))
 
     def __repr__(self) -> str:
         return f"Permutation({self.text()!r})"
@@ -494,9 +494,12 @@ def least_top(pattern: Sequence[int], seq: Sequence[int], bound: float = math.in
     value below `bound`, or `bound` if there is none; -inf for the empty
     pattern.
 
-    The backtracking finds the lexicographically least occurrence, not the
-    lowest, so the search is repeated below the top it last found until it
-    fails; each repeat lowers the top.
+    An increasing pattern I_a (1, 12, 123, ...) takes one patience pass: its
+    least top is T_a, the least top of an increasing a-run, kept with the
+    lower tops T_1 < ... < T_a as in `RunDropState`, over the values below
+    `bound`.  Any other pattern backtracks: the search finds the
+    lexicographically least occurrence, not the lowest, so it is repeated
+    below the top it last found until it fails; each repeat lowers the top.
 
     >>> least_top((1, 2), (3, 4, 1, 2)), least_top((1, 2), (3, 4, 1, 2), bound=2)
     (2, 2)
@@ -506,6 +509,15 @@ def least_top(pattern: Sequence[int], seq: Sequence[int], bound: float = math.in
     pattern = tuple(pattern)
     if not pattern:
         return -math.inf
+    if pattern == tuple(range(1, len(pattern) + 1)):
+        # a value at or above bound moves no top: bisect places it past them
+        # all, or on a top that already equals bound
+        tops = [bound] * len(pattern)
+        for v in seq:
+            i = bisect_left(tops, v)
+            if i < len(tops):
+                tops[i] = v
+        return tops[-1]
     k = pattern.index(len(pattern))  # the entry that is the top
     top = bound
     while (chosen := _first_occurrence(pattern, seq, False, top)) is not None:

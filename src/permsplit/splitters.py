@@ -63,8 +63,14 @@ class SplittingSpec:
     def of(*patterns: Permutation) -> "SplittingSpec":
         return SplittingSpec(tuple((p, 1) for p in patterns))
 
-    def flatten(self) -> tuple[Permutation, ...]:
+    @cached_property
+    def _flat(self) -> tuple[Permutation, ...]:
         return tuple(p for p, k in self.parts for _ in range(k))
+
+    def flatten(self) -> tuple[Permutation, ...]:
+        """The part list with each pattern repeated by its multiplicity,
+        built once per spec."""
+        return self._flat
 
     def text(self) -> str:
         return ",".join(
@@ -83,7 +89,7 @@ class ColoringCertificate:
     def __post_init__(self):
         if len(self.colors) != len(self.subject):
             raise ValueError("need one color per element/arc")
-        if any(c < 0 or (c >= len(self.parts)) for c in self.colors):
+        if self.colors and (min(self.colors) < 0 or max(self.colors) >= len(self.parts)):
             raise ValueError("color index out of range of the part list")
 
     def colors_used(self) -> int:
@@ -92,7 +98,7 @@ class ColoringCertificate:
     def to_json_dict(self) -> dict:
         return {
             "subject": self.subject.text(),
-            "parts": [p.text() for p in self.parts],
+            "parts": list(_part_texts(self.parts)),
             "colors": list(self.colors),
         }
 
@@ -105,6 +111,13 @@ class ColoringCertificate:
             parts=tuple(Permutation.from_text(t) for t in d["parts"]),
             colors=tuple(d["colors"]),
         )
+
+
+@lru_cache(maxsize=None)
+def _part_texts(parts: tuple[Permutation, ...]) -> tuple[str, ...]:
+    """The texts of a part list, rendered once per list: a plan's
+    certificates all share one."""
+    return tuple(p.text() for p in parts)
 
 
 def greedy_three_sum(

@@ -14,6 +14,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permsplit import perms
 from permsplit.perms import (
     EMPTY,
     Permutation,
@@ -61,6 +62,8 @@ def test_text_round_trip():
     assert P("") == EMPTY
     # canonical output is space-separated even for short permutations
     assert P("2413").text() == "2 4 1 3"
+    assert EMPTY.text() == "ε"
+    assert Permutation((10, 2, 1, 11, 3, 4, 5, 6, 7, 8, 9)).text() == "10 2 1 11 3 4 5 6 7 8 9"
 
 
 def test_contains_examples():
@@ -490,6 +493,32 @@ def test_least_top_matches_brute_force():
                 want = min(tops, default=float("inf"))
                 assert least_top(patt, scaled) == 3 * want - 10
     assert least_top((), (1, 2)) == float("-inf")
+
+
+def _backtracked_top(pattern, seq, bound=float("inf")):
+    """least_top by the repeated backtracking search alone."""
+    top = bound
+    while (chosen := perms._first_occurrence(pattern, seq, False, top)) is not None:
+        top = seq[chosen[pattern.index(len(pattern))]]
+    return top
+
+
+def test_least_top_of_increasing_pattern_takes_no_search(monkeypatch):
+    import random
+
+    rng = random.Random(5)
+    shuffled = list(range(1, 301))
+    rng.shuffle(shuffled)
+    cases = [((1,), list(range(2000, 0, -1)), float("inf")), ((1, 2, 3), shuffled, 120)]
+    cases += [((1, 2), shuffled, bound) for bound in (2, 40, float("inf"))]
+    want = [_backtracked_top(*case) for case in cases]
+    calls = []
+    search = perms._first_occurrence
+    monkeypatch.setattr(perms, "_first_occurrence", lambda *a: calls.append(a) or search(*a))
+    assert [least_top(*case) for case in cases] == want
+    assert want[0] == 1 and not calls
+    # any other pattern still backtracks
+    assert least_top((2, 1), shuffled) == _backtracked_top((2, 1), shuffled) and calls
 
 
 def test_identity_and_decreasing():

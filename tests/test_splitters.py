@@ -61,6 +61,12 @@ def brute_valid(cert: ColoringCertificate) -> bool:
 def test_spec_multiset_and_parsing_rules():
     spec = SplittingSpec(((P("132"), 2), (P("213"), 1)))
     assert spec.flatten() == (P("132"), P("132"), P("213"))
+    assert spec.flatten() is spec.flatten()
+    # the kept part list is no field: a flattened spec still equals and
+    # hashes as its twin
+    twin = SplittingSpec(((P("132"), 2), (P("213"), 1)))
+    assert spec == twin and hash(spec) == hash(twin) and {spec: 1}[twin] == 1
+    assert spec != SplittingSpec(((P("132"), 1), (P("213"), 1)))
     assert spec.text() == "2*1 3 2,2 1 3"
     with pytest.raises(ValueError):
         SplittingSpec(())
@@ -72,6 +78,15 @@ def test_certificate_json_round_trip():
     cert = greedy_three_sum(ONE, P("21"), ONE, P("2413"))
     again = ColoringCertificate.from_json_dict(cert.to_json_dict())
     assert again == cert
+    # the part texts are shared between calls: a caller's edit stays its own
+    first = cert.to_json_dict()
+    first["parts"].append("1")
+    first["parts"][0] = "2 1"
+    assert cert.to_json_dict() == {
+        "subject": "2 4 1 3",
+        "parts": ["1 3 2", "2 1 3"],
+        "colors": [0, 0, 0, 1],
+    }
     mcert = match_split(m_of(P("21")), P("321"), m_of(P("321")), dilworth_matching_base(3))
     again = ColoringCertificate.from_json_dict(mcert.to_json_dict())
     assert again == mcert
@@ -82,6 +97,17 @@ def test_certificate_json_round_trip():
     ):
         again = ColoringCertificate.from_json_dict(empty.to_json_dict())
         assert again == empty and type(again.subject) is type(empty.subject)
+
+
+def test_certificate_validation():
+    parts = (P("21"), P("12"))
+    for colors in ((0, -1, 1), (0, 2, 1), (0, 1), (0, 1, 0, 1)):
+        with pytest.raises(ValueError):
+            ColoringCertificate(subject=P("321"), parts=parts, colors=colors)
+    with pytest.raises(ValueError):
+        ColoringCertificate(subject=m_of(P("21")), parts=parts, colors=(0, 2))
+    assert ColoringCertificate(subject=EMPTY, parts=parts, colors=()).colors_used() == 0
+    assert ColoringCertificate(subject=P("321"), parts=parts, colors=(1, 0, 1)).colors == (1, 0, 1)
 
 
 def test_greedy_examples():
