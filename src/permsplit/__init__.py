@@ -10,7 +10,7 @@ Library layout:
 - splitters: greedy three-sum, Dilworth, the recursive matching splitter,
   the one-plus pipeline, circle-graph coloring
 - constructions: witness matchings N±, witness permutations τ(N), the
-  splitting router and splittability classifier (re-exports m±)
+  splitting router and splittability classifier
 - oracle: independent brute-force verification and Ramsey-style searches
 - cli: batch command line (`permsplit`)
 """

@@ -22,16 +22,7 @@ from itertools import combinations
 
 from .envelope import matching_to_perm, reduced_envelope_map
 from .errors import PreconditionError, VerificationError
-from .matchings import (  # m_plus/m_minus are re-exported from here
-    CrossingGraph,
-    Matching,
-    is_connected,
-    m_minus,
-    m_of,
-    m_plus,
-    matching_contains,
-    mirror,
-)
+from .matchings import CrossingGraph, Matching, is_connected, m_of, matching_contains, mirror
 from .perms import (
     SYMMETRIES,
     Permutation,

@@ -27,10 +27,10 @@ from .matchings import m_of
 from .perms import (
     Embedding,
     Permutation,
+    avoiders_up_to,
     avoids,
     contains,
     ends_with_occurrence,
-    enumerate_avoiders,
 )
 from .splitters import ColoringCertificate, SplittingSpec
 
@@ -208,55 +208,54 @@ def verify_splitting(
     splitter, search from scratch.  Only the previous level's colourings are
     kept, and no certificate is built for a searched member.
     """
-    basis = frozenset(class_basis)
     parts = spec.flatten()
     spec_counts = Counter(parts)
     search = _merge_search(parts)
     report = VerificationReport()
-    # found[q.values]: the searched member q's least colouring, None if none
+    # found[q.values]: the searched member q's least colouring, None if none;
+    # parents holds the previous level's, swapped in when the order grows
+    # (a hereditary class has no empty level before a non-empty one)
     found: dict[tuple[int, ...], tuple[int, ...] | None] = {}
-    for n in range(n_max + 1):
-        parents, found = found, {}
-        # unshift[last][v]: where value v of a member ending in last sits in
-        # its parent
-        unshift = [tuple(v - (v > last) for v in range(n + 1)) for last in range(n + 1)]
-        for p in enumerate_avoiders(basis, n):
-            report.checked += 1
-            constructive = None
-            if splitter is not None:
-                try:
-                    constructive = splitter(p)
-                except PreconditionError:
-                    pass  # outside the splitter's domain: the oracle decides
-                except Exception as exc:
-                    report.failures.append(
-                        (p.text(), f"splitter raised {type(exc).__name__}: {exc}")
-                    )
-                    continue
+    n = -1
+    for p in avoiders_up_to(class_basis, n_max):
+        if len(p) > n:
+            n = len(p)
+            parents, found = found, {}
+            # unshift[last][v]: where value v of a member ending in last sits
+            # in its parent
+            unshift = [tuple(v - (v > last) for v in range(n + 1)) for last in range(n + 1)]
+        report.checked += 1
+        constructive = None
+        if splitter is not None:
+            try:
+                constructive = splitter(p)
+            except PreconditionError:
+                pass  # outside the splitter's domain: the oracle decides
+            except Exception as exc:
+                report.failures.append((p.text(), f"splitter raised {type(exc).__name__}: {exc}"))
+                continue
+        if constructive is not None:
+            subset = not (Counter(constructive.parts) - spec_counts)
+            if subset and merge_check(constructive):
+                report.max_colors_used = max(report.max_colors_used, constructive.colors_used())
+                continue
+        if splitter is not None:
+            report.fallbacks += 1
+        vals = p.values
+        parent = tuple(map(unshift[vals[-1]].__getitem__, vals[:-1])) if vals else ()
+        start = parents.get(parent, ())  # a parent never searched: from scratch
+        colors = None if start is None else search(vals, start)
+        if n < n_max:
+            found[vals] = colors
+        if colors is None:
+            detail = "no merge into the spec exists"
             if constructive is not None:
-                subset = not (Counter(constructive.parts) - spec_counts)
-                if subset and merge_check(constructive):
-                    report.max_colors_used = max(
-                        report.max_colors_used, constructive.colors_used()
-                    )
-                    continue
-            if splitter is not None:
-                report.fallbacks += 1
-            vals = p.values
-            parent = tuple(map(unshift[vals[-1]].__getitem__, vals[:-1])) if vals else ()
-            start = parents.get(parent, ())  # a parent never searched: from scratch
-            colors = None if start is None else search(vals, start)
-            if n < n_max:
-                found[vals] = colors
-            if colors is None:
-                detail = "no merge into the spec exists"
-                if constructive is not None:
-                    detail += "; splitter certificate invalid: " + "; ".join(
-                        merge_violations(constructive)
-                    )
-                report.failures.append((p.text(), detail))
-            else:
-                report.max_colors_used = max(report.max_colors_used, len(set(colors)))
+                detail += "; splitter certificate invalid: " + "; ".join(
+                    merge_violations(constructive)
+                )
+            report.failures.append((p.text(), detail))
+        else:
+            report.max_colors_used = max(report.max_colors_used, len(set(colors)))
     return report
 
 
@@ -281,13 +280,11 @@ def unavoidable_witness(
 ) -> Permutation | None:
     """Least (size-then-lex) member of the class whose every red-blue coloring
     has a red tau or a blue pi; None if no witness exists within the bound."""
-    basis = frozenset(class_basis)
-    for n in range(size_bound + 1):
-        for sigma in enumerate_avoiders(basis, n):
-            if _coloring_defeats(sigma, tau, pi) is None:
-                if not _recheck_witness(sigma, tau, pi):
-                    raise VerificationError(f"witness {sigma.text()} failed its re-check")
-                return sigma
+    for sigma in avoiders_up_to(class_basis, size_bound):
+        if _coloring_defeats(sigma, tau, pi) is None:
+            if not _recheck_witness(sigma, tau, pi):
+                raise VerificationError(f"witness {sigma.text()} failed its re-check")
+            return sigma
     return None
 
 
@@ -326,19 +323,16 @@ def amalgamation_search(
     """First (size-then-lex) member of the class with embeddings of r1.perm
     and r2.perm whose marked elements coincide; None within the bound means
     {Av(r1.perm), Av(r2.perm)} is a candidate splitting (bound-limited)."""
-    basis = frozenset(class_basis)
-    least = max(len(r1.perm), len(r2.perm))
-    for n in range(least, size_bound + 1):
-        for sigma in enumerate_avoiders(basis, n):
-            embs1 = _embeddings(r1.perm, sigma)
-            if not embs1:
-                continue
-            embs2 = _embeddings(r2.perm, sigma)
-            for g1 in embs1:
-                shared = g1.positions[r1.mark - 1]
-                for g2 in embs2:
-                    if g2.positions[r2.mark - 1] == shared:
-                        return sigma, g1, g2
+    for sigma in avoiders_up_to(class_basis, size_bound):
+        embs1 = _embeddings(r1.perm, sigma)  # none while sigma is shorter than r1
+        if not embs1:
+            continue
+        embs2 = _embeddings(r2.perm, sigma)
+        for g1 in embs1:
+            shared = g1.positions[r1.mark - 1]
+            for g2 in embs2:
+                if g2.positions[r2.mark - 1] == shared:
+                    return sigma, g1, g2
     return None
 
 

@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import compress, permutations
+from itertools import compress, islice, permutations
 from typing import Iterable, Iterator, Sequence
 
 
@@ -687,12 +687,11 @@ def all_perms(n: int) -> Iterator[Permutation]:
         yield Permutation(vals)
 
 
-@lru_cache(maxsize=None)
-def _avoider_level(basis: frozenset[Permutation], n: int) -> tuple[Permutation, ...]:
-    if any(len(b) == 0 for b in basis):
-        return ()
-    if n == 0:
-        return (EMPTY,)
+def _avoider_levels(basis: Iterable[Permutation]) -> Iterator[list[tuple[int, ...]]]:
+    """The levels of Av(basis) from order 0 up, each a list of value tuples
+    in lexicographic order, built from the level before it, the only one
+    kept.  The walk ends at the first empty level: every later one is empty
+    too, because the class is hereditary."""
     # X⊖1's greatest bottom is n minus the least top of X's complement in the
     # complemented parent n - v; b = 1 is X⊕1 with X = ε, whose top -inf
     # allows none.  drops holds (complemented, a, k) for I_a ⊕ D_k and its
@@ -701,6 +700,8 @@ def _avoider_level(basis: frozenset[Permutation], n: int) -> tuple[Permutation, 
     caps, floors, drops, rest = [], [], [], []
     for b in basis:
         m = len(b)
+        if not m:
+            return
         complemented = tuple(m + 1 - v for v in b.values)
         if b.values[-1] == m:
             caps.append(b.values[:-1])
@@ -712,35 +713,40 @@ def _avoider_level(basis: frozenset[Permutation], n: int) -> tuple[Permutation, 
             drops.append((True, *shape[:2]))
         else:
             rest.append(b.values)
-    out = []
-    for q in _avoider_level(basis, n - 1):
-        lo, hi = 1, n
-        for x in caps:
-            hi = min(hi, least_top(x, q.values))
-        if floors or drops:
-            complement_q = [n - v for v in q.values]  # a permutation of 1..n-1
-        for x in floors:
-            lo = max(lo, n + 1 - least_top(x, complement_q))
-        if hi < lo:
-            continue
-        lasts = range(lo, hi + 1)
-        if drops:
-            free = [True] * (n + 1)
-            for neg, a, k in drops:
-                # the complemented child appends n + 1 - last: [low, high]
-                # maps to [n + 1 - high, n + 1 - low]
-                for low, high in _forbidden_lasts(a, k, complement_q if neg else q.values):
-                    if neg:
-                        low, high = n + 1 - high, n + 1 - low
-                    free[low:high + 1] = [False] * (high + 1 - low)
-            lasts = compress(lasts, free[lo:hi + 1])
-        for last in lasts:
-            # last - 0.5 sits where the shifted values put last: same order type
-            if rest and any(ends_with_occurrence(b, q.values + (last - 0.5,)) for b in rest):
+    level: list[tuple[int, ...]] = [()]
+    n = 0
+    while level:
+        yield level
+        n += 1
+        out = []
+        for q in level:
+            lo, hi = 1, n
+            for x in caps:
+                hi = min(hi, least_top(x, q))
+            if floors or drops:
+                complement_q = [n - v for v in q]  # a permutation of 1..n-1
+            for x in floors:
+                lo = max(lo, n + 1 - least_top(x, complement_q))
+            if hi < lo:
                 continue
-            child = tuple([v + (v >= last) for v in q.values]) + (last,)
-            out.append(Permutation._trusted(child))
-    return tuple(sorted(out, key=lambda p: p.values))
+            lasts = range(lo, hi + 1)
+            if drops:
+                free = [True] * (n + 1)
+                for neg, a, k in drops:
+                    # the complemented child appends n + 1 - last: [low, high]
+                    # maps to [n + 1 - high, n + 1 - low]
+                    for low, high in _forbidden_lasts(a, k, complement_q if neg else q):
+                        if neg:
+                            low, high = n + 1 - high, n + 1 - low
+                        free[low:high + 1] = [False] * (high + 1 - low)
+                lasts = compress(lasts, free[lo:hi + 1])
+            for last in lasts:
+                # last - 0.5 sits where the shifted values put last: same order type
+                if rest and any(ends_with_occurrence(b, q + (last - 0.5,)) for b in rest):
+                    continue
+                out.append(tuple([v + (v >= last) for v in q]) + (last,))
+        out.sort()
+        level = out
 
 
 def enumerate_avoiders(basis: Iterable[Permutation], n: int) -> Iterator[Permutation]:
@@ -761,19 +767,18 @@ def enumerate_avoiders(basis: Iterable[Permutation], n: int) -> Iterator[Permuta
     thresholds and intervals are read off the parent once, in the passes
     `avoids` sweeps with, and only the other basis elements are tested per
     candidate, by a search through the new entry, among the allowed values.
-    Children are built without `Permutation`'s sort check, and levels bottom-up
-    from order 0, each from its cached parent, so no call recurses deeper.
+    The basis is classified once per call.  Each call walks the levels
+    0..n in one loop, holding only the parent level and the one being built
+    as plain value tuples (no recursion, no cache between calls), and wraps
+    only the members it yields in `Permutation`, without the sort check.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    key = frozenset(basis)
-    for order in range(n):
-        _avoider_level(key, order)
-    yield from _avoider_level(key, n)
+    yield from map(Permutation._trusted, next(islice(_avoider_levels(basis), n, None), []))
 
 
 def avoiders_up_to(basis: Iterable[Permutation], n_max: int) -> Iterator[Permutation]:
-    """All members of Av(basis) of order 0..n_max, in size-then-lex order."""
-    key = frozenset(basis)
-    for n in range(n_max + 1):
-        yield from _avoider_level(key, n)
+    """All members of Av(basis) of order 0..n_max, in size-then-lex order,
+    from one walk of the levels."""
+    for _, level in zip(range(n_max + 1), _avoider_levels(basis)):
+        yield from map(Permutation._trusted, level)

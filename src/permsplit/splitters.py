@@ -12,6 +12,7 @@ actually allocated, never the worst-case bound.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import groupby
@@ -249,25 +250,26 @@ def easy_split_parts(alpha: Permutation, beta: Permutation) -> SplittingSpec:
 
 def dilworth_split(n: int, p: Permutation) -> ColoringCertificate:
     """Color each element by the length of the longest decreasing subsequence
-    ending at it; every class is increasing.  Requires p to avoid n(n-1)...1.
+    ending at it, minus one; every class is increasing.  Requires p to avoid
+    n(n-1)...1.  One patience pass: tails[c] is minus the highest bottom of a
+    decreasing run of length c + 1, so these increase, and the runs that v
+    extends are the first bisect_left(tails, -v).
 
     >>> dilworth_split(3, Permutation.from_text("231")).colors
     (0, 0, 1)
     """
     if n < 1:
         raise PreconditionError("n must be at least 1")
-    vals = p.values
-    lengths = [1] * len(vals)
-    for i in range(len(vals)):
-        for j in range(i):
-            if vals[j] > vals[i]:
-                lengths[i] = max(lengths[i], lengths[j] + 1)
-    if lengths and max(lengths) >= n:
+    tails: list[int] = []
+    colors = []
+    for v in p.values:
+        c = bisect_left(tails, -v)
+        tails[c:c + 1] = [-v]  # replaces tails[c], or appends past the end
+        colors.append(c)
+    if len(tails) >= n:
         raise PreconditionError(f"{p.text()} contains {decreasing(n).text()}")
     parts = tuple(Permutation((2, 1)) for _ in range(n - 1))
-    return ColoringCertificate(
-        subject=p, parts=parts, colors=tuple(ln - 1 for ln in lengths)
-    )
+    return ColoringCertificate(subject=p, parts=parts, colors=tuple(colors))
 
 
 @dataclass(frozen=True)

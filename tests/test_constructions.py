@@ -4,8 +4,6 @@ import pytest
 
 from permsplit.constructions import (
     classify_pattern,
-    m_minus,
-    m_plus,
     m_prime,
     n_minus,
     n_plus,
@@ -23,7 +21,9 @@ from permsplit.matchings import (
     Matching,
     blocks,
     is_connected,
+    m_minus,
     m_of,
+    m_plus,
     matching_contains,
     matchings_up_to,
     weight,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 
 import pytest
@@ -334,12 +335,11 @@ def test_enumerate_avoiders_examples():
 
 
 def test_enumeration_stack_stays_shallow_at_any_order():
-    # each level is built from its cached parent, so Av_300(21) enumerates
-    # under a recursion limit of 150 frames; one frame pair per order would
-    # need 600
+    # the levels are walked in one loop, each built from its parent, so
+    # Av_300(21) enumerates under a recursion limit of 150 frames; one frame
+    # pair per order would need 600
     import os
     import subprocess
-    import sys
     from pathlib import Path
 
     import permsplit
@@ -360,6 +360,37 @@ def test_enumeration_stack_stays_shallow_at_any_order():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_enumeration_keeps_only_the_parent_level():
+    # Av(21) has one member per order; a walk that kept every level would hold
+    # 4.5 million values in the 3,000 levels, about 160 MB.  The child reads
+    # its own peak as VmHWM: its ru_maxrss would start at this process's
+    # resident size, which Linux carries across fork and exec.
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import permsplit
+
+    src = str(Path(permsplit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "from permsplit.perms import Permutation, enumerate_avoiders\n"
+        "assert sum(1 for _ in enumerate_avoiders({Permutation((2, 1))}, 3000)) == 1\n"
+        "status = open('/proc/self/status').read().split()\n"
+        "print(status[status.index('VmHWM:') + 1])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 64 * 1024, f"peak {result.stdout.strip()} kB"
 
 
 def test_enumerate_avoiders_matches_brute_filter():
@@ -450,12 +481,9 @@ def test_forbidden_lasts_match_the_pinned_search():
 
 
 def test_interval_bases_enumerate_without_a_pinned_search(monkeypatch):
-    # one level of Av(1432, 4123), its parents from the cache: every basis
-    # element is read as forbidden intervals, none is searched per child
-    from permsplit import perms
-
-    basis = frozenset({P("1432"), P("4123")})
-    parents = perms._avoider_level(basis, 7)
+    # Av(1432, 4123) walked to order 8: every basis element is read as
+    # forbidden intervals, none is searched per child
+    basis = {P("1432"), P("4123")}
     calls = []
     search = perms._first_occurrence
 
@@ -464,7 +492,8 @@ def test_interval_bases_enumerate_without_a_pinned_search(monkeypatch):
         return search(*args)
 
     monkeypatch.setattr(perms, "_first_occurrence", counted)
-    level = perms._avoider_level.__wrapped__(basis, 8)
+    parents = list(enumerate_avoiders(basis, 7))
+    level = list(enumerate_avoiders(basis, 8))
     assert calls == []
     assert len(level) > len(parents) and all(avoids(b, p) for p in level for b in basis)
 

@@ -155,6 +155,34 @@ def test_dilworth_examples():
         dilworth_split(3, P("321"))
 
 
+def _longest_decreasing_ending_at(vals):
+    # the quadratic reference: each element extends every higher earlier one
+    lengths = [1] * len(vals)
+    for i in range(len(vals)):
+        for j in range(i):
+            if vals[j] > vals[i]:
+                lengths[i] = max(lengths[i], lengths[j] + 1)
+    return lengths
+
+
+def test_dilworth_colors_match_the_quadratic_reference():
+    import random
+
+    from permsplit.perms import all_perms
+
+    rng = random.Random(1)
+    hosts = [p for m in range(8) for p in all_perms(m)]
+    hosts += [Permutation(tuple(rng.sample(range(1, 201), 200))) for _ in range(20)]
+    for p in hosts:
+        lengths = _longest_decreasing_ending_at(p.values)
+        longest = max(lengths, default=0)
+        cert = dilworth_split(longest + 1, p)
+        assert cert.colors == tuple(ln - 1 for ln in lengths), p
+        if longest:
+            with pytest.raises(PreconditionError):
+                dilworth_split(longest, p)
+
+
 def test_dilworth_sweep_small():
     for p in avoiders_up_to({P("321")}, 6):
         cert = dilworth_split(3, p)
