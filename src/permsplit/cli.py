@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from multiprocessing import Pool
@@ -127,8 +128,10 @@ def _guarded(fn: Callable, line: str):
 
 def _map_stream(fn: Callable, lines: Iterable[str], jobs: int) -> Iterator[dict]:
     """Apply fn to each subject line; with --jobs > 1 the stream is partitioned
-    across processes, results buffered back into input order.  A failure comes
-    back as a value, raised after every earlier result of its chunk."""
+    across at most os.cpu_count() processes, results buffered back into input
+    order.  A failure comes back as a value, raised after every earlier result
+    of its chunk."""
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         yield from map(fn, lines)
         return

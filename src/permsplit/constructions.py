@@ -252,8 +252,10 @@ def _level_side_classes(p: Permutation) -> tuple[int, ...]:
     reduced, positions = reduced_envelope_map(p)
     colors = [0] * len(p)
     for comp in CrossingGraph(reduced.arcs).components(range(len(reduced))):
-        for j, (level, side) in comp.items():
-            colors[positions[j] - 1] = level % 2 + (2 if side < 0 else 0)
+        for level, sides in enumerate(comp):
+            for side, group in enumerate(sides):  # 0 for plus, 1 for minus
+                for j in group:
+                    colors[positions[j] - 1] = level % 2 + 2 * side
     return tuple(colors)
 
 

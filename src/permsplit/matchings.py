@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from heapq import merge
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError, VerificationError
@@ -277,13 +278,14 @@ class CrossingGraph:
                 live ^= 1 << k
                 nbr[k] = (opened[k] & ~live) | (live >> (k + 1) << (k + 1))
 
-    def components(self, subset: Iterable[int]) -> list[dict[int, tuple[int, int]]]:
+    def components(self, subset: Iterable[int]) -> list[list[tuple[list[int], list[int]]]]:
         """Components of the graph induced on `subset`, by least arc, each as
-        {arc index: (BFS level, side)} from its least arc, level by level and
-        by index within a level.
+        its list of BFS levels from that arc: level 0 is ([least arc], []),
+        and every later level a nonempty pair (plus, minus) of arc-index lists
+        in increasing order, appended as the BFS builds it.
 
-        Side +1 means the least arc of the previous level crossing this one
-        lies to its left, -1 to its right; the root gets +1.
+        An arc is on the plus side iff the least arc of the previous level
+        crossing it lies to its left, on the minus side iff to its right.
         """
         nbr, unseen, out = self.nbr, 0, []
         for i in subset:
@@ -292,29 +294,29 @@ class CrossingGraph:
             frontier = unseen & -unseen
             unseen ^= frontier
             root = frontier.bit_length() - 1
-            comp, level, reach = {root: (0, 1)}, 0, nbr[root]
-            while frontier:
-                new = rest = reach & unseen
-                unseen ^= new
-                level, reach = level + 1, 0
+            comp, reach = [([root], [])], nbr[root]
+            while rest := reach & unseen:
+                unseen ^= rest
+                new, plus, minus, reach = rest, [], [], 0
                 while rest:
                     bit = rest & -rest
                     j = bit.bit_length() - 1
-                    comp[j] = (level, 1 if nbr[j] & frontier & (bit - 1) else -1)
+                    (plus if nbr[j] & frontier & (bit - 1) else minus).append(j)
                     reach |= nbr[j]
                     rest ^= bit
+                comp.append((plus, minus))
                 frontier = new
             out.append(comp)
         return out
 
 
 def arc_blocks(arcs: Sequence[Arc], subset: Iterable[int]) -> list[list[int]]:
-    """⊎-blocks of the sub-matching on `subset` (indices into arcs sorted by
-    left endpoint), left to right, each sorted.  A block closes when the next
-    left endpoint lies beyond every right endpoint seen so far."""
+    """⊎-blocks of the sub-matching on `subset` (increasing indices into arcs
+    sorted by left endpoint), left to right, each sorted.  A block closes when
+    the next left endpoint lies beyond every right endpoint seen so far."""
     out: list[list[int]] = []
     reach = 0
-    for i in sorted(subset):
+    for i in subset:
         a, b = arcs[i]
         if not out or a > reach:
             out.append([])
@@ -343,16 +345,12 @@ def is_connected(m: Matching) -> bool:
 
 
 def levels(m: Matching) -> tuple[tuple[Arc, ...], ...]:
-    """BFS layers of the crossing graph from the arc at the leftmost endpoint."""
-    if len(m) == 0:
-        return ()
+    """BFS layers of the crossing graph from the arc at the leftmost endpoint,
+    each in left-endpoint order."""
     comps = CrossingGraph(m.arcs).components(range(len(m)))
     if len(comps) > 1:
         raise PreconditionError("levels requires a connected matching")
-    layers: dict[int, list[Arc]] = {}
-    for i, (level, _) in sorted(comps[0].items()):
-        layers.setdefault(level, []).append(m.arcs[i])
-    return tuple(tuple(layers[level]) for level in range(len(layers)))
+    return tuple(tuple(m.arcs[i] for i in merge(*level)) for comp in comps for level in comp)
 
 
 def mirror(m: Matching) -> Matching:

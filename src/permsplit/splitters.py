@@ -15,7 +15,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from itertools import groupby
 from typing import Callable, Iterable
 
 from .envelope import reduced_envelope_map
@@ -465,15 +464,16 @@ def _split_avoiding(
     def _solve_connected(comp, obs_plus, obs_minus, depth):
         # sections (even, +), (even, -), (odd, +), (odd, -) get disjoint copies,
         # shared by their levels; groups go level ascending, + before -
-        ordered = sorted(comp, key=lambda i: (comp[i][0], -comp[i][1], i))
-        colors[ordered[0]] = base.lone_arc_color  # the root, coloured as a lone arc
-        members: list[list[int]] = [[ordered[0]], [], [], []]
+        (root,), _ = comp[0]
+        colors[root] = base.lone_arc_color  # coloured as a lone arc
+        members: list[list[int]] = [[root], [], [], []]
         copies = [1, 0, 0, 0]
-        for (level, side), group in groupby(ordered[1:], key=comp.get):
-            section, sub_obs = 2 * (level % 2) + (side < 0), obs_plus if side > 0 else obs_minus
-            for block in arc_blocks(arcs, group):
-                copies[section] = max(copies[section], solve(block, sub_obs, depth + 1))
-                members[section] += block
+        for level, (plus, minus) in enumerate(comp[1:], 1):
+            s = 2 * (level % 2)  # the section of this level's + side; s + 1 is its - side
+            for section, group, sub_obs in ((s, plus, obs_plus), (s + 1, minus, obs_minus)):
+                for block in arc_blocks(arcs, group):
+                    copies[section] = max(copies[section], solve(block, sub_obs, depth + 1))
+                    members[section] += block
         return stack(zip(members, copies))
 
     copies = solve(list(range(len(arcs))), obstacle, 0)

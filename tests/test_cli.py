@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import permsplit
+from permsplit import cli
 from permsplit.cli import parse_spec, run
 from permsplit.perms import Permutation, enumerate_avoiders
 from permsplit.splitters import ColoringCertificate, SplittingSpec
@@ -142,6 +143,39 @@ def test_split_streams_fail_in_place_under_jobs(capsys, monkeypatch, failing):
         assert results[0] == results[1], subjects
         code, out, err = results[0]
         assert code == 1 and out.count("\n") == len(subjects) - 2 and err.startswith("error:")
+
+
+def test_jobs_beyond_the_cpu_count_are_lowered_to_it(capsys, monkeypatch):
+    # the fake pool records its size and maps in this process, so no worker
+    # starts; a bound of 1 (one CPU, or none reported) takes the serial path
+    pools = []
+
+    class FakePool:
+        def __init__(self, processes):
+            pools.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, lines, chunksize=1):
+            return map(fn, lines)
+
+    monkeypatch.setattr(cli, "Pool", FakePool)
+    subjects = "".join(
+        p.text() + "\n" for n in range(1, 6) for p in enumerate_avoiders({P("1324")}, n)
+    )
+    streams = []
+    for cpus, jobs in ((4, "1000000"), (4, "1"), (1, "8"), (None, "8")):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(subjects))
+        argv = ["--jobs", jobs, "split", "--method", "theorem", "--pattern", "1324"]
+        assert run(argv + ["--input", "-"]) == 0
+        streams.append(capsys.readouterr().out)
+    assert pools == [4]
+    assert streams[0].count("\n") == 135 and streams.count(streams[0]) == 4
 
 
 def test_verify_exit_codes(capsys):

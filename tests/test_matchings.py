@@ -197,8 +197,12 @@ def test_connectivity_examples():
 
 
 def test_levels_examples():
+    assert levels(EMPTY_MATCHING) == ()
     assert levels(M("1-3 2-5 4-6")) == (((1, 3),), ((2, 5),), ((4, 6),))
     assert levels(m_of(P("21"))) == (((1, 3),), ((2, 4),))
+    # level 2 holds 2-4 on the minus side (3-7 crosses it from the right) and
+    # 6-8 on the plus side: a level lists its arcs by left end, not by side
+    assert levels(M("1-5 2-4 3-7 6-8")) == (((1, 5),), ((3, 7),), ((2, 4), (6, 8)))
     with pytest.raises(PreconditionError):
         levels(M("1-2 3-4"))
 
@@ -234,9 +238,28 @@ def _union_find_components(arcs, subset):
     return sorted(groups.values())
 
 
+def _as_dicts(comps):
+    """Each component's level lists as {arc index: (BFS level, side)}, side +1
+    for plus and -1 for minus, level by level: the shape of
+    `conftest.brute_components`.  Checks that every level is nonempty, each
+    side list strictly increases and level 0 is ([least arc], [])."""
+    out = []
+    for comp in comps:
+        as_dict = {}
+        for level, (plus, minus) in enumerate(comp):
+            assert plus or minus
+            for side, group in ((1, plus), (-1, minus)):
+                assert all(i < j for i, j in zip(group, group[1:])), group
+                as_dict.update((i, (level, side)) for i in group)
+        assert comp[0] == ([min(as_dict)], [])
+        out.append(as_dict)
+    return out
+
+
 def _check_components(arcs, subset, comps):
     """Components against union-find; BFS levels and sides against their
     definitions."""
+    comps = _as_dicts(comps)
     assert [sorted(comp) for comp in comps] == _union_find_components(arcs, subset)
     for comp in comps:
         root = min(comp, key=lambda i: arcs[i][0])
@@ -295,7 +318,7 @@ def test_crossing_graph_core_matches_definitions_on_deep_components():
     import random
 
     m = M("1-4 2-11 3-6 5-8 7-10 9-12")
-    assert CrossingGraph(m.arcs).components(range(6)) == [
+    assert _as_dicts(CrossingGraph(m.arcs).components(range(6))) == [
         {0: (0, 1), 1: (1, 1), 2: (1, 1), 3: (2, 1), 4: (3, 1), 5: (2, 1)}
     ]
     rng = random.Random(1)
@@ -313,7 +336,7 @@ def test_crossing_graph_core_matches_definitions_on_deep_components():
         for subset in subsets:
             comps = graph.components(subset)
             _check_components(m.arcs, subset, comps)
-            for comp in comps:
+            for comp in _as_dicts(comps):
                 depth = max(depth, *(level for level, _ in comp.values()))
                 minus_sides += sum(1 for _, side in comp.values() if side < 0)
     assert depth >= 10 and minus_sides >= 100, (depth, minus_sides)
@@ -334,7 +357,7 @@ def test_crossing_graph_matches_a_brute_bfs_on_large_envelopes():
         graph, q = CrossingGraph(arcs), len(arcs)
         subsets = [range(q)] + [sorted(rng.sample(range(q), rng.randint(q // 4, q))) for _ in range(2)]
         for subset in subsets:
-            comps = graph.components(subset)
+            comps = _as_dicts(graph.components(subset))
             assert comps == brute_components(arcs, subset), (p, len(subset))
             depth = max(depth, *(level for comp in comps for level, _ in comp.values()))
             minus_sides += sum(1 for comp in comps for _, side in comp.values() if side < 0)
