@@ -112,7 +112,10 @@ def _subject_text(line: str, key: str) -> str:
     """A bare subject line, or the `key` field of a JSON subject line."""
     if not line.startswith("{"):
         return line
-    value = json.loads(line).get(key)
+    try:
+        value = json.loads(line).get(key)
+    except RecursionError:  # nesting deeper than the parser's recursion limit
+        raise ValueError(f"JSON subject line nested too deeply for {key!r}") from None
     if not isinstance(value, str):
         raise ValueError(f"JSON subject line needs a string {key!r}: {line}")
     return value

@@ -12,7 +12,7 @@ empty permutation prints as "ε" (the empty string is accepted on input).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import compress, islice, permutations
@@ -325,63 +325,6 @@ def _forbidden_lasts(a: int, k: int, seq: Sequence[int]) -> list[tuple[int, int]
     return [(top + 1, bottom) for top, bottom in _run_drop_splits(a, k - 1, seq)]
 
 
-class RunDropState:
-    """Which next values complete an I_a ⊕ D_2 (a >= 1) through themselves,
-    over a growing sequence of distinct integers: the incremental form of
-    `_forbidden_lasts(a, 2, ·)`.
-
-    v completes one iff some pushed y > v has T_a(before y) < v, where
-    T_a(before y) is the least top of an increasing a-run among the values
-    pushed before y.  The least tops T_1 < ... < T_a are kept as in patience
-    sorting, and T_a only drops.  Each drop starts an epoch; a pushed value's
-    tag is the number of epochs started before it, so the candidates for y
-    are the values tagged above e, the first epoch whose T_a lies below v
-    (one `bisect`).  A monotone stack of (tag, largest value pushed with
-    that tag or later) answers "is one of them above v?" with a second.
-    Each push or question takes O(log n) time; memory is O(n).
-
-    >>> state = RunDropState(1)
-    >>> for v in (2, 4, 1):
-    ...     state.push(v)
-    >>> state.completes(3), state.completes(5)
-    (True, False)
-    """
-
-    __slots__ = ("tops", "drops", "tags", "maxes")
-
-    def __init__(self, a: int):
-        self.tops = [math.inf] * a  # tops[i] is T_{i+1}
-        self.drops: list[int] = []  # minus T_a at each epoch's start, increasing
-        # tags increase and maxes decrease: maxes[i] is the largest value
-        # pushed with a tag >= tags[i]
-        self.tags: list[int] = []
-        self.maxes: list[int] = []
-
-    def push(self, v: int) -> None:
-        tag = len(self.drops)
-        tags, maxes = self.tags, self.maxes
-        while maxes and maxes[-1] < v:
-            tags.pop()
-            maxes.pop()
-        if not tags or tags[-1] != tag:
-            tags.append(tag)
-            maxes.append(v)
-        tops = self.tops
-        i = bisect_left(tops, v)
-        if i < len(tops):
-            tops[i] = v
-            if i == len(tops) - 1:
-                self.drops.append(-v)
-
-    def completes(self, v: int) -> bool:
-        """Is there a pushed y > v with T_a(before y) < v?"""
-        e = bisect_right(self.drops, -v)
-        if e == len(self.drops):
-            return False
-        i = bisect_right(self.tags, e)
-        return i < len(self.tags) and self.maxes[i] > v
-
-
 def _run_drop_run_found(a: int, b: int, seq: Sequence[int]) -> bool:
     """Does `seq`, a permutation of 1..n, contain I_a ⊕ D_2 ⊕ I_b
     (a, b >= 1)?
@@ -496,7 +439,7 @@ def least_top(pattern: Sequence[int], seq: Sequence[int], bound: float = math.in
 
     An increasing pattern I_a (1, 12, 123, ...) takes one patience pass: its
     least top is T_a, the least top of an increasing a-run, kept with the
-    lower tops T_1 < ... < T_a as in `RunDropState`, over the values below
+    lower tops T_1 < ... < T_a as in patience sorting, over the values below
     `bound`.  Any other pattern backtracks: the search finds the
     lexicographically least occurrence, not the lowest, so it is repeated
     below the top it last found until it fails; each repeat lowers the top.
@@ -540,24 +483,26 @@ def skew_sum(a: Permutation, b: Permutation) -> Permutation:
     return Permutation._trusted(tuple(v + len(b) for v in a.values) + b.values)
 
 
+# a symmetry image of a permutation is one by construction: no sort check
 def reverse(p: Permutation) -> Permutation:
-    return Permutation(p.values[::-1])
+    return Permutation._trusted(p.values[::-1])
 
 
 def complement(p: Permutation) -> Permutation:
-    n = len(p)
-    return Permutation(tuple(n - v + 1 for v in p.values))
+    top = len(p) + 1
+    return Permutation._trusted(tuple(top - v for v in p.values))
 
 
 def inverse(p: Permutation) -> Permutation:
     inv = [0] * len(p)
     for i, v in enumerate(p.values):
         inv[v - 1] = i + 1
-    return Permutation(tuple(inv))
+    return Permutation._trusted(tuple(inv))
 
 
 def reverse_complement(p: Permutation) -> Permutation:
-    return complement(reverse(p))
+    top = len(p) + 1
+    return Permutation._trusted(tuple(top - v for v in reversed(p.values)))
 
 
 SYMMETRIES = {

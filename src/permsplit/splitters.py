@@ -12,7 +12,7 @@ actually allocated, never the worst-case bound.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterable
@@ -35,7 +35,6 @@ from .matchings import (
 )
 from .perms import (
     Permutation,
-    RunDropState,
     all_perms,
     avoids,
     decreasing,
@@ -144,37 +143,85 @@ def greedy_colors(red: Permutation, p: Permutation) -> tuple[int, ...]:
     `red`; otherwise red.  For red = α⊕β the red class avoids α⊕β by
     construction, and the blue one avoids β⊕γ whenever p avoids α⊕β⊕γ.
 
-    A red part Y ⊕ I_j with j >= 1 trailing singletons (route a's α⊕1
-    always is) is tested by thresholds, `_threshold_colors`.  Any other is
-    one (completes, push) pair read by the scan: a `RunDropState` over the
-    red class for I_a ⊕ D_2 (route b's 132 = 1⊕21), else a search through
-    the new element (route b's 1⊕σ for a longer σ).
+    `_red_scan` classifies the red part once.  A red part Y ⊕ I_j with
+    j >= 1 trailing singletons (route a's α⊕1 always is) is tested by
+    thresholds, `_threshold_colors`; one that is neither that nor I_a ⊕ D_2
+    (route b's 1⊕σ for a longer σ) by a search through each new element,
+    `_searched_colors`.
+
+    A red part I_a ⊕ D_2 (route b's 132 = 1⊕21) is scanned here: v
+    completes one iff some red y > v has T_a(before y) < v, where
+    T_a(before y) is the least top of an increasing a-run among the red
+    values before y.  The least tops T_1 < ... < T_a are kept as in patience
+    sorting, and T_a only drops.  Each drop starts an epoch; a red value's
+    tag is the number of epochs started before it, so the candidates for y
+    are the values tagged above e, the first epoch whose T_a lies below v
+    (one `bisect`).  A monotone stack of (tag, largest red value with that
+    tag or later) answers "is one of them above v?" with a second.  Each
+    element takes O(log n) time; memory is O(n).
+
+    >>> greedy_colors(Permutation((1, 3, 2)), Permutation((2, 4, 1, 3, 5)))
+    (0, 0, 0, 1, 1)
     """
-    m = len(red)
-    j = 0
-    while j < m and red.values[m - 1 - j] == m - j:
-        j += 1
+    y, j, a = _red_scan(red.values)
     if j:
-        return _threshold_colors(red.values[: m - j], j, p)
-    if (shape := run_drop_shape(red.values)) and shape[0] >= 1 and shape[1:] == (2, 0):
-        state = RunDropState(shape[0])
-        completes, push = state.completes, state.push
-    else:
-        red_vals: list[int] = []
-        push = red_vals.append
-
-        def completes(v: int) -> bool:
-            return ends_with_occurrence(red.values, [*red_vals, v])
-
+        return _threshold_colors(y, j, p)
+    if not a:
+        return _searched_colors(red.values, p)
+    tops = [math.inf] * a  # tops[i] is T_{i+1}
+    drops: list[int] = []  # minus T_a at each epoch's start, increasing
+    # tags increase and maxes decrease above a sentinel that is never
+    # popped: maxes[i] is the largest red value with a tag >= tags[i]
+    tags, maxes = [-1], [math.inf]
     blue_min = math.inf
     colors: list[int] = []
     for v in p.values:
-        if blue_min < v or completes(v):
+        if blue_min < v:
+            colors.append(1)
+        elif (i := bisect_right(tags, bisect_right(drops, -v))) < len(tags) and maxes[i] > v:
+            colors.append(1)
+            blue_min = v  # not above blue_min, so below it
+        else:
+            colors.append(0)
+            while maxes[-1] < v:
+                tags.pop()
+                maxes.pop()
+            if tags[-1] != len(drops):
+                tags.append(len(drops))
+                maxes.append(v)
+            i = bisect_left(tops, v)
+            if i < a:
+                tops[i] = v
+                if i == a - 1:
+                    drops.append(-v)
+    return tuple(colors)
+
+
+@lru_cache(maxsize=None)
+def _red_scan(red: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
+    """How greedy_colors scans for the red part `red`: (Y, j, a) with j >= 1
+    for Y ⊕ I_j, j trailing singletons; j = 0 and a >= 1 for I_a ⊕ D_2
+    (whose last entry is below its maximum); j = a = 0 for a search."""
+    j = 0
+    while j < len(red) and red[-1 - j] == len(red) - j:
+        j += 1
+    shape = run_drop_shape(red)
+    return red[: len(red) - j], j, shape[0] if shape and shape[1:] == (2, 0) else 0
+
+
+def _searched_colors(red: tuple[int, ...], p: Permutation) -> tuple[int, ...]:
+    """greedy_colors by one search for a red occurrence through each new
+    element."""
+    red_vals: list[int] = []
+    blue_min = math.inf
+    colors: list[int] = []
+    for v in p.values:
+        if blue_min < v or ends_with_occurrence(red, [*red_vals, v]):
             colors.append(1)
             blue_min = min(blue_min, v)
         else:
             colors.append(0)
-            push(v)
+            red_vals.append(v)
     return tuple(colors)
 
 

@@ -110,6 +110,9 @@ SPLIT_STREAM_SHA256 = {
     ("theorem", "3214"): "4badfc45a4232750ef5121ba5f01f96659b48fe14a455eb933162ffa28245913",
     ("theorem", "4123"): "94e715f5148e0d2549373955b7052cad340a3f879573f000a17fe03ca88b5011",
     ("theorem", "13425"): "be6d19585795bb14c644bcb497d001d32a559bbf3559ae656aa3316155e2991c",
+    # red part 1243 = I_2 ⊕ D_2, the only pinned scan with a >= 2; recorded
+    # while greedy_colors still asked a separate run-drop state object
+    ("greedy3", "12435"): "ef17f5f07615ff475a3ed34ea63685c1e36ba86f43b5411dedeb6a1c78bf6184",
 }
 
 
@@ -249,10 +252,18 @@ def test_input_errors_follow_the_exit_code_contract(capsys, monkeypatch, tmp_pat
         (["color-matching", "--forbid-clique", "3"], '{"arcs": "2-3 nan-5"}\n'),
         (["color-matching", "--forbid-clique", "3"], "1-inf 2-3\n"),
     )
+    # JSON nested past the parser's recursion limit, serial and in a worker
+    deep = "[" * 10**5 + "]" * 10**5
+    for jobs in ([], ["--jobs", "2"]):
+        cases += (
+            (jobs + ["split", "--method", "theorem", "--pattern", "1324"], f'{{"perm": {deep}}}\n'),
+            (jobs + ["color-matching", "--forbid-clique", "3"], f'{{"arcs": {deep}}}\n'),
+        )
     for argv, stdin_text in cases:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
-        assert run(argv + ["--input", "-"]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert run(argv + ["--input", "-"]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:"), argv
     # an empty basis entry would be Av(ε), the empty class, and pass vacuously
     for argv in (
         ["verify", "--class", "1324,", "--parts", "132,213", "--max-n", "6"],

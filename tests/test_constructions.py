@@ -399,7 +399,7 @@ def _skew_sum_of_members(pattern: Permutation, n: int, rng) -> Permutation:
 # of seeded skew sums of order-8 class members, n = 64-512, recorded before the
 # occurrence search gained its failed-candidate rule, when the greedy scan
 # still asked ends_with_occurrence once per element; they now pin route a's
-# thresholds and route b's RunDropState at large n against that search
+# thresholds and route b's epoch scan at large n against that search
 LARGE_ROUTE_AB_SHA256 = {
     "1243": "db2322780d1889b30d1049eb134ec578c6d2040e2957686bdced0d3fb5e56e79",
     "1324": "d6c81eeff8d8534af19f872b74ad3f8be93723661bfa137f6c5fa2cc5bd5ab7f",

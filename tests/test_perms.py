@@ -229,6 +229,24 @@ def test_symmetry_examples():
         symmetry("rotate", P("21"))
 
 
+def test_symmetry_images_match_the_validated_constructor():
+    # the images skip Permutation's sort check: each must equal the image
+    # built the long way and validated
+    for n in range(7):
+        for p in all_perms(n):
+            vals = p.values
+            inv = tuple(vals.index(i) + 1 for i in range(1, n + 1))
+            want = {
+                "reverse": Permutation(vals[::-1]),
+                "complement": Permutation(tuple(n + 1 - v for v in vals)),
+                "inverse": Permutation(inv),
+                "reverse-complement": Permutation(tuple(n + 1 - v for v in vals)[::-1]),
+            }
+            for kind, fn in SYMMETRIES.items():
+                image = fn(p)
+                assert type(image.values) is tuple and image == want[kind], (kind, p)
+
+
 def test_rc_commutes_with_append_one():
     # rc(σ⊕1) = 1⊕rc(σ), checked by enumeration
     one = P("1")
@@ -630,24 +648,6 @@ def test_run_drop_run_sweep_against_brute_force():
             assert emb is not None, host
             assert order_isomorphic(p1324.values, [host.values[i - 1] for i in emb.positions])
     assert avoiders == 15_793
-
-
-def test_run_drop_state_matches_forbidden_lasts_on_every_prefix():
-    # pushing 2v and asking about 2v - 1 puts the asked value between the
-    # pushed ones, like _forbidden_lasts' v - 0.5
-    from permsplit.perms import RunDropState, _forbidden_lasts
-
-    for a in (1, 2, 3):
-        for n in range(8):
-            for host in all_perms(n):
-                state = RunDropState(a)
-                for t in range(n + 1):
-                    intervals = _forbidden_lasts(a, 2, host.values[:t])
-                    for v in range(1, n + 2):
-                        want = any(lo <= v <= hi for lo, hi in intervals)
-                        assert state.completes(2 * v - 1) == want, (a, host, t, v)
-                    if t < n:
-                        state.push(2 * host.values[t])
 
 
 def test_run_drop_run_found_against_brute_force():

@@ -479,17 +479,17 @@ def test_greedy_thresholds_match_the_rescan():
 
 
 def test_greedy_run_drop_state_and_search_match_the_rescan():
-    # a red part I_a ⊕ D_2 runs on a RunDropState: route b's 132 on every
-    # permutation of order <= 7, 1243 and 12354 on those of order <= 6; the
-    # red part 1342 = 1⊕231 of route b for 13425 takes the search through
-    # each new element, on every permutation of order <= 6; all four also on
-    # seeded hosts of order 30-300
+    # a red part I_a ⊕ D_2 runs the inline epoch scan: route b's 132 on every
+    # permutation of order <= 8, 1243 and 12354 (a = 2, 3) on those of order
+    # <= 7; the red part 1342 = 1⊕231 of route b for 13425 takes the search
+    # through each new element, on every permutation of order <= 6; all four
+    # also on seeded hosts of order 30-300
     from conftest import seeded_hosts
 
     from permsplit.perms import all_perms
 
     large = seeded_hosts(1324, 12)
-    for red, n_max in ((P("132"), 7), (P("1243"), 6), (P("12354"), 6), (P("1342"), 6)):
+    for red, n_max in ((P("132"), 8), (P("1243"), 7), (P("12354"), 7), (P("1342"), 6)):
         for p in [p for n in range(n_max + 1) for p in all_perms(n)] + large:
             assert greedy_colors(red, p) == _rescan_greedy_colors(red, p), (red, p)
 
@@ -547,7 +547,7 @@ def test_threshold_colors_skip_a_y_the_host_cannot_hold(monkeypatch):
 
 def test_route_b_certificate_at_order_ten_thousand_runs_no_search(monkeypatch):
     # certify 1324 (precondition 1324 = I_1 ⊕ D_2 ⊕ I_1 by the sweep, red part
-    # 132 = I_1 ⊕ D_2 by the RunDropState) on a seeded skew sum of order-8
+    # 132 = I_1 ⊕ D_2 by the epoch scan) on a seeded skew sum of order-8
     # members of Av(1324), n = 10^4: neither makes an occurrence search
     from permsplit.constructions import theorem_certificate
     from permsplit.oracle import merge_check
