@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
+from functools import lru_cache, partial
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator
 
@@ -22,6 +22,7 @@ from .constructions import (
     n_plus,
     tau_of,
     theorem_certificate,
+    theorem_plan,
 )
 from .envelope import decode_envelope, envelope_of, reduced_envelope
 from .errors import PreconditionError, VerificationError
@@ -169,27 +170,34 @@ def _cmd_contains(args) -> int:
     return 0
 
 
-def _split_one(method: str, pattern: Permutation, line: str) -> dict:
-    """--method theorem routes through theorem_plan; the other methods force
-    one splitter on the patterns it applies to."""
-    p = Permutation.from_text(_subject_text(line, "perm"))
+@lru_cache(maxsize=None)
+def _splitter(method: str, pattern: Permutation) -> Callable:
+    """subject -> certificate for `split --method`, built once per process;
+    a pattern outside the method's domain raises here.  theorem routes
+    through theorem_plan, the other methods force one splitter."""
     if method == "theorem":
-        return theorem_certificate(pattern, p).to_json_dict()
+        theorem_plan(pattern)  # raises for a pattern the theorem does not split
+        return partial(theorem_certificate, pattern)
     comps, n = sum_components(pattern), len(pattern)
     if method == "greedy3" and len(comps) >= 3:  # the forced route-b scan
-        cert = greedy_three_sum(comps[0], direct_sum_all(comps[1:-1]), comps[-1], p)
-    elif method == "dilworth" and pattern == decreasing(n):
-        cert = dilworth_split(n, p)
-    elif method == "oneplus" and n >= 3 and comps[1:] == (decreasing(n - 1),):  # 1⊕(n-1)…1
+        return partial(greedy_three_sum, comps[0], direct_sum_all(comps[1:-1]), comps[-1])
+    if method == "dilworth" and pattern == decreasing(n):
+        return partial(dilworth_split, n)
+    if method == "oneplus" and n >= 3 and comps[1:] == (decreasing(n - 1),):  # 1⊕(n-1)…1
         spec = SplittingSpec(((Permutation((2, 1)), n - 2),))
-        cert = oneplus_split(comps[1], spec, dilworth_matching_base(n - 1), p)
-    else:
-        raise PreconditionError(f"--method {method} does not apply to {pattern.text()}")
-    return cert.to_json_dict()
+        return partial(oneplus_split, comps[1], spec, dilworth_matching_base(n - 1))
+    raise PreconditionError(f"--method {method} does not apply to {pattern.text()}")
+
+
+def _split_one(method: str, pattern: Permutation, line: str) -> dict:
+    p = Permutation.from_text(_subject_text(line, "perm"))
+    return _splitter(method, pattern)(p).to_json_dict()
 
 
 def _cmd_split(args) -> int:
-    split = partial(_split_one, args.method, Permutation.from_text(args.pattern))
+    pattern = Permutation.from_text(args.pattern)
+    _splitter(args.method, pattern)  # fails on the pattern before any input is read
+    split = partial(_split_one, args.method, pattern)
     for result in _map_stream(split, _subject_lines(args.input), args.jobs):
         _emit(result)
     return 0

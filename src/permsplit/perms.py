@@ -257,13 +257,14 @@ def _sweep_shape(pattern: tuple[int, ...]) -> tuple[int, int, int, bool, bool] |
 
 
 def _run_drop_splits(a: int, k: int, seq: Sequence[int]) -> Iterator[tuple[float, float]]:
-    """(top, bottom) at each split t, from len(seq) down to 0, where bottom,
-    the greatest bottom (last value) of a decreasing k-run inside seq[t:], has
-    just risen and lies above top, the least top (last value) of an
-    increasing a-run inside seq[:t]; the empty run's bottom is inf.  seq
-    contains I_a ⊕ D_k iff there is such a split.  The top only grows as t
-    falls, so a value lies strictly between top and bottom at some split iff
-    it does at one of those given.
+    """(top, bottom) at each split t, from len(seq) - 1 down to 0, where
+    bottom, the greatest bottom (last value) of a decreasing k-run inside
+    seq[t:] (k >= 1), has just risen and lies above top, the least top (last
+    value) of an increasing a-run inside seq[:t].  seq contains I_a ⊕ D_k iff
+    there is such a split.  The top only grows as t falls, so a value lies
+    strictly between top and bottom at some split iff it does at one of those
+    given.  `avoids` asks for the first split (k >= 2); the avoider walk reads
+    them all with k - 1 for a basis element I_a ⊕ D_k.
 
     The prefix side takes `a` left-to-right passes: pass j keeps, for each t,
     the least top of an increasing j-run inside seq[:t].  The suffix side is
@@ -271,6 +272,9 @@ def _run_drop_splits(a: int, k: int, seq: Sequence[int]) -> Iterator[tuple[float
     starts at position t is a prefix-maximum query, over the values below
     seq[t], on a Fenwick tree holding the decreasing (j-1)-runs to the right;
     k-1 trees, indexed by value: with k >= 2, seq is a permutation of 1..n.
+
+    >>> list(_run_drop_splits(1, 2, (2, 4, 3, 1)))
+    [(2, 3)]
     """
     n, inf = len(seq), math.inf
     least = [-inf] * (n + 1)
@@ -281,10 +285,6 @@ def _run_drop_splits(a: int, k: int, seq: Sequence[int]) -> Iterator[tuple[float
                 cur = v
             row.append(cur)
         least = row
-    if not k:
-        if least[n] < inf:
-            yield least[n], inf
-        return
     trees = [[-inf] * (n + 1) for _ in range(k - 1)]
     best = -inf
     for t in range(n - 1, -1, -1):
@@ -307,22 +307,6 @@ def _run_drop_splits(a: int, k: int, seq: Sequence[int]) -> Iterator[tuple[float
             best = h
             if least[t] < best:
                 yield least[t], best
-
-
-def _forbidden_lasts(a: int, k: int, seq: Sequence[int]) -> list[tuple[int, int]]:
-    """Closed intervals of the values v such that seq + (v - 0.5,) contains
-    I_a ⊕ D_k (a >= 1, k >= 2) through its last entry; seq holds distinct
-    integers, and with k >= 3 it must be a permutation of 1..len(seq).
-
-    The new entry, the bottom of the decreasing block, completes an
-    occurrence iff at some split an increasing a-run before it tops out below
-    it and a decreasing (k-1)-run after it bottoms out above it:
-    top < v - 0.5 < bottom, that is top + 1 <= v <= bottom.
-
-    >>> _forbidden_lasts(1, 3, (2, 4, 3, 1))
-    [(3, 3)]
-    """
-    return [(top + 1, bottom) for top, bottom in _run_drop_splits(a, k - 1, seq)]
 
 
 def _run_drop_run_found(a: int, b: int, seq: Sequence[int]) -> bool:
@@ -380,9 +364,11 @@ def avoids(pattern: Permutation | Sequence[int], host: Permutation | Sequence[in
     values, like `contains`, but the method is chosen from the pattern alone,
     on the host reversed and/or complemented as `_sweep_shape` says:
 
-    - a reverse and/or complement of I_a ⊕ D_k (every pattern of order 3, and
-      1234, 1243, 1432, 2134, 2341, 3214, 3421, 4123, 4312, 4321 of order 4)
-      by `_run_drop_splits`;
+    - I_a and D_a (12, 21, 123, 321, 1234, 4321, ...) by `least_top`'s
+      patience pass: the host avoids I_a iff T_a is inf;
+    - a reverse and/or complement of I_a ⊕ D_k, k >= 2 (132, 213, 231, 312,
+      and 1243, 1432, 2134, 2341, 3214, 3421, 4123, 4312 of order 4) by
+      `_run_drop_splits`;
     - a reverse and/or complement of I_a ⊕ D_2 ⊕ I_b with a, b >= 1 (1324
       and 4231 of order 4) by `_run_drop_run_found`;
     - every other pattern by the backtracking of `contains`, with no
@@ -413,6 +399,8 @@ def avoids(pattern: Permutation | Sequence[int], host: Permutation | Sequence[in
         seq = [top - v for v in seq]
     if b:
         return not _run_drop_run_found(a, b, seq)
+    if not k:
+        return least_top(range(1, a + 1), seq) == math.inf
     return next(_run_drop_splits(a, k, seq), None) is None
 
 
@@ -440,9 +428,10 @@ def least_top(pattern: Sequence[int], seq: Sequence[int], bound: float = math.in
     An increasing pattern I_a (1, 12, 123, ...) takes one patience pass: its
     least top is T_a, the least top of an increasing a-run, kept with the
     lower tops T_1 < ... < T_a as in patience sorting, over the values below
-    `bound`.  Any other pattern backtracks: the search finds the
-    lexicographically least occurrence, not the lowest, so it is repeated
-    below the top it last found until it fails; each repeat lowers the top.
+    `bound`; `avoids` decides I_a and D_a with the same pass.  Any other
+    pattern backtracks: the search finds the lexicographically least
+    occurrence, not the lowest, so it is repeated below the top it last found
+    until it fails; each repeat lowers the top.
 
     >>> least_top((1, 2), (3, 4, 1, 2)), least_top((1, 2), (3, 4, 1, 2), bound=2)
     (2, 2)
@@ -641,7 +630,8 @@ def _avoider_levels(basis: Iterable[Permutation]) -> Iterator[list[tuple[int, ..
     # complemented parent n - v; b = 1 is X⊕1 with X = ε, whose top -inf
     # allows none.  drops holds (complemented, a, k) for I_a ⊕ D_k and its
     # complement; a shape with a trailing run (1324 = I_1 ⊕ D_2 ⊕ I_1) is no
-    # forbidden interval.
+    # forbidden interval.  A split's top < last - 0.5 < bottom forbids
+    # [top + 1, bottom].
     caps, floors, drops, rest = [], [], [], []
     for b in basis:
         m = len(b)
@@ -678,11 +668,9 @@ def _avoider_levels(basis: Iterable[Permutation]) -> Iterator[list[tuple[int, ..
             if drops:
                 free = [True] * (n + 1)
                 for neg, a, k in drops:
-                    # the complemented child appends n + 1 - last: [low, high]
-                    # maps to [n + 1 - high, n + 1 - low]
-                    for low, high in _forbidden_lasts(a, k, complement_q if neg else q):
-                        if neg:
-                            low, high = n + 1 - high, n + 1 - low
+                    # the complemented child appends n + 1 - last
+                    for top, bottom in _run_drop_splits(a, k - 1, complement_q if neg else q):
+                        low, high = (n + 1 - bottom, n - top) if neg else (top + 1, bottom)
                         free[low:high + 1] = [False] * (high + 1 - low)
                 lasts = compress(lasts, free[lo:hi + 1])
             for last in lasts:
@@ -709,9 +697,11 @@ def enumerate_avoiders(basis: Iterable[Permutation], n: int) -> Iterator[Permuta
     an increasing a-run before it and bottom the greatest bottom of a
     decreasing (k-1)-run after it; its complement (312, 3421, 4123, ...) the
     same on the complemented parent, whose value v becomes n - v.  These
-    thresholds and intervals are read off the parent once, in the passes
-    `avoids` sweeps with, and only the other basis elements are tested per
-    candidate, by a search through the new entry, among the allowed values.
+    thresholds and intervals are read off the parent once, the thresholds by
+    `least_top` (one patience pass when X is increasing) and the intervals
+    by `_run_drop_splits(a, k - 1, parent)`, the sweeps `avoids` decides
+    with; only the other basis elements are tested per candidate, by a
+    search through the new entry, among the allowed values.
     The basis is classified once per call.  Each call walks the levels
     0..n in one loop, holding only the parent level and the one being built
     as plain value tuples (no recursion, no cache between calls), and wraps

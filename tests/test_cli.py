@@ -113,6 +113,10 @@ SPLIT_STREAM_SHA256 = {
     # red part 1243 = I_2 ⊕ D_2, the only pinned scan with a >= 2; recorded
     # while greedy_colors still asked a separate run-drop state object
     ("greedy3", "12435"): "ef17f5f07615ff475a3ed34ea63685c1e36ba86f43b5411dedeb6a1c78bf6184",
+    # route e through route a, behind an avoids(4321, ·) check: D_4, whose
+    # image I_4 is decided by least_top's patience pass; recorded while that
+    # check still took a k = 0 branch of _run_drop_splits
+    ("theorem", "4321"): "633a4df8ccbd7f8639b8eea1dd8202397ead440464f708cd29c88008a279a856",
 }
 
 
@@ -243,6 +247,10 @@ def test_input_errors_follow_the_exit_code_contract(capsys, monkeypatch, tmp_pat
     missing = str(tmp_path / "missing.txt")
     assert run(["split", "--method", "theorem", "--pattern", "1324", "--input", missing]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    readable = tmp_path / "subjects.txt"
+    readable.write_text("2413\n\n321\n")
+    assert run(["split", "--method", "theorem", "--pattern", "1324", "--input", str(readable)]) == 0
+    assert capsys.readouterr().out.count("\n") == 2
     assert run(["color-matching", "--forbid-clique", "3", "--input", missing]) == 2
     assert capsys.readouterr().err.startswith("error:")
     cases = (
@@ -251,19 +259,26 @@ def test_input_errors_follow_the_exit_code_contract(capsys, monkeypatch, tmp_pat
         (["color-matching", "--forbid-clique", "3"], "nan-5 2-3\n"),
         (["color-matching", "--forbid-clique", "3"], '{"arcs": "2-3 nan-5"}\n'),
         (["color-matching", "--forbid-clique", "3"], "1-inf 2-3\n"),
+        (["color-matching", "--forbid-clique", "3"], "12\n"),
+        (["color-matching", "--forbid-clique", "3"], "1-2 3\n"),
     )
-    # JSON nested past the parser's recursion limit, serial and in a worker
+    # JSON nested past the parser's recursion limit, serial and in a worker;
+    # a pattern outside the method's domain fails on empty input too
     deep = "[" * 10**5 + "]" * 10**5
     for jobs in ([], ["--jobs", "2"]):
         cases += (
             (jobs + ["split", "--method", "theorem", "--pattern", "1324"], f'{{"perm": {deep}}}\n'),
             (jobs + ["color-matching", "--forbid-clique", "3"], f'{{"arcs": {deep}}}\n'),
         )
+        for method, pattern in (("dilworth", "132"), ("theorem", "2413"), ("greedy3", "1432")):
+            cases += ((jobs + ["split", "--method", method, "--pattern", pattern], ""),)
     for argv, stdin_text in cases:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
         assert run(argv + ["--input", "-"]) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:"), argv
+        if stdin_text in ("12\n", "1-2 3\n"):
+            assert "bad arc token" in captured.err, stdin_text
     # an empty basis entry would be Av(ε), the empty class, and pass vacuously
     for argv in (
         ["verify", "--class", "1324,", "--parts", "132,213", "--max-n", "6"],
@@ -286,6 +301,8 @@ def test_input_errors_follow_the_exit_code_contract(capsys, monkeypatch, tmp_pat
     ):
         assert run(argv) == 2, argv
         assert "must be at least" in capsys.readouterr().err, argv
+    assert run(["--jobs", "abc", "classify", "1324"]) == 2
+    assert "invalid integer 'abc'" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs():

@@ -48,6 +48,10 @@ def test_normalization_and_text():
         Matching.from_arcs([(float("-inf"), 1), (2, 3)])
     with pytest.raises(ValueError):
         Matching(((1, 3), (2, 4), (5, 7)))
+    with pytest.raises(ValueError):  # left >= right
+        Matching(((2, 1),))
+    with pytest.raises(ValueError):  # not sorted by left endpoint
+        Matching(((2, 3), (1, 4)))
 
 
 def test_relation_examples():

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from permsplit import perms
 from permsplit.perms import (
     EMPTY,
+    Embedding,
     Permutation,
     SYMMETRIES,
     all_perms,
@@ -54,6 +55,8 @@ def test_construction_rejects_non_bijections():
         Permutation((0, 1))
     with pytest.raises(ValueError):
         Permutation((2, 3))
+    with pytest.raises(ValueError):
+        Embedding((2, 1))
 
 
 def test_text_round_trip():
@@ -350,6 +353,8 @@ def test_enumerate_avoiders_examples():
     catalan = [1, 2, 5, 14, 42, 132, 429]
     for n, want in enumerate(catalan, start=1):
         assert len(list(enumerate_avoiders({P("132")}, n))) == want
+    with pytest.raises(ValueError):
+        list(enumerate_avoiders({P("12")}, -1))
 
 
 def test_enumeration_stack_stays_shallow_at_any_order():
@@ -484,15 +489,17 @@ def test_avoider_lists_are_pinned():
 
 def test_forbidden_lasts_match_the_pinned_search():
     # every value v whose v - 0.5, appended, completes I_a ⊕ D_k lies in one
-    # of the intervals, and no other
-    from permsplit.perms import _forbidden_lasts
+    # of the intervals [top + 1, bottom] the walk reads off the splits of
+    # I_a ⊕ D_{k-1}, and no other
+    from permsplit.perms import _run_drop_splits
 
     shapes = [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4), (3, 2)]
     for n in range(7):
         for host in all_perms(n):
             for a, k in shapes:
                 pattern = (*range(1, a + 1), *range(a + k, a, -1))
-                intervals = _forbidden_lasts(a, k, host.values)
+                splits = _run_drop_splits(a, k - 1, host.values)
+                intervals = [(top + 1, bottom) for top, bottom in splits]
                 for v in range(1, n + 2):
                     want = ends_with_occurrence(pattern, host.values + (v - 0.5,))
                     assert any(lo <= v <= hi for lo, hi in intervals) == want, (host, a, k, v)
