@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from functools import lru_cache, partial
+from itertools import islice
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator
 
@@ -30,6 +31,7 @@ from .matchings import Matching
 from .oracle import verify_splitting
 from .perms import (
     Permutation,
+    avoider_walk,
     contains,
     decreasing,
     direct_sum_all,
@@ -149,7 +151,8 @@ def _map_stream(fn: Callable, lines: Iterable[str], jobs: int) -> Iterator[dict]
 def _cmd_enumerate(args) -> int:
     basis = _parse_basis(args.avoid)
     if args.count:
-        count = sum(1 for _ in enumerate_avoiders(basis, args.n))
+        level, _ = next(islice(avoider_walk(basis), args.n, None), ([], None))
+        count = len(level)
         _emit({"n": args.n, "count": count})
         return 0
     for p in enumerate_avoiders(basis, args.n):

@@ -2,9 +2,10 @@
 
 Everything here checks certificates and classes from first principles: merge
 membership by exhaustive backtracking over part assignments (verify_splitting
-resumes each member's search at its parent's colouring, which skips only
-tuples that already failed, so the search stays exhaustive and finds the
-same lexicographically first certificate as merge_member), matching
+walks the generating tree of the class and resumes each member's search at
+its parent's colouring, first in the parent's own colour classes, which
+skips only tuples that already failed, so the search stays exhaustive and
+finds the same lexicographically first certificate as merge_member), matching
 avoidance by scanning arc subsets, witness properties by enumerating all
 two-colorings.  Color classes are searched as plain value sequences, as they
 stand.  merge_check decides each class with perms.avoids, which sweeps the
@@ -27,6 +28,7 @@ from .matchings import m_of
 from .perms import (
     Embedding,
     Permutation,
+    avoider_walk,
     avoiders_up_to,
     avoids,
     contains,
@@ -118,9 +120,10 @@ def merge_violations(cert: ColoringCertificate) -> list[str]:
 
 def _merge_search(
     parts: Sequence[Permutation],
-) -> Callable[[Sequence[int], Sequence[int]], tuple[int, ...] | None]:
+) -> Callable[..., tuple[int, ...] | None]:
     """The exhaustive merge search into `parts`, as a function
-    colors(values, start) of a value sequence and a leaf to begin at.
+    colors(values, start, shared) of a value sequence, a leaf to begin at
+    and, optionally, that leaf's colour classes.
 
     colors returns the lexicographically least colour tuple, at or after the
     leaf `start` in the search order, under which every class avoids its
@@ -132,6 +135,13 @@ def _merge_search(
     occurrences through the newest element need testing, and none while the
     class is shorter than its pattern.
 
+    `shared`, when given, holds start's classes over values without its last
+    entry, reduced, with every value doubled, so len(start) = len(values) - 1
+    and the last entry enters them as 2 * values[-1] - 1.  Then the search's
+    first step, the last entry's least class, is taken in them (each try is
+    undone, so one parent's classes serve all its children), and only if no
+    class takes it does the search build its own classes and backtrack.
+
     Identical empty parts are interchangeable: a class opens only once its
     previous identical twin has, so identical classes fill up in index order,
     and the least tuple, which always fills them so, is never pruned.  The
@@ -141,23 +151,35 @@ def _merge_search(
     k = len(patterns)
     twin = [max((j for j in range(c) if parts[j] == parts[c]), default=-1) for c in range(k)]
 
-    def colors(values: Sequence[int], start: Sequence[int] = ()) -> tuple[int, ...] | None:
+    def first_class(classes: list[list[int]], v: int, c: int) -> int:
+        """The least class from c on that takes v, left appended to it; k if none."""
+        while c < k:
+            cls = classes[c]
+            if cls or twin[c] < 0 or classes[twin[c]]:
+                cls.append(v)
+                if len(cls) < len(patterns[c]) or not ends_with_occurrence(patterns[c], cls):
+                    return c
+                cls.pop()
+            c += 1
+        return k
+
+    def colors(
+        values: Sequence[int], start: Sequence[int] = (), shared: list[list[int]] | None = None
+    ) -> tuple[int, ...] | None:
+        c = 0
+        if shared is not None:
+            c = first_class(shared, 2 * values[-1] - 1, 0)
+            if c < k:
+                shared[c].pop()
+                return (*start, c)
         n = len(values)
         classes: list[list[int]] = [[] for _ in range(k)]
         chosen = list(start)
-        for v, c in zip(values, chosen):
-            classes[c].append(v)
-        i, c = len(chosen), 0  # next: element i, trying colours c, c+1, ...
+        for v, col in zip(values, chosen):
+            classes[col].append(v)
+        i = len(chosen)  # next: element i, trying colours c, c+1, ...
         while i < n:
-            v = values[i]
-            while c < k:
-                cls = classes[c]
-                if cls or twin[c] < 0 or classes[twin[c]]:
-                    cls.append(v)
-                    if len(cls) < len(patterns[c]) or not ends_with_occurrence(patterns[c], cls):
-                        break
-                    cls.pop()
-                c += 1
+            c = first_class(classes, values[i], c)
             if c < k:
                 chosen.append(c)
                 i, c = i + 1, 0
@@ -194,68 +216,82 @@ def verify_splitting(
     into the spec: fast path through the supplied constructive splitter when
     its certificate validates, the exhaustive merge search otherwise.  A
     splitter raising PreconditionError counts as a fallback; any other
-    exception it raises is a failure of that subject.
+    exception it raises is a failure of that subject.  Failures are reported
+    in size-then-lex order.
 
-    The members form a generating tree: the parent of p = q + last is q, p
-    without its last entry, reduced.  p's first n-1 entries are
+    The members come from `avoider_walk`, the generating tree in which the
+    parent of p = q + last is q, p without its last entry, reduced, and each
+    parent's children follow one another.  p's first n-1 entries are
     order-isomorphic to q, so every colour tuple that fails for q fails for
     p's prefix too, and p's search resumes at q's lexicographically first
     colouring instead of at all zeros.  It is still exhaustive over the rest
     and finds the same lexicographically first colouring as
-    merge_member(p, spec).  A child of a parent with no merge has none
-    either, because merging is hereditary, and is not searched.  Children
-    of parents that the splitter handled, or that failed through the
-    splitter, search from scratch.  Only the previous level's colourings are
-    kept, and no certificate is built for a searched member.
+    merge_member(p, spec).  The colour classes of a parent that merges are
+    built once, in its own values doubled, and each child's search takes its
+    first step, the new entry's least class, in them; only a child that no
+    class takes builds classes of its own.  A child of a parent with no
+    merge has none either, because merging is hereditary, and is not
+    searched.  Children of parents that the splitter handled, or that failed
+    through the splitter, search from scratch.  A parent's colouring is
+    found by its index in the previous level, the only level whose
+    colourings are kept; members are wrapped in `Permutation` only for the
+    splitter or a failure's text, and no certificate is built for a searched
+    member.
     """
     parts = spec.flatten()
     spec_counts = Counter(parts)
     search = _merge_search(parts)
     report = VerificationReport()
-    # found[q.values]: the searched member q's least colouring, None if none;
-    # parents holds the previous level's, swapped in when the order grows
-    # (a hereditary class has no empty level before a non-empty one)
-    found: dict[tuple[int, ...], tuple[int, ...] | None] = {}
-    n = -1
-    for p in avoiders_up_to(class_basis, n_max):
-        if len(p) > n:
-            n = len(p)
-            parents, found = found, {}
-            # unshift[last][v]: where value v of a member ending in last sits
-            # in its parent
-            unshift = [tuple(v - (v > last) for v in range(n + 1)) for last in range(n + 1)]
-        report.checked += 1
-        constructive = None
-        if splitter is not None:
-            try:
-                constructive = splitter(p)
-            except PreconditionError:
-                pass  # outside the splitter's domain: the oracle decides
-            except Exception as exc:
-                report.failures.append((p.text(), f"splitter raised {type(exc).__name__}: {exc}"))
-                continue
-        if constructive is not None:
-            subset = not (Counter(constructive.parts) - spec_counts)
-            if subset and merge_check(constructive):
-                report.max_colors_used = max(report.max_colors_used, constructive.colors_used())
-                continue
-        if splitter is not None:
-            report.fallbacks += 1
-        vals = p.values
-        parent = tuple(map(unshift[vals[-1]].__getitem__, vals[:-1])) if vals else ()
-        start = parents.get(parent, ())  # a parent never searched: from scratch
-        colors = None if start is None else search(vals, start)
-        if n < n_max:
-            found[vals] = colors
-        if colors is None:
-            detail = "no merge into the spec exists"
-            if constructive is not None:
-                detail += "; splitter certificate invalid: " + "; ".join(
-                    merge_violations(constructive)
-                )
-            report.failures.append((p.text(), detail))
-        else:
-            report.max_colors_used = max(report.max_colors_used, len(set(colors)))
+    failures: list[tuple[tuple[int, ...], str]] = []
+    # found[i]: the least colouring of the previous level's i-th member, None
+    # if it has none, () if it was not searched; level 0's parent is the root
+    parents: list[tuple[int, ...]] = [()]
+    found: list[tuple[int, ...] | None] = [()]
+    for n, (level, starts) in zip(range(n_max + 1), avoider_walk(class_basis)):
+        report.checked += len(level)
+        colorings: list[tuple[int, ...] | None] = []
+        for q, start, lo, hi in zip(parents, found, starts, starts[1:]):
+            shared = None
+            if start is not None and len(start) == n - 1:  # q was searched and merges
+                shared = [[] for _ in parts]
+                for v, c in zip(q, start):
+                    shared[c].append(2 * v)
+            for vals in level[lo:hi]:
+                constructive = error = None
+                if splitter is not None:
+                    try:
+                        constructive = splitter(Permutation._trusted(vals))
+                    except PreconditionError:
+                        pass  # outside the splitter's domain: the oracle decides
+                    except Exception as exc:
+                        error = f"splitter raised {type(exc).__name__}: {exc}"
+                colors = ()  # not searched
+                if error is not None:
+                    failures.append((vals, error))
+                elif (
+                    constructive is not None
+                    and not (Counter(constructive.parts) - spec_counts)
+                    and merge_check(constructive)
+                ):
+                    report.max_colors_used = max(report.max_colors_used, constructive.colors_used())
+                else:
+                    if splitter is not None:
+                        report.fallbacks += 1
+                    colors = None if start is None else search(vals, start, shared)
+                    if colors is None:
+                        detail = "no merge into the spec exists"
+                        if constructive is not None:
+                            detail += "; splitter certificate invalid: " + "; ".join(
+                                merge_violations(constructive)
+                            )
+                        failures.append((vals, detail))
+                    else:
+                        report.max_colors_used = max(report.max_colors_used, len(set(colors)))
+                if n < n_max:
+                    colorings.append(colors)
+        parents, found = level, colorings
+    failures.sort(key=lambda failure: (len(failure[0]), failure[0]))
+    report.failures = [(Permutation._trusted(vals).text(), detail) for vals, detail in failures]
     return report
 
 

@@ -621,11 +621,26 @@ def all_perms(n: int) -> Iterator[Permutation]:
         yield Permutation(vals)
 
 
-def _avoider_levels(basis: Iterable[Permutation]) -> Iterator[list[tuple[int, ...]]]:
-    """The levels of Av(basis) from order 0 up, each a list of value tuples
-    in lexicographic order, built from the level before it, the only one
-    kept.  The walk ends at the first empty level: every later one is empty
-    too, because the class is hereditary."""
+def avoider_walk(basis: Iterable[Permutation]) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
+    """The generating tree of Av(basis), one level per order from 0 up: the
+    pair (level, starts) of the members of that order as plain value tuples
+    in walk order and the offsets of their parents' children.  The children
+    of the i-th member of the level before are level[starts[i]:starts[i + 1]],
+    in increasing last value, so len(starts) is one more than the number of
+    parents (level 0's one member is the child of the root: starts [0, 1]).
+    The child q + last appends last to its parent q, shifting the values at
+    or above it up; its parent is it without its last entry, reduced.
+
+    A level is built from the one before it, the only one kept, and is not
+    sorted.  The walk ends at the first empty level: every later one is
+    empty too, because the class is hereditary.
+
+    >>> walk = avoider_walk({Permutation((1, 3, 2))})
+    >>> [next(walk) for _ in range(3)][2]
+    ([(2, 1), (1, 2)], [0, 2])
+    >>> next(walk)  # (3, 2, 1), (3, 1, 2), (2, 1, 3) are the children of (2, 1)
+    ([(3, 2, 1), (3, 1, 2), (2, 1, 3), (2, 3, 1), (1, 2, 3)], [0, 3, 5])
+    """
     # X⊖1's greatest bottom is n minus the least top of X's complement in the
     # complemented parent n - v; b = 1 is X⊕1 with X = ε, whose top -inf
     # allows none.  drops holds (complemented, a, k) for I_a ⊕ D_k and its
@@ -648,17 +663,21 @@ def _avoider_levels(basis: Iterable[Permutation]) -> Iterator[list[tuple[int, ..
             drops.append((True, *shape[:2]))
         else:
             rest.append(b.values)
+    complements = floors or any(neg for neg, _, _ in drops)
     level: list[tuple[int, ...]] = [()]
+    starts = [0, 1]
     n = 0
     while level:
-        yield level
+        yield level, starts
         n += 1
-        out = []
+        out: list[tuple[int, ...]] = []
+        starts = []
         for q in level:
+            starts.append(len(out))
             lo, hi = 1, n
             for x in caps:
                 hi = min(hi, least_top(x, q))
-            if floors or drops:
+            if complements:
                 complement_q = [n - v for v in q]  # a permutation of 1..n-1
             for x in floors:
                 lo = max(lo, n + 1 - least_top(x, complement_q))
@@ -678,7 +697,7 @@ def _avoider_levels(basis: Iterable[Permutation]) -> Iterator[list[tuple[int, ..
                 if rest and any(ends_with_occurrence(b, q + (last - 0.5,)) for b in rest):
                     continue
                 out.append(tuple([v + (v >= last) for v in q]) + (last,))
-        out.sort()
+        starts.append(len(out))
         level = out
 
 
@@ -703,17 +722,20 @@ def enumerate_avoiders(basis: Iterable[Permutation], n: int) -> Iterator[Permuta
     with; only the other basis elements are tested per candidate, by a
     search through the new entry, among the allowed values.
     The basis is classified once per call.  Each call walks the levels
-    0..n in one loop, holding only the parent level and the one being built
-    as plain value tuples (no recursion, no cache between calls), and wraps
-    only the members it yields in `Permutation`, without the sort check.
+    0..n of one `avoider_walk`, which holds only the parent level and the one
+    being built as plain value tuples (no recursion, no cache between
+    calls), sorts only level n, and wraps only the members it yields in
+    `Permutation`, without the sort check.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    yield from map(Permutation._trusted, next(islice(_avoider_levels(basis), n, None), []))
+    level, _ = next(islice(avoider_walk(basis), n, None), ([], None))
+    level.sort()  # the walk that built it is gone
+    yield from map(Permutation._trusted, level)
 
 
 def avoiders_up_to(basis: Iterable[Permutation], n_max: int) -> Iterator[Permutation]:
     """All members of Av(basis) of order 0..n_max, in size-then-lex order,
-    from one walk of the levels."""
-    for _, level in zip(range(n_max + 1), _avoider_levels(basis)):
-        yield from map(Permutation._trusted, level)
+    from one walk of the levels, each sorted as it is emitted."""
+    for _, (level, _) in zip(range(n_max + 1), avoider_walk(basis)):
+        yield from map(Permutation._trusted, sorted(level))

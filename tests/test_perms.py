@@ -523,6 +523,28 @@ def test_interval_bases_enumerate_without_a_pinned_search(monkeypatch):
     assert len(level) > len(parents) and all(avoids(b, p) for p in level for b in basis)
 
 
+@pytest.mark.parametrize("basis", ["1432", "1324", "123", "2413 3142", "2314", ""])
+def test_avoider_walk_links_each_child_to_its_parent(basis):
+    from permsplit.perms import avoider_walk, avoiders_up_to
+
+    basis = {P(b) for b in basis.split()}
+    members = [p.values for p in avoiders_up_to(basis, 7)]
+    walk = avoider_walk(basis)
+    assert next(walk) == ([()], [0, 1])  # the empty member, the root's one child
+    parents = [()]
+    for n, (level, starts) in zip(range(1, 8), walk):
+        assert len(starts) == len(parents) + 1 and starts[0] == 0 and starts[-1] == len(level)
+        for q, lo, hi in zip(parents, starts, starts[1:]):
+            lasts = [child[-1] for child in level[lo:hi]]
+            assert lasts == sorted(set(lasts))
+            for child in level[lo:hi]:
+                # the member with its last entry deleted and the rest reduced
+                assert tuple(v - (v > child[-1]) for v in child[:-1]) == q
+        assert sorted(level) == [vals for vals in members if len(vals) == n]
+        parents = level
+    assert n == 7
+
+
 def test_trusted_children_compare_and_hash_like_checked_ones():
     for p in enumerate_avoiders({P("1432")}, 6):
         checked = Permutation(p.values)
