@@ -8,13 +8,16 @@ skips only tuples that already failed, so the search stays exhaustive and
 finds the same lexicographically first certificate as merge_member), matching
 avoidance by scanning arc subsets, witness properties by enumerating all
 two-colorings.  Color classes are searched as plain value sequences, as they
-stand.  merge_check decides each class with perms.avoids, which sweeps the
-I_a ⊕ D_k- and I_a ⊕ D_2 ⊕ I_b-shaped patterns (every pattern of order 3
-among them) instead of backtracking, so for those parts it shares no search
-with the constructive side's occurrence searches; for the other parts both
-use the same backtracking.  The oracle stays independent because it searches exhaustively
-instead of following the constructions' case analysis.  Matching containment
-is re-implemented here as a plain subset scan.
+stand.  merge_check decides each class of a permutation with perms.avoids,
+which sweeps the I_a ⊕ D_k- and I_a ⊕ D_2 ⊕ I_b-shaped patterns (every
+pattern of order 3 among them) instead of backtracking, so for those parts
+it shares no search with the constructive side's occurrence searches; for
+the other parts both use the same backtracking.  The oracle stays
+independent because it searches exhaustively instead of following the
+constructions' case analysis.  Matching containment is re-implemented here
+as a plain subset scan, except that merge_check decides a class whose part
+is 21 by one sweep over the endpoints (its arcs must nest), which shares
+nothing with the constructions' crossing graph.
 """
 from __future__ import annotations
 
@@ -84,11 +87,46 @@ def _submatching_occurrence(
     return None
 
 
+_CROSSING_PAIR = Permutation((2, 1))  # m(21) is two crossing arcs
+
+
+def _classes_nest(
+    arcs: Sequence[tuple[int, int]], colors: Sequence[int], nesting: Sequence[bool]
+) -> bool:
+    """Does every class c with nesting[c] avoid m(21), two crossing arcs?
+
+    A class avoids it iff its arcs nest.  One sweep visits the endpoints
+    1..2q of the normalized arcs in order, keeping each such class's open
+    arcs on a stack: an arc must close while it is the innermost open arc
+    of its class, else it crosses that arc."""
+    end = [0] * (2 * len(arcs) + 1)  # i + 1 where arc i opens, -(i + 1) where it closes
+    for i, (a, b) in enumerate(arcs):
+        if nesting[colors[i]]:
+            end[a], end[b] = i + 1, -i - 1
+    open_arcs: list[list[int]] = [[] for _ in nesting]
+    for e in end:
+        if e > 0:
+            open_arcs[colors[e - 1]].append(e)
+        elif e and open_arcs[colors[-e - 1]].pop() != -e:
+            return False
+    return True
+
+
 def merge_check(cert: ColoringCertificate) -> bool:
     """True iff every color class of the certificate avoids its part pattern;
-    False at the first class that does not.  merge_violations says where."""
+    False at the first class that does not.  merge_violations says where.
+
+    On a matching, the classes whose part is 21 are decided by one sweep,
+    `_classes_nest`, and the others by the subset scan."""
     if not isinstance(cert.subject, Permutation):
-        return not merge_violations(cert)
+        arcs = cert.subject.arcs
+        nesting = [part == _CROSSING_PAIR for part in cert.parts]
+        return _classes_nest(arcs, cert.colors, nesting) and all(
+            nesting[c]
+            or _submatching_occurrence(part, [a for a, col in zip(arcs, cert.colors) if col == c])
+            is None
+            for c, part in enumerate(cert.parts)
+        )
     vals = cert.subject.values
     return all(
         avoids(part, [v for v, col in zip(vals, cert.colors) if col == c])

@@ -408,15 +408,33 @@ class MatchingSplitState:
         self.trace.append((depth, case, weight(obstacle), copies))
 
 
+@dataclass(frozen=True, eq=False)
+class _ObstaclePlan:
+    """How match_split recurses on one obstacle: its arc count, its step
+    (case "uplus-obstacle" when obs = M₁⊎M₂ with M₁ its first ⊎-block, else
+    "components" with M⁺ and M⁻) and the plans of M₁, M₂ or M⁺, M⁻.  A
+    single-arc obstacle has no step and no child plans.  The obstacle's
+    weight is not kept, so the trace and the palette bound read `weight`
+    at the time of the call."""
+
+    obstacle: Matching
+    size: int
+    case: str
+    first: _ObstaclePlan | None
+    second: _ObstaclePlan | None
+
+
 @lru_cache(maxsize=None)
-def _obstacle_step(obs: Matching) -> tuple[str, Matching, Matching]:
-    """How match_split recurses on an obstacle with at least two arcs:
-    ("uplus-obstacle", M₁, M₂) when obs = M₁⊎M₂ with M₁ its first ⊎-block,
-    else ("components", M⁺, M⁻).  It depends on the obstacle alone."""
+def _plan(obs: Matching) -> _ObstaclePlan:
+    """The obstacle's plan, built once per obstacle with its child plans;
+    each step lowers the weight, so the plans below an obstacle are few."""
+    if len(obs) < 2:
+        return _ObstaclePlan(obs, len(obs), "", None, None)
     obs_blocks = blocks(obs)
     if len(obs_blocks) > 1:
-        return "uplus-obstacle", obs_blocks[0], reduce(uplus, obs_blocks[1:])
-    return "components", m_plus(obs), m_minus(obs)
+        first, second = obs_blocks[0], reduce(uplus, obs_blocks[1:])
+        return _ObstaclePlan(obs, len(obs), "uplus-obstacle", _plan(first), _plan(second))
+    return _ObstaclePlan(obs, len(obs), "components", _plan(m_plus(obs)), _plan(m_minus(obs)))
 
 
 def match_split(
@@ -437,13 +455,16 @@ def match_split(
     to the recursion with the obstacle's leftmost/rightmost arc shortened.
     Copies used never exceed 4^weight(obstacle).
 
-    Each obstacle's step (M₁, M₂ or M⁺, M⁻) is derived once and cached.  The
-    recursion works on arc-index lists; each subtree writes its arcs' colours,
-    counted from its own first copy, into one list for the host and returns
-    its copy count, and one placement step shifts the sections of a ⊎ or M±
-    step past the copies before them.  Only the base colorer, on the
-    straddling arcs, gets a Matching.  A `state`, when given, receives the
-    recursion trace; without one none is kept.
+    Each obstacle has one cached plan: its arc count, its step and the plans
+    of M₁, M₂ or M⁺, M⁻, so no recursion node hashes a Matching.  The
+    recursion works on arc-index lists; each subtree writes its arcs'
+    colours, counted from its own first copy, into one list for the host and
+    returns its copy count, and one placement step shifts the sections of a
+    ⊎ or M± step past the copies before them.  A lone arc under an M± step
+    is its component's root and takes one copy with no BFS.  Only the base
+    colorer, on the straddling arcs, gets a Matching.  A `state`, when
+    given, receives the recursion trace, one row per node; without one none
+    is kept.
     """
     if any(sum_decompose(q) is not None for q in base.parts):
         raise PreconditionError("base part patterns must be sum-indecomposable")
@@ -452,36 +473,46 @@ def match_split(
         raise PreconditionError(f"host contains m({pattern.text()})")
     if obstacle != m_pattern and matching_contains(obstacle, n):
         raise PreconditionError("host contains the obstacle")
-    return _split_avoiding(n, obstacle, base, state)
+    colors, copies = _split_avoiding(n, obstacle, base, state)
+    return ColoringCertificate(subject=n, parts=base.parts * copies, colors=colors)
 
 
 def _split_avoiding(
     n: Matching, obstacle: Matching, base: MatchingBase, state: MatchingSplitState | None
-) -> ColoringCertificate:
-    """match_split on a host already known to avoid m(pattern) and the
-    obstacle; the trace is recorded only into a state the caller passed."""
+) -> tuple[tuple[int, ...], int]:
+    """match_split's colours and copy count on a host already known to avoid
+    m(pattern) and the obstacle; the trace is recorded only into a state the
+    caller passed."""
     arcs = n.arcs
     graph = CrossingGraph(arcs)
     k = len(base.parts)
+    lone = base.lone_arc_color
     colors = [0] * len(arcs)
 
-    def solve(subset: list[int], obs: Matching, depth: int) -> int:
+    def solve(subset: list[int], plan: _ObstaclePlan, depth: int) -> int:
         """Writes copy·k + part, counted from this subtree's first copy, into
         colors at the arcs of subset (sorted); returns the copies used."""
         if not subset:
             return 0
-        # at the root, the entry search has just checked this very obstacle
-        if depth and matching_contains(obs, [arcs[i] for i in subset]):
+        # at the root, the entry search has just checked this very obstacle;
+        # a subset smaller than the obstacle avoids it
+        if depth and len(subset) >= plan.size and matching_contains(
+            plan.obstacle, [arcs[i] for i in subset]
+        ):
             raise VerificationError("recursive avoidance guarantee broke")
-        if len(obs) == 1:
+        if plan.size == 1:
             raise VerificationError("nonempty host cannot avoid a single-arc obstacle")
-        case, first, second = _obstacle_step(obs)
-        if case == "uplus-obstacle":
-            copies = _solve_decomposable(subset, first, second, depth)
+        if plan.case == "uplus-obstacle":
+            copies = _solve_decomposable(subset, plan.first, plan.second, depth)
+        elif len(subset) == 1:  # a lone arc is its component's root
+            colors[subset[0]] = lone
+            copies = 1
         else:
-            copies = max(_solve_connected(c, first, second, depth) for c in graph.components(subset))
+            copies = max(
+                _solve_connected(c, plan.first, plan.second, depth) for c in graph.components(subset)
+            )
         if state is not None:
-            state.record(depth, case, obs, copies)
+            state.record(depth, plan.case, plan.obstacle, copies)
         return copies
 
     def stack(sections: Iterable[tuple[list[int], int]]) -> int:
@@ -493,40 +524,42 @@ def _split_avoiding(
             offset += copies
         return offset
 
-    def _solve_decomposable(subset, m1, m2, depth):
+    def _solve_decomposable(subset, p1, p2, depth):
         # the prefix only grows at right endpoints, so the cut is one of them
         for cut in sorted(arcs[i][1] for i in subset):
-            if matching_contains(m1, [arcs[i] for i in subset if arcs[i][1] <= cut]):
+            if matching_contains(p1.obstacle, [arcs[i] for i in subset if arcs[i][1] <= cut]):
                 break
         else:
-            return solve(subset, m1, depth + 1)
+            return solve(subset, p1, depth + 1)
         left = [i for i in subset if arcs[i][1] < cut]
         right = [i for i in subset if arcs[i][0] > cut]
         middle = [i for i in subset if arcs[i][0] < cut <= arcs[i][1]]
-        k1, k2 = solve(left, m1, depth + 1), solve(right, m2, depth + 1)
+        k1, k2 = solve(left, p1, depth + 1), solve(right, p2, depth + 1)
         for i, color in zip(middle, base(Matching.from_arcs(arcs[i] for i in middle)).colors):
             colors[i] = color
         return stack([(left, k1), (right, k2), (middle, 1)])
 
-    def _solve_connected(comp, obs_plus, obs_minus, depth):
+    def _solve_connected(comp, plus_plan, minus_plan, depth):
         # sections (even, +), (even, -), (odd, +), (odd, -) get disjoint copies,
         # shared by their levels; groups go level ascending, + before -
         (root,), _ = comp[0]
-        colors[root] = base.lone_arc_color  # coloured as a lone arc
+        colors[root] = lone  # coloured as a lone arc
+        if len(comp) == 1:
+            return 1
         members: list[list[int]] = [[root], [], [], []]
         copies = [1, 0, 0, 0]
         for level, (plus, minus) in enumerate(comp[1:], 1):
             s = 2 * (level % 2)  # the section of this level's + side; s + 1 is its - side
-            for section, group, sub_obs in ((s, plus, obs_plus), (s + 1, minus, obs_minus)):
+            for section, group, plan in ((s, plus, plus_plan), (s + 1, minus, minus_plan)):
                 for block in arc_blocks(arcs, group):
-                    copies[section] = max(copies[section], solve(block, sub_obs, depth + 1))
+                    copies[section] = max(copies[section], solve(block, plan, depth + 1))
                     members[section] += block
         return stack(zip(members, copies))
 
-    copies = solve(list(range(len(arcs))), obstacle, 0)
+    copies = solve(list(range(len(arcs))), _plan(obstacle), 0)
     if copies > 4 ** weight(obstacle):
         raise VerificationError("palette exceeded the 4^weight bound")
-    return ColoringCertificate(subject=n, parts=base.parts * copies, colors=tuple(colors))
+    return tuple(colors), copies
 
 
 def oneplus_split(
@@ -570,5 +603,5 @@ def circle_color(m: Matching, n: int) -> dict[Arc, int]:
     clique, base = _clique_setup(n)
     if matching_contains(clique, m):
         raise PreconditionError(f"matching has {n} pairwise crossing arcs")
-    cert = _split_avoiding(m, clique, base, None)
-    return {arc: color for arc, color in zip(m.arcs, cert.colors)}
+    colors, _ = _split_avoiding(m, clique, base, None)
+    return dict(zip(m.arcs, colors))

@@ -45,8 +45,12 @@ fires(MatchingBase(parts=(P("21"),), fn=colorer((P("1"),))), M("1-2"))
 fires(splitters.dilworth_matching_base(3), M("1-2 3-4"))
 with mock.patch.object(splitters, "weight", lambda m: 0):
     fires(splitters.circle_color, M("1-3 2-4"), 3)
-with mock.patch.object(splitters, "_obstacle_step", lambda obs: ("components", M("1-2"), M("1-2"))):
+lone = splitters._ObstaclePlan(M("1-2"), 1, "", None, None)
+with mock.patch.object(
+    splitters, "_plan", lambda obs: splitters._ObstaclePlan(obs, len(obs), "components", lone, lone)
+):
     fires(splitters.circle_color, M("1-3 2-4"), 3)
+splitters.circle_color(M("1-3 2-4"), 3)  # no patched weight or plan outlives its line
 with mock.patch.object(splitters, "matching_contains", lambda pattern, host: False):
     fires(splitters.match_split, M("1-2"), P("21"), M("1-2"), splitters.dilworth_matching_base(3))
 spec = SplittingSpec.of(P("132"), P("213"))

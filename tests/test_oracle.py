@@ -55,6 +55,46 @@ def test_merge_check_matching_subject():
     assert not merge_check(bad)
 
 
+def test_merge_check_decides_crossing_pair_classes_as_the_subset_scan_does():
+    from itertools import combinations
+
+    from permsplit.matchings import matchings_up_to
+    from permsplit.oracle import _submatching_occurrence
+
+    # the arcs outside the subset form an order-6 class, which no matching
+    # of at most 5 arcs contains, so the answer is the 21 class's alone
+    parts = (P("21"), P("123456"))
+    checked = 0
+    for m in matchings_up_to(5):
+        for size in range(len(m) + 1):
+            for subset in combinations(range(len(m)), size):
+                colors = tuple(0 if i in subset else 1 for i in range(len(m)))
+                cert = ColoringCertificate(subject=m, parts=parts, colors=colors)
+                scanned = _submatching_occurrence(P("21"), [m.arcs[i] for i in subset])
+                assert merge_check(cert) == (scanned is None), (m.text(), subset)
+                checked += 1
+    assert checked == 1 + 2 + 3 * 4 + 15 * 8 + 105 * 16 + 945 * 32
+
+
+def test_merge_check_catches_one_crossing_pair_given_one_colour():
+    import random
+
+    from conftest import dyck_321_avoider
+
+    from permsplit.envelope import reduced_envelope
+    from permsplit.matchings import crosses
+
+    host = reduced_envelope(dyck_321_avoider(500, random.Random(3)))
+    cert = match_split(host, P("321"), m_of(P("321")), dilworth_matching_base(3))
+    assert merge_check(cert)
+    arcs = host.arcs
+    x, y = next((x, y) for x in range(len(arcs)) for y in range(x) if crosses(arcs[x], arcs[y]))
+    colors = list(cert.colors)
+    colors[y] = colors[x]
+    mutated = ColoringCertificate(subject=host, parts=cert.parts, colors=tuple(colors))
+    assert not merge_check(mutated)
+
+
 def test_merge_member_examples():
     assert merge_member(P("321"), SplittingSpec(((P("21"), 2),))) is None
     cert = merge_member(P("321"), SplittingSpec(((P("21"), 3),)))

@@ -7,6 +7,7 @@ from permsplit.errors import InvalidColorerError, PreconditionError
 from permsplit.matchings import (
     EMPTY_MATCHING,
     Matching,
+    all_matchings,
     crosses,
     m_of,
     matching_contains,
@@ -247,6 +248,33 @@ def test_match_split_sweep_validates():
         cert = match_split(m, P("321"), obstacle, base)
         assert brute_valid(cert)
         assert len(cert.parts) <= 4 ** weight(obstacle) * 2
+
+
+# SHA-256 of the [arcs, colours, part count, trace] JSON lines of match_split
+# on every triangle-free 6-arc matching against the obstacle m(321), recorded
+# before each obstacle's step became a cached plan and lone arcs stopped
+# recursing.  These hosts reach the obstacle chain below m(321).
+TRIANGLE_FREE_SWEEP_SHA256 = "80e098d87e5c6562c3a0babc06953de330f38540fa9e94b8887e695d8882e929"
+
+
+def test_match_split_triangle_free_sweep_traces_are_pinned():
+    import hashlib
+    import json
+
+    pattern, base = P("321"), dilworth_matching_base(3)
+    obstacle = m_of(pattern)
+    digest = hashlib.sha256()
+    count = 0
+    for m in all_matchings(6):
+        if matching_contains(obstacle, m):
+            continue
+        state = MatchingSplitState(pattern_basis=pattern, obstacle=obstacle)
+        cert = match_split(m, pattern, obstacle, base, state=state)
+        line = json.dumps([m.text(), list(cert.colors), len(cert.parts), state.trace])
+        digest.update(line.encode() + b"\n")
+        count += 1
+    assert count == 4719
+    assert digest.hexdigest() == TRIANGLE_FREE_SWEEP_SHA256
 
 
 def _sampled_k4_free_matchings(count: int, seed: int) -> list[Matching]:
