@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from functools import lru_cache, partial
-from itertools import islice
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator
 
@@ -31,8 +30,8 @@ from .matchings import Matching
 from .oracle import verify_splitting
 from .perms import (
     Permutation,
-    avoider_walk,
     contains,
+    count_avoiders,
     decreasing,
     direct_sum_all,
     enumerate_avoiders,
@@ -151,9 +150,7 @@ def _map_stream(fn: Callable, lines: Iterable[str], jobs: int) -> Iterator[dict]
 def _cmd_enumerate(args) -> int:
     basis = _parse_basis(args.avoid)
     if args.count:
-        level, _ = next(islice(avoider_walk(basis), args.n, None), ([], None))
-        count = len(level)
-        _emit({"n": args.n, "count": count})
+        _emit({"n": args.n, "count": count_avoiders(basis, args.n)})
         return 0
     for p in enumerate_avoiders(basis, args.n):
         _emit({"perm": p.text()})

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, Sequence
 
 from .errors import PreconditionError, VerificationError
@@ -31,6 +31,7 @@ from .matchings import m_of
 from .perms import (
     Embedding,
     Permutation,
+    avoider_members,
     avoider_walk,
     avoiders_up_to,
     avoids,
@@ -136,7 +137,10 @@ def merge_check(cert: ColoringCertificate) -> bool:
 
 def merge_violations(cert: ColoringCertificate) -> list[str]:
     """One entry per offending class: its part pattern and the first occurrence
-    found, located in the subject's own coordinates."""
+    found, located in the subject's own coordinates.
+
+    On a matching, a class whose part is 21 is scanned only if
+    `_classes_nest` finds that its arcs do not nest."""
     out = []
     if isinstance(cert.subject, Permutation):
         for c, part in enumerate(cert.parts):
@@ -147,8 +151,13 @@ def merge_violations(cert: ColoringCertificate) -> list[str]:
                 where = [positions[j - 1] for j in emb.positions]
                 out.append(f"class {c} contains {part.text()} at positions {where}")
         return out
+    subject_arcs = cert.subject.arcs
     for c, part in enumerate(cert.parts):
-        arcs = [arc for arc, color in zip(cert.subject.arcs, cert.colors) if color == c]
+        if part == _CROSSING_PAIR and _classes_nest(
+            subject_arcs, cert.colors, [d == c for d in range(len(cert.parts))]
+        ):
+            continue
+        arcs = [arc for arc, color in zip(subject_arcs, cert.colors) if color == c]
         found = _submatching_occurrence(part, arcs)
         if found is not None:
             shown = " ".join(f"{a}-{b}" for a, b in found)
@@ -158,27 +167,28 @@ def merge_violations(cert: ColoringCertificate) -> list[str]:
 
 def _merge_search(
     parts: Sequence[Permutation],
-) -> Callable[..., tuple[int, ...] | None]:
-    """The exhaustive merge search into `parts`, as a function
-    colors(values, start, shared) of a value sequence, a leaf to begin at
-    and, optionally, that leaf's colour classes.
+) -> tuple[Callable[..., tuple[int, ...] | None], Callable[..., Callable[[int], int]]]:
+    """The exhaustive merge search into `parts`, as two functions.
 
-    colors returns the lexicographically least colour tuple, at or after the
-    leaf `start` in the search order, under which every class avoids its
-    part; None if there is none.  It backtracks over part assignments element
-    by element, kept iterative so that it can begin at `start`: as if every
-    tuple before it had failed, and with `start` itself trusted, so the
-    caller guarantees that it colours values[:len(start)] validly.  A branch
-    is pruned as soon as a class completes its forbidden pattern; only
-    occurrences through the newest element need testing, and none while the
-    class is shorter than its pattern.
+    colors(values, start=(), c=0) returns the lexicographically least colour
+    tuple of a value sequence, at or after the leaf (*start, c) in the search
+    order, under which every class avoids its part; None if there is none.
+    It backtracks over part assignments element by element, kept iterative
+    so that it can begin at `start`: as if every tuple before it had failed,
+    and with `start` itself trusted, so the caller guarantees that it colours
+    values[:len(start)] validly; c = k (the number of parts) says that every
+    class has already been tried for the next element.  A branch is pruned
+    as soon as a class completes its forbidden pattern; only occurrences
+    through the newest element need testing, and none while the class is
+    shorter than its pattern.
 
-    `shared`, when given, holds start's classes over values without its last
-    entry, reduced, with every value doubled, so len(start) = len(values) - 1
-    and the last entry enters them as 2 * values[-1] - 1.  Then the search's
-    first step, the last entry's least class, is taken in them (each try is
-    undone, so one parent's classes serve all its children), and only if no
-    class takes it does the search build its own classes and backtrack.
+    first_steps(q, start) serves the children of q, a value sequence that
+    `start` colours validly: it builds q's classes once, with every value
+    doubled, and returns step(last), the search's first step for the child
+    q + last, the least class that takes its last entry, which enters the
+    classes as 2 * last - 1; k if none does.  Each try is undone, so the
+    classes serve all of q's children, and a child that a class takes has
+    the colouring (*start, step(last)) with no values of its own.
 
     Identical empty parts are interchangeable: a class opens only once its
     previous identical twin has, so identical classes fill up in index order,
@@ -187,29 +197,29 @@ def _merge_search(
     """
     patterns = [part.values for part in parts]
     k = len(patterns)
+    # a class shorter than its pattern's order minus one takes any value
+    shorter = [len(pattern) - 1 for pattern in patterns]
     twin = [max((j for j in range(c) if parts[j] == parts[c]), default=-1) for c in range(k)]
 
     def first_class(classes: list[list[int]], v: int, c: int) -> int:
-        """The least class from c on that takes v, left appended to it; k if none."""
+        """The least class from c on that takes v; k if none.  The classes
+        are left as they were."""
         while c < k:
             cls = classes[c]
             if cls or twin[c] < 0 or classes[twin[c]]:
-                cls.append(v)
-                if len(cls) < len(patterns[c]) or not ends_with_occurrence(patterns[c], cls):
+                if len(cls) < shorter[c]:
                     return c
+                cls.append(v)
+                clash = ends_with_occurrence(patterns[c], cls)
                 cls.pop()
+                if not clash:
+                    return c
             c += 1
         return k
 
     def colors(
-        values: Sequence[int], start: Sequence[int] = (), shared: list[list[int]] | None = None
+        values: Sequence[int], start: Sequence[int] = (), c: int = 0
     ) -> tuple[int, ...] | None:
-        c = 0
-        if shared is not None:
-            c = first_class(shared, 2 * values[-1] - 1, 0)
-            if c < k:
-                shared[c].pop()
-                return (*start, c)
         n = len(values)
         classes: list[list[int]] = [[] for _ in range(k)]
         chosen = list(start)
@@ -219,6 +229,7 @@ def _merge_search(
         while i < n:
             c = first_class(classes, values[i], c)
             if c < k:
+                classes[c].append(values[i])
                 chosen.append(c)
                 i, c = i + 1, 0
             elif i:
@@ -230,7 +241,17 @@ def _merge_search(
                 return None
         return tuple(chosen)
 
-    return colors
+    def first_steps(q: Sequence[int], start: Sequence[int]) -> Callable[[int], int]:
+        classes: list[list[int]] = [[] for _ in range(k)]
+        for v, col in zip(q, start):
+            classes[col].append(2 * v)
+
+        def step(last: int) -> int:
+            return first_class(classes, 2 * last - 1, 0)
+
+        return step
+
+    return colors, first_steps
 
 
 def merge_member(
@@ -240,7 +261,7 @@ def merge_member(
     merge of p into the parts, or None: `_merge_search` from the empty start.
     """
     parts = spec.flatten() if isinstance(spec, SplittingSpec) else tuple(spec)
-    colors = _merge_search(parts)(p.values)
+    colors = _merge_search(parts)[0](p.values)
     return None if colors is None else ColoringCertificate(subject=p, parts=parts, colors=colors)
 
 
@@ -259,75 +280,119 @@ def verify_splitting(
 
     The members come from `avoider_walk`, the generating tree in which the
     parent of p = q + last is q, p without its last entry, reduced, and each
-    parent's children follow one another.  p's first n-1 entries are
-    order-isomorphic to q, so every colour tuple that fails for q fails for
-    p's prefix too, and p's search resumes at q's lexicographically first
+    parent's children are given by their last values.  p's first n-1 entries
+    are order-isomorphic to q, so every colour tuple that fails for q fails
+    for p's prefix too, and p's search resumes at q's lexicographically first
     colouring instead of at all zeros.  It is still exhaustive over the rest
     and finds the same lexicographically first colouring as
     merge_member(p, spec).  The colour classes of a parent that merges are
-    built once, in its own values doubled, and each child's search takes its
-    first step, the new entry's least class, in them; only a child that no
-    class takes builds classes of its own.  A child of a parent with no
+    built once (`first_steps`), and each child takes the search's first
+    step, the new entry's least class, in them from its last value alone;
+    its colour count is the parent's, plus one if that class was empty.  A
+    child's values are built only when it becomes a parent (by the walk),
+    when no class takes its last value (the resumed search needs them), for
+    the splitter, or for a failure's text.  A child of a parent with no
     merge has none either, because merging is hereditary, and is not
     searched.  Children of parents that the splitter handled, or that failed
     through the splitter, search from scratch.  A parent's colouring is
-    found by its index in the previous level, the only level whose
-    colourings are kept; members are wrapped in `Permutation` only for the
-    splitter or a failure's text, and no certificate is built for a searched
-    member.
+    found by its index among the parents, the only order whose colourings
+    are kept, and a first step's colouring (*start, c) is built only below
+    n_max; no certificate is built for a searched member.
+
+    >>> spec = SplittingSpec(((Permutation((1, 3, 2)), 1),))
+    >>> report = verify_splitting({Permutation((1, 3, 2, 4))}, spec, 4)
+    >>> report.checked, len(report.failures), report.failures[0]
+    (33, 10, ('1 3 2', 'no merge into the spec exists'))
     """
     parts = spec.flatten()
+    k = len(parts)
     spec_counts = Counter(parts)
-    search = _merge_search(parts)
+    colors, first_steps = _merge_search(parts)
     report = VerificationReport()
     failures: list[tuple[tuple[int, ...], str]] = []
-    # found[i]: the least colouring of the previous level's i-th member, None
-    # if it has none, () if it was not searched; level 0's parent is the root
-    parents: list[tuple[int, ...]] = [()]
-    found: list[tuple[int, ...] | None] = [()]
-    for n, (level, starts) in zip(range(n_max + 1), avoider_walk(class_basis)):
-        report.checked += len(level)
+
+    def settle(
+        vals: tuple[int, ...],
+        least: tuple[int, ...] | None,
+        constructive: ColoringCertificate | None = None,
+    ) -> tuple[int, ...] | None:
+        """Record a searched member's least colouring, or its failure."""
+        if least is None:
+            detail = "no merge into the spec exists"
+            if constructive is not None:
+                detail += "; splitter certificate invalid: " + "; ".join(
+                    merge_violations(constructive)
+                )
+            failures.append((vals, detail))
+        else:
+            report.max_colors_used = max(report.max_colors_used, len(set(least)))
+        return least
+
+    def member(
+        vals: tuple[int, ...], start: tuple[int, ...] | None, step: Callable[[int], int] | None
+    ) -> tuple[int, ...] | None:
+        """vals' least colouring, () if it was not searched, None if it has
+        none; its search resumes at `start` (None: its parent has no merge),
+        trying `step` first when given."""
+        constructive = None
+        if splitter is not None:
+            try:
+                constructive = splitter(Permutation._trusted(vals))
+            except PreconditionError:
+                pass  # outside the splitter's domain: the oracle decides
+            except Exception as exc:
+                failures.append((vals, f"splitter raised {type(exc).__name__}: {exc}"))
+                return ()
+            if (
+                constructive is not None
+                and not (Counter(constructive.parts) - spec_counts)
+                and merge_check(constructive)
+            ):
+                report.max_colors_used = max(report.max_colors_used, constructive.colors_used())
+                return ()
+            report.fallbacks += 1
+        if start is None:
+            return settle(vals, None, constructive)
+        if step is None:
+            return settle(vals, colors(vals, start), constructive)
+        c = step(vals[-1])
+        return settle(vals, (*start, c) if c < k else colors(vals, start, k), constructive)
+
+    walk = avoider_walk(class_basis)
+    first = next(walk, None) if n_max >= 0 else None
+    if first is None:  # ε is in the basis: the class is empty
+        return report
+    report.checked = 1
+    found: list[tuple[int, ...] | None] = [member((), (), None)]  # ε, the root
+    widest = 0  # colours used by the widest child that took its first step
+    for n, (parents, lasts, starts) in zip(range(1, n_max + 1), chain([first], walk)):
+        report.checked += len(lasts)
+        keep = n < n_max
         colorings: list[tuple[int, ...] | None] = []
         for q, start, lo, hi in zip(parents, found, starts, starts[1:]):
-            shared = None
+            step = None
             if start is not None and len(start) == n - 1:  # q was searched and merges
-                shared = [[] for _ in parts]
-                for v, c in zip(q, start):
-                    shared[c].append(2 * v)
-            for vals in level[lo:hi]:
-                constructive = error = None
-                if splitter is not None:
-                    try:
-                        constructive = splitter(Permutation._trusted(vals))
-                    except PreconditionError:
-                        pass  # outside the splitter's domain: the oracle decides
-                    except Exception as exc:
-                        error = f"splitter raised {type(exc).__name__}: {exc}"
-                colors = ()  # not searched
-                if error is not None:
-                    failures.append((vals, error))
-                elif (
-                    constructive is not None
-                    and not (Counter(constructive.parts) - spec_counts)
-                    and merge_check(constructive)
-                ):
-                    report.max_colors_used = max(report.max_colors_used, constructive.colors_used())
+                step = first_steps(q, start)
+            if splitter is not None or step is None:
+                # not searched (()): from scratch; no merge (None): none
+                for vals in avoider_members((q,), lasts, (lo, hi)):
+                    colorings.append(member(vals, start, step))
+                continue
+            used = set(start)
+            # a child's colour count, by the class its new entry takes
+            width = [len(used) + (c not in used) for c in range(k)]
+            for last in lasts[lo:hi]:
+                c = step(last)
+                if c < k:
+                    if width[c] > widest:
+                        widest = width[c]
+                    if keep:
+                        colorings.append((*start, c))
                 else:
-                    if splitter is not None:
-                        report.fallbacks += 1
-                    colors = None if start is None else search(vals, start, shared)
-                    if colors is None:
-                        detail = "no merge into the spec exists"
-                        if constructive is not None:
-                            detail += "; splitter certificate invalid: " + "; ".join(
-                                merge_violations(constructive)
-                            )
-                        failures.append((vals, detail))
-                    else:
-                        report.max_colors_used = max(report.max_colors_used, len(set(colors)))
-                if n < n_max:
-                    colorings.append(colors)
-        parents, found = level, colorings
+                    vals = avoider_members((q,), (last,), (0, 1))[0]
+                    colorings.append(settle(vals, colors(vals, start, k)))
+        found = colorings
+    report.max_colors_used = max(report.max_colors_used, widest)
     failures.sort(key=lambda failure: (len(failure[0]), failure[0]))
     report.failures = [(Permutation._trusted(vals).text(), detail) for vals, detail in failures]
     return report

@@ -621,25 +621,33 @@ def all_perms(n: int) -> Iterator[Permutation]:
         yield Permutation(vals)
 
 
-def avoider_walk(basis: Iterable[Permutation]) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
-    """The generating tree of Av(basis), one level per order from 0 up: the
-    pair (level, starts) of the members of that order as plain value tuples
-    in walk order and the offsets of their parents' children.  The children
-    of the i-th member of the level before are level[starts[i]:starts[i + 1]],
-    in increasing last value, so len(starts) is one more than the number of
-    parents (level 0's one member is the child of the root: starts [0, 1]).
-    The child q + last appends last to its parent q, shifting the values at
-    or above it up; its parent is it without its last entry, reduced.
+def avoider_walk(
+    basis: Iterable[Permutation],
+) -> Iterator[tuple[list[tuple[int, ...]], list[int], list[int]]]:
+    """The generating tree of Av(basis), one triple (parents, lasts, starts)
+    per order n from 1 up.  parents holds the members of order n - 1 as plain
+    value tuples, in walk order; the first triple's one parent is ε, the
+    root.  The children of parents[i] are given by their last values
+    lasts[starts[i]:starts[i + 1]], in increasing order, so len(starts) is
+    one more than len(parents) and starts[-1] is len(lasts).  The child
+    q + last appends last to its parent q, shifting the values at or above it
+    up (`avoider_members` builds them); its parent is it without its last
+    entry, reduced.
 
-    A level is built from the one before it, the only one kept, and is not
-    sorted.  The walk ends at the first empty level: every later one is
-    empty too, because the class is hereditary.
+    The members of order n, the next triple's parents, are built only when
+    the walk is resumed for order n + 1, and no other level is kept.  The
+    walk yields nothing if ε is in the basis, and ends after the first order
+    with no members: every later one is empty too, because the class is
+    hereditary.
 
     >>> walk = avoider_walk({Permutation((1, 3, 2))})
-    >>> [next(walk) for _ in range(3)][2]
-    ([(2, 1), (1, 2)], [0, 2])
-    >>> next(walk)  # (3, 2, 1), (3, 1, 2), (2, 1, 3) are the children of (2, 1)
-    ([(3, 2, 1), (3, 1, 2), (2, 1, 3), (2, 3, 1), (1, 2, 3)], [0, 3, 5])
+    >>> next(walk), next(walk)
+    (([()], [1], [0, 1]), ([(1,)], [1, 2], [0, 2]))
+    >>> parents, lasts, starts = next(walk)  # (2, 1)'s children end in 1, 2, 3
+    >>> parents, lasts, starts
+    ([(2, 1), (1, 2)], [1, 2, 3, 1, 3], [0, 3, 5])
+    >>> avoider_members(parents, lasts, starts)
+    [(3, 2, 1), (3, 1, 2), (2, 1, 3), (2, 3, 1), (1, 2, 3)]
     """
     # X⊖1's greatest bottom is n minus the least top of X's complement in the
     # complemented parent n - v; b = 1 is X⊕1 with X = ε, whose top -inf
@@ -664,16 +672,13 @@ def avoider_walk(basis: Iterable[Permutation]) -> Iterator[tuple[list[tuple[int,
         else:
             rest.append(b.values)
     complements = floors or any(neg for neg, _, _ in drops)
-    level: list[tuple[int, ...]] = [()]
-    starts = [0, 1]
-    n = 0
-    while level:
-        yield level, starts
-        n += 1
-        out: list[tuple[int, ...]] = []
+    parents: list[tuple[int, ...]] = [()]
+    n = 1
+    while parents:
+        lasts: list[int] = []
         starts = []
-        for q in level:
-            starts.append(len(out))
+        for q in parents:
+            starts.append(len(lasts))
             lo, hi = 1, n
             for x in caps:
                 hi = min(hi, least_top(x, q))
@@ -683,7 +688,7 @@ def avoider_walk(basis: Iterable[Permutation]) -> Iterator[tuple[list[tuple[int,
                 lo = max(lo, n + 1 - least_top(x, complement_q))
             if hi < lo:
                 continue
-            lasts = range(lo, hi + 1)
+            allowed = range(lo, hi + 1)
             if drops:
                 free = [True] * (n + 1)
                 for neg, a, k in drops:
@@ -691,14 +696,38 @@ def avoider_walk(basis: Iterable[Permutation]) -> Iterator[tuple[list[tuple[int,
                     for top, bottom in _run_drop_splits(a, k - 1, complement_q if neg else q):
                         low, high = (n + 1 - bottom, n - top) if neg else (top + 1, bottom)
                         free[low:high + 1] = [False] * (high + 1 - low)
-                lasts = compress(lasts, free[lo:hi + 1])
-            for last in lasts:
+                allowed = compress(allowed, free[lo:hi + 1])
+            if rest:
                 # last - 0.5 sits where the shifted values put last: same order type
-                if rest and any(ends_with_occurrence(b, q + (last - 0.5,)) for b in rest):
-                    continue
-                out.append(tuple([v + (v >= last) for v in q]) + (last,))
-        starts.append(len(out))
-        level = out
+                allowed = [
+                    last
+                    for last in allowed
+                    if not any(ends_with_occurrence(b, q + (last - 0.5,)) for b in rest)
+                ]
+            lasts.extend(allowed)
+        starts.append(len(lasts))
+        yield parents, lasts, starts
+        parents = avoider_members(parents, lasts, starts)
+        n += 1
+
+
+def avoider_members(
+    parents: Sequence[tuple[int, ...]], lasts: Sequence[int], starts: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """The members an `avoider_walk` triple describes, as plain value tuples:
+    the children of each parent in turn, in increasing last value, each its
+    parent with the values at or above its last value shifted up, then that
+    value.  `avoider_members((q,), lasts, (lo, hi))` builds one parent's
+    children.
+
+    >>> avoider_members([(2, 1), (1, 2)], [1, 2, 3, 1, 3], [0, 3, 5])[:3]
+    [(3, 2, 1), (3, 1, 2), (2, 1, 3)]
+    """
+    return [
+        (*[v + (v >= last) for v in q], last)
+        for q, lo, hi in zip(parents, starts, starts[1:])
+        for last in lasts[lo:hi]
+    ]
 
 
 def enumerate_avoiders(basis: Iterable[Permutation], n: int) -> Iterator[Permutation]:
@@ -721,21 +750,56 @@ def enumerate_avoiders(basis: Iterable[Permutation], n: int) -> Iterator[Permuta
     by `_run_drop_splits(a, k - 1, parent)`, the sweeps `avoids` decides
     with; only the other basis elements are tested per candidate, by a
     search through the new entry, among the allowed values.
-    The basis is classified once per call.  Each call walks the levels
-    0..n of one `avoider_walk`, which holds only the parent level and the one
-    being built as plain value tuples (no recursion, no cache between
-    calls), sorts only level n, and wraps only the members it yields in
-    `Permutation`, without the sort check.
+    The basis is classified once per call.  Each call walks orders 1..n of
+    one `avoider_walk` (no recursion, no cache between calls), builds only
+    the members of order n from its last triple, sorts them, and wraps only
+    the members it yields in `Permutation`, without the sort check.
+
+    >>> [p.text() for p in enumerate_avoiders({Permutation((1, 3, 2))}, 3)]
+    ['1 2 3', '2 1 3', '2 3 1', '3 1 2', '3 2 1']
+    >>> [p.text() for p in enumerate_avoiders({Permutation((1, 3, 2))}, 0)]
+    ['ε']
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    level, _ = next(islice(avoider_walk(basis), n, None), ([], None))
-    level.sort()  # the walk that built it is gone
+    walk = avoider_walk(basis)
+    if n == 0:  # ε, the root, is a member iff the walk yields at all
+        level = [()] if next(walk, None) else []
+    else:
+        level = avoider_members(*next(islice(walk, n - 1, None), ((), (), ())))
+    level.sort()
     yield from map(Permutation._trusted, level)
+
+
+def count_avoiders(basis: Iterable[Permutation], n: int) -> int:
+    """|Av_n(basis)|: the number of order-n children in the walk's triple for
+    order n, len(lasts), none of them built.
+
+    >>> [count_avoiders({Permutation((1, 3, 2))}, n) for n in range(6)]
+    [1, 1, 2, 5, 14, 42]
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    walk = avoider_walk(basis)
+    if n == 0:
+        return sum(1 for _ in islice(walk, 1))
+    return len(next(islice(walk, n - 1, None), ((), (), ()))[1])
 
 
 def avoiders_up_to(basis: Iterable[Permutation], n_max: int) -> Iterator[Permutation]:
     """All members of Av(basis) of order 0..n_max, in size-then-lex order,
-    from one walk of the levels, each sorted as it is emitted."""
-    for _, (level, _) in zip(range(n_max + 1), avoider_walk(basis)):
-        yield from map(Permutation._trusted, sorted(level))
+    from one walk: each order below n_max is the parents of the next triple,
+    and order n_max is built from its own triple; each is sorted as it is
+    emitted.
+
+    >>> [p.text() for p in avoiders_up_to({Permutation((2, 1))}, 2)]
+    ['ε', '1', '1 2']
+    """
+    if n_max < 0:
+        return
+    for n, (parents, lasts, starts) in enumerate(avoider_walk(basis), 1):
+        yield from map(Permutation._trusted, sorted(parents))  # order n - 1
+        if n == n_max:
+            yield from map(Permutation._trusted, sorted(avoider_members(parents, lasts, starts)))
+        if n >= n_max:
+            return

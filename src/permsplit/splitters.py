@@ -337,6 +337,12 @@ class MatchingBase:
         root; computed once per base."""
         return self(Matching(((1, 2),))).colors[0]
 
+    @cached_property
+    def parts_indecomposable(self) -> bool:
+        """Are all the part patterns sum-indecomposable, as match_split
+        requires?  Decided once per base."""
+        return all(sum_decompose(q) is None for q in self.parts)
+
 
 def dilworth_matching_base(n: int) -> MatchingBase:
     """Lift dilworth_split(n, ·) to permutation matchings (arc = element)."""
@@ -437,6 +443,13 @@ def _plan(obs: Matching) -> _ObstaclePlan:
     return _ObstaclePlan(obs, len(obs), "components", _plan(m_plus(obs)), _plan(m_minus(obs)))
 
 
+@lru_cache(maxsize=None)
+def _pattern_matching(pattern: Permutation) -> Matching:
+    """m(pattern), built once per pattern: match_split's precondition and
+    oneplus_split's obstacle."""
+    return m_of(pattern)
+
+
 def match_split(
     n: Matching,
     pattern: Permutation,
@@ -466,9 +479,9 @@ def match_split(
     given, receives the recursion trace, one row per node; without one none
     is kept.
     """
-    if any(sum_decompose(q) is not None for q in base.parts):
+    if not base.parts_indecomposable:
         raise PreconditionError("base part patterns must be sum-indecomposable")
-    m_pattern = m_of(pattern)
+    m_pattern = _pattern_matching(pattern)
     if matching_contains(m_pattern, n):
         raise PreconditionError(f"host contains m({pattern.text()})")
     if obstacle != m_pattern and matching_contains(obstacle, n):
@@ -582,7 +595,7 @@ def oneplus_split(
         raise PreconditionError("colorer parts must match the base spec")
 
     reduced, positions = reduced_envelope_map(rho)
-    cert = match_split(reduced, sigma, m_of(sigma), colorer)
+    cert = match_split(reduced, sigma, _pattern_matching(sigma), colorer)
     k = len(colorer.parts)
     copies = max(1, len(cert.parts) // k)
     parts = tuple(direct_sum(one, q) for q in colorer.parts) * copies

@@ -30,6 +30,49 @@ def run_lines(capsys, argv, stdin_text=None, monkeypatch=None):
     return code, [json.loads(line) for line in out.splitlines() if line]
 
 
+@pytest.mark.parametrize(
+    "basis, counts",
+    [
+        # OEIS A061552
+        ("1324", [1, 1, 2, 6, 23, 103, 513, 2762, 15793, 94776]),
+        # OEIS A047889
+        ("1432", [1, 1, 2, 6, 23, 103, 513, 2761, 15767, 94359]),
+        ("1234", [1, 1, 2, 6, 23, 103, 513, 2761, 15767, 94359]),
+    ],
+)
+def test_counts_match_oeis(capsys, basis, counts):
+    got = [
+        run_lines(capsys, ["enumerate", "--avoid", basis, "--n", str(n), "--count"])
+        for n in range(10)
+    ]
+    assert got == [(0, [{"n": n, "count": count}]) for n, count in enumerate(counts)]
+    assert [len(list(enumerate_avoiders({P(basis)}, n))) for n in range(10)] == counts
+
+
+def test_order_zero_and_a_basis_with_the_empty_permutation(capsys):
+    # the outputs of the level walk that the last-value walk replaced
+    cases = [
+        (["enumerate", "--avoid", "132", "--n", "0"], 0, [{"perm": "ε"}]),
+        (["enumerate", "--avoid", "132", "--n", "0", "--count"], 0, [{"n": 0, "count": 1}]),
+        (["enumerate", "--avoid", "1", "--n", "0"], 0, [{"perm": "ε"}]),
+        (["enumerate", "--avoid", "1", "--n", "1", "--count"], 0, [{"n": 1, "count": 0}]),
+        (["enumerate", "--avoid", "ε", "--n", "0"], 0, []),
+        (["enumerate", "--avoid", "ε", "--n", "0", "--count"], 0, [{"n": 0, "count": 0}]),
+        (["enumerate", "--avoid", "ε,12", "--n", "2"], 0, []),
+        (["enumerate", "--avoid", "ε", "--n", "3", "--count"], 0, [{"n": 3, "count": 0}]),
+    ]
+    empty = {"checked": 0, "failures": [], "max_colors_used": 0, "fallbacks": 0, "pass": True}
+    one = dict(empty, checked=1)  # ε alone
+    cases += [
+        (["verify", "--class", "1432", "--parts", "132", "--max-n", "0"], 0, [one]),
+        (["verify", "--class", "1", "--parts", "132", "--max-n", "3"], 0, [one]),
+        (["verify", "--class", "ε", "--parts", "132", "--max-n", "0"], 0, [empty]),
+        (["verify", "--class", "ε", "--parts", "132", "--max-n", "3"], 0, [empty]),
+    ]
+    for argv, code, lines in cases:
+        assert run_lines(capsys, argv) == (code, lines), argv
+
+
 def test_parse_spec():
     assert parse_spec("132,213") == SplittingSpec.of(P("132"), P("213"))
     assert parse_spec("2*132") == SplittingSpec(((P("132"), 2),))

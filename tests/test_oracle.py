@@ -15,7 +15,7 @@ from permsplit.oracle import (
     unavoidable_witness,
     verify_splitting,
 )
-from permsplit.perms import EMPTY, Permutation, avoiders_up_to
+from permsplit.perms import EMPTY, Permutation, avoider_members, avoiders_up_to
 from permsplit.splitters import (
     ColoringCertificate,
     SplittingSpec,
@@ -46,6 +46,36 @@ def test_merge_violations_locate_occurrences():
     assert merge_violations(good) == []
     bad_m = ColoringCertificate(subject=m_of(P("21")), parts=(P("21"),), colors=(0, 0))
     assert merge_violations(bad_m) == ["class 0 contains m(2 1) on arcs 1-3 2-4"]
+
+
+def test_merge_violations_on_matchings_scan_only_classes_that_cross():
+    # the nesting sweep clears an m(21) class before any subset scan; every
+    # message stays the one the full scan of every class gives
+    from itertools import product
+
+    from permsplit.matchings import matchings_up_to
+    from permsplit.oracle import _submatching_occurrence, merge_violations
+
+    def full_scan(cert):
+        out = []
+        for c, part in enumerate(cert.parts):
+            arcs = [arc for arc, color in zip(cert.subject.arcs, cert.colors) if color == c]
+            found = _submatching_occurrence(part, arcs)
+            if found is not None:
+                shown = " ".join(f"{a}-{b}" for a, b in found)
+                out.append(f"class {c} contains m({part.text()}) on arcs {shown}")
+        return out
+
+    part_lists = [(P("21"), P("21")), (P("132"), P("21"))]
+    offending = 0
+    for m in matchings_up_to(5):
+        for colors in product(range(2), repeat=len(m)):
+            for parts in part_lists:
+                cert = ColoringCertificate(subject=m, parts=parts, colors=colors)
+                want = full_scan(cert)
+                assert merge_violations(cert) == want, (m, colors, parts)
+                offending += bool(want)
+    assert offending
 
 
 def test_merge_check_matching_subject():
@@ -303,18 +333,33 @@ def test_verify_splitting_matches_a_search_from_scratch_per_member(
 ):
     from permsplit import oracle
 
-    # every colouring the resumed searches find, to hold against merge_member's
+    # every colouring verify derives, resumed searches and first steps alike,
+    # keyed by the member's values, to hold against merge_member's
     found = {}
+    stepped = []
     make_search = oracle._merge_search
 
     def recording(parts):
-        search = make_search(parts)
+        search, first_steps = make_search(parts)
 
-        def colors(values, start=(), shared=None):
-            found[values] = search(values, start, shared)
+        def colors(values, start=(), c=0):
+            found[values] = search(values, start, c)
             return found[values]
 
-        return colors
+        def recorded_first_steps(q, start):
+            step = first_steps(q, start)
+
+            def recorded(last):
+                c = step(last)
+                if c < len(parts):  # verify derives (*start, c) with no values of its own
+                    child = avoider_members((q,), (last,), (0, 1))[0]
+                    found[child] = (*start, c)
+                    stepped.append(child)
+                return c
+
+            return recorded
+
+        return colors, recorded_first_steps
 
     spec = spec()
     monkeypatch.setattr(oracle, "_merge_search", recording)
@@ -324,6 +369,7 @@ def test_verify_splitting_matches_a_search_from_scratch_per_member(
     want = _reference_report(basis, spec, n_max, splitter=splitter)
     assert got.to_json_dict() == want.to_json_dict()
     assert found and got.checked > n_max
+    assert stepped or splitter is not None
     for values, colors in found.items():
         cert = merge_member(Permutation(values), spec)
         assert colors == (None if cert is None else cert.colors), values

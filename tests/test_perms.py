@@ -525,24 +525,44 @@ def test_interval_bases_enumerate_without_a_pinned_search(monkeypatch):
 
 @pytest.mark.parametrize("basis", ["1432", "1324", "123", "2413 3142", "2314", ""])
 def test_avoider_walk_links_each_child_to_its_parent(basis):
-    from permsplit.perms import avoider_walk, avoiders_up_to
+    from permsplit.perms import avoider_members, avoider_walk, avoiders_up_to
 
     basis = {P(b) for b in basis.split()}
     members = [p.values for p in avoiders_up_to(basis, 7)]
     walk = avoider_walk(basis)
-    assert next(walk) == ([()], [0, 1])  # the empty member, the root's one child
-    parents = [()]
-    for n, (level, starts) in zip(range(1, 8), walk):
-        assert len(starts) == len(parents) + 1 and starts[0] == 0 and starts[-1] == len(level)
+    parents = [()]  # ε, the root
+    for n, (got, lasts, starts) in zip(range(1, 8), walk):
+        assert got == parents  # each order's members are the next triple's parents
+        assert len(starts) == len(parents) + 1 and starts[0] == 0 and starts[-1] == len(lasts)
+        level = avoider_members(parents, lasts, starts)
+        assert [child[-1] for child in level] == lasts
         for q, lo, hi in zip(parents, starts, starts[1:]):
-            lasts = [child[-1] for child in level[lo:hi]]
-            assert lasts == sorted(set(lasts))
+            assert lasts[lo:hi] == sorted(set(lasts[lo:hi]))
+            assert avoider_members((q,), lasts, (lo, hi)) == level[lo:hi]
             for child in level[lo:hi]:
                 # the member with its last entry deleted and the rest reduced
                 assert tuple(v - (v > child[-1]) for v in child[:-1]) == q
         assert sorted(level) == [vals for vals in members if len(vals) == n]
         parents = level
     assert n == 7
+
+
+def test_order_zero_and_the_empty_basis_element():
+    from permsplit.perms import avoider_walk, avoiders_up_to, count_avoiders
+
+    assert list(enumerate_avoiders({P("132")}, 0)) == [EMPTY]
+    assert count_avoiders({P("132")}, 0) == 1 and count_avoiders({P("1")}, 0) == 1
+    assert list(avoiders_up_to({P("1")}, 3)) == [EMPTY]
+    assert list(avoiders_up_to({P("12")}, 0)) == [EMPTY]
+    # ε in the basis: the class is empty and the walk yields nothing
+    for basis in ({EMPTY}, {EMPTY, P("12")}):
+        assert list(avoider_walk(basis)) == []
+        assert [count_avoiders(basis, n) for n in range(4)] == [0, 0, 0, 0]
+        assert [list(enumerate_avoiders(basis, n)) for n in range(4)] == [[], [], [], []]
+        assert list(avoiders_up_to(basis, 3)) == []
+    # a finite class: the walk ends after its first empty order
+    assert list(avoider_walk({P("12"), P("21")})) == [([()], [1], [0, 1]), ([(1,)], [], [0, 0])]
+    assert [count_avoiders({P("12"), P("21")}, n) for n in range(4)] == [1, 1, 0, 0]
 
 
 def test_trusted_children_compare_and_hash_like_checked_ones():

@@ -390,6 +390,28 @@ def test_entry_points_reject_a_host_containing_the_obstacle():
         match_split(M("1-3 2-4"), P("321"), m_of(P("21")), base)
 
 
+def test_match_split_checks_its_preconditions_once_per_pattern_and_base(monkeypatch):
+    from permsplit import splitters
+    from permsplit.splitters import MatchingBase
+
+    calls = []
+    for name in ("m_of", "sum_decompose"):
+        real = getattr(splitters, name)
+        counted = lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        monkeypatch.setattr(splitters, name, counted)
+    splitters._pattern_matching.cache_clear()
+    pattern = P("4321")
+    obstacle, base = m_of(pattern), dilworth_matching_base(4)
+    for m in ("1-3 2-4", "1-2 3-4", "1-4 2-5 3-6"):
+        match_split(M(m), pattern, obstacle, base)
+    assert sorted(calls) == ["m_of"] + ["sum_decompose"] * 3  # base 4 has three parts
+    # both messages stay; a decomposable part is refused before any search
+    with pytest.raises(PreconditionError, match="sum-indecomposable"):
+        match_split(M("1-2"), P("21"), m_of(P("21")), MatchingBase((P("12"),), base.fn))
+    with pytest.raises(PreconditionError, match="host contains m"):
+        match_split(M("1-3 2-4"), P("21"), m_of(P("21")), base)
+
+
 def test_circle_color_proper_small():
     obstacle = m_of(P("321"))
     for m in matchings_up_to(4):
