@@ -3,9 +3,11 @@
 Everything here checks certificates and classes from first principles: merge
 membership by exhaustive backtracking over part assignments (verify_splitting
 walks the generating tree of the class and resumes each member's search at
-its parent's colouring, first in the parent's own colour classes, which
-skips only tuples that already failed, so the search stays exhaustive and
-finds the same lexicographically first certificate as merge_member), matching
+its parent's colouring, which skips only tuples that already failed, so the
+search stays exhaustive and finds the same lexicographically first
+certificate as merge_member; its first step reads the parent's colour
+classes, each with one list of the last values that would complete its
+pattern, read off the occurrences of the pattern's prefix), matching
 avoidance by scanning arc subsets, witness properties by enumerating all
 two-colorings.  Color classes are searched as plain value sequences, as they
 stand.  merge_check decides each class of a permutation with perms.avoids,
@@ -35,6 +37,7 @@ from .perms import (
     avoider_walk,
     avoiders_up_to,
     avoids,
+    completing_intervals,
     contains,
     ends_with_occurrence,
 )
@@ -183,12 +186,14 @@ def _merge_search(
     shorter than its pattern.
 
     first_steps(q, start) serves the children of q, a value sequence that
-    `start` colours validly: it builds q's classes once, with every value
-    doubled, and returns step(last), the search's first step for the child
-    q + last, the least class that takes its last entry, which enters the
-    classes as 2 * last - 1; k if none does.  Each try is undone, so the
-    classes serve all of q's children, and a child that a class takes has
-    the colouring (*start, step(last)) with no values of its own.
+    `start` colours validly: it builds q's classes once and returns
+    step(last), the search's first step for the child q + last, the least
+    class that takes its last entry, which sits just below q's value `last`;
+    k if none does.  Which last values complete a class's pattern depends on
+    the class alone, so each class's `completing_intervals` are listed once,
+    the first time a child reaches it, and each child only compares its last
+    value with them.  A child that a class takes has the colouring
+    (*start, step(last)) with no values of its own.
 
     Identical empty parts are interchangeable: a class opens only once its
     previous identical twin has, so identical classes fill up in index order,
@@ -244,10 +249,26 @@ def _merge_search(
     def first_steps(q: Sequence[int], start: Sequence[int]) -> Callable[[int], int]:
         classes: list[list[int]] = [[] for _ in range(k)]
         for v, col in zip(q, start):
-            classes[col].append(2 * v)
+            classes[col].append(v)
+        intervals: list[list[tuple[float, float]] | None] = [None] * k
 
         def step(last: int) -> int:
-            return first_class(classes, 2 * last - 1, 0)
+            # the new entry sits just below q's value `last`: inside (a, b)
+            # iff a < last <= b
+            for c in range(k):
+                cls = classes[c]
+                if cls or twin[c] < 0 or classes[twin[c]]:
+                    if len(cls) < shorter[c]:
+                        return c
+                    completing = intervals[c]
+                    if completing is None:
+                        completing = intervals[c] = completing_intervals(patterns[c], cls)
+                    for a, b in completing:
+                        if a < last <= b:
+                            break
+                    else:
+                        return c
+            return k
 
         return step
 
@@ -286,9 +307,11 @@ def verify_splitting(
     colouring instead of at all zeros.  It is still exhaustive over the rest
     and finds the same lexicographically first colouring as
     merge_member(p, spec).  The colour classes of a parent that merges are
-    built once (`first_steps`), and each child takes the search's first
-    step, the new entry's least class, in them from its last value alone;
-    its colour count is the parent's, plus one if that class was empty.  A
+    built once (`first_steps`), each with one list of the intervals of last
+    values that complete its pattern, and each child takes the search's
+    first step, the new entry's least class, from its last value alone: the
+    least class none of whose intervals holds it.  Its colour count is the
+    parent's, plus one if that class was empty.  A
     child's values are built only when it becomes a parent (by the walk),
     when no class takes its last value (the resumed search needs them), for
     the splitter, or for a failure's text.  A child of a parent with no

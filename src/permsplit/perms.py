@@ -420,6 +420,68 @@ def ends_with_occurrence(pattern: Sequence[int], seq: Sequence[int]) -> bool:
     return not pattern or _first_occurrence(tuple(pattern), seq, True) is not None
 
 
+def completing_intervals(pattern: Sequence[int], seq: Sequence[int]) -> list[tuple[float, float]]:
+    """Open intervals (lo, hi) such that `seq + (v,)`, for any v not in seq,
+    has an occurrence of `pattern` through v iff lo < v < hi for one of them.
+
+    Every occurrence of pattern[:-1] in seq gives the values of its entries
+    nearest below and above pattern[-1] (±inf where there is none), so the
+    list answers `ends_with_occurrence` for every candidate last value from
+    one search.  The search is `_first_occurrence`'s backtracking over the
+    full pattern's neighbour bounds, in which the last entry's interval reads
+    the prefix like one more later entry.  It goes on past each occurrence,
+    and the failed-candidate rule skips the later candidates that read no
+    better, whose intervals would all lie inside those already listed.
+
+    >>> completing_intervals((1, 3, 2), (2, 4, 1, 3))
+    [(2, 4), (1, 3)]
+    >>> completing_intervals((2, 1), ()), completing_intervals((1,), ())
+    ([], [(-inf, inf)])
+    """
+    pattern = tuple(pattern)
+    m, n = len(pattern), len(seq)
+    if m < 2:
+        return [(-math.inf, math.inf)]
+    lo, hi, roles = _neighbour_bounds(pattern, False)
+    free = m - 1  # the prefix entries; the last one only reads them
+    vals = [0] * m + [-math.inf, math.inf]
+    chosen = [0] * free
+    out = []
+    retry = False
+    k = start = 0
+    while True:
+        a, b = vals[lo[k]], vals[hi[k]]
+        stop = n - free + k + 1
+        if retry:
+            role = roles[k]
+            if role == 1:
+                b = vals[k]
+            elif role == 2:
+                a = vals[k]
+            elif not role:
+                stop = start
+        for pos in range(start, stop):
+            v = seq[pos]
+            if a < v < b:
+                break
+        else:
+            if k == 0:
+                return out
+            k -= 1
+            start = chosen[k] + 1
+            retry = True
+            continue
+        chosen[k] = pos
+        vals[k] = v
+        start = pos + 1
+        if k + 1 < free:
+            k += 1
+            retry = False
+        else:  # a prefix occurrence: list its interval, then retry entry k
+            out.append((vals[lo[free]], vals[hi[free]]))
+            retry = True
+
+
 def least_top(pattern: Sequence[int], seq: Sequence[int], bound: float = math.inf) -> float:
     """The least maximum of an occurrence of `pattern` in `seq` with every
     value below `bound`, or `bound` if there is none; -inf for the empty

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from conftest import brute_contains
 
@@ -253,8 +255,6 @@ def test_verify_splitting_uses_splitter_fast_path():
 
 def _reference_report(class_basis, spec, n_max, splitter=None) -> VerificationReport:
     """verify_splitting with a merge_member search from scratch per member."""
-    from collections import Counter
-
     from permsplit.oracle import merge_violations
 
     spec_counts = Counter(spec.flatten())
@@ -326,6 +326,10 @@ def _theorem_spec():
         ("1324", lambda: SplittingSpec.of(P("132")), 6, None),
         # a basis of two elements, into identical parts
         ("2413 3142", lambda: SplittingSpec(((P("21"), 2),)), 7, None),
+        # 213's completing intervals are open above, (a, inf)
+        ("1324", lambda: SplittingSpec.of(P("132"), P("213")), 7, None),
+        # the singleton part's one interval is (-inf, inf): its class stays empty
+        ("321", lambda: SplittingSpec(((P("1"), 1), (P("21"), 2))), 6, None),
     ],
 )
 def test_verify_splitting_matches_a_search_from_scratch_per_member(
@@ -377,22 +381,28 @@ def test_verify_splitting_matches_a_search_from_scratch_per_member(
 
 def test_verify_splitting_resumes_each_search_at_the_parent(monkeypatch):
     # merge_member from scratch on every member of Av_{<=8}(1432) makes
-    # 151,547 calls
+    # 151,547 occurrence searches; verify makes one interval search per
+    # class that a child reaches, and no child needs more than that step
     from permsplit import oracle
 
-    calls = []
-    search = oracle.ends_with_occurrence
+    calls = Counter()
 
-    def counted(*args):
-        calls.append(args)
-        return search(*args)
+    def counted(name):
+        search = getattr(oracle, name)
 
-    monkeypatch.setattr(oracle, "ends_with_occurrence", counted)
+        def call(*args):
+            calls[name] += 1
+            return search(*args)
+
+        return call
+
+    for name in ("ends_with_occurrence", "completing_intervals"):
+        monkeypatch.setattr(oracle, name, counted(name))
     report = verify_splitting({P("1432")}, _theorem_spec(), 8)
     assert report.to_json_dict() == {
         "checked": 19177, "failures": [], "max_colors_used": 2, "fallbacks": 0, "pass": True,
     }
-    assert len(calls) <= 25_000
+    assert calls == {"completing_intervals": 3400}
 
 
 def test_report_json():

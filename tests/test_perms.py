@@ -24,6 +24,7 @@ from permsplit.perms import (
     all_perms,
     avoids,
     complement,
+    completing_intervals,
     contains,
     decreasing,
     direct_sum,
@@ -163,6 +164,22 @@ def test_ends_with_occurrence_matches_brute_force():
     assert not ends_with_occurrence((1, 2), (1,))
     # an occurrence that misses the last entry does not count
     assert contains(P("12"), P("231")) and not ends_with_occurrence((1, 2), (2, 3, 1))
+
+
+def test_completing_intervals_match_ends_with_occurrence():
+    patterns = [(), *(P(t).values for t in "1 12 21 132 213 2413 14253 13524".split())]
+    for n in range(7):
+        for host in all_perms(n):
+            # each new value in a slot between the host's values, or beyond them
+            for seq, slots in (
+                (host.values, [s - 0.5 for s in range(1, n + 2)]),
+                (tuple(2 * v for v in host.values), range(1, 2 * n + 2, 2)),
+            ):
+                for patt in patterns:
+                    found = completing_intervals(patt, seq)
+                    for v in slots:
+                        want = ends_with_occurrence(patt, seq + (v,))
+                        assert any(lo < v < hi for lo, hi in found) == want, (patt, seq, v)
 
 
 def _planted_occurrences() -> list[tuple[Permutation, Permutation]]:
