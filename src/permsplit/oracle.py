@@ -306,21 +306,22 @@ def verify_splitting(
     for p's prefix too, and p's search resumes at q's lexicographically first
     colouring instead of at all zeros.  It is still exhaustive over the rest
     and finds the same lexicographically first colouring as
-    merge_member(p, spec).  The colour classes of a parent that merges are
-    built once (`first_steps`), each with one list of the intervals of last
-    values that complete its pattern, and each child takes the search's
-    first step, the new entry's least class, from its last value alone: the
-    least class none of whose intervals holds it.  Its colour count is the
-    parent's, plus one if that class was empty.  A
-    child's values are built only when it becomes a parent (by the walk),
-    when no class takes its last value (the resumed search needs them), for
-    the splitter, or for a failure's text.  A child of a parent with no
-    merge has none either, because merging is hereditary, and is not
-    searched.  Children of parents that the splitter handled, or that failed
-    through the splitter, search from scratch.  A parent's colouring is
-    found by its index among the parents, the only order whose colourings
-    are kept, and a first step's colouring (*start, c) is built only below
-    n_max; no certificate is built for a searched member.
+    merge_member(p, spec).  With no splitter, the colour classes of a
+    parent that merges are built once (`first_steps`), each with one list of
+    the intervals of last values that complete its pattern, and each child
+    takes the search's first step, the new entry's least class, from its
+    last value alone: the least class none of whose intervals holds it.  Its
+    colour count is the parent's, plus one if that class was empty.  Every
+    other child has its values built and goes through one `member`: the
+    splitter, if given, and then the search resumed at the leaf (*start, c),
+    c = k if no class took the new entry, else 0, so a splitter's fallback
+    finds the same least colouring.  A child of a parent with no merge has
+    none either, because merging is hereditary, and is not searched;
+    children of parents that the splitter handled, or that failed through
+    it, search from scratch.  A parent's colouring is found by its index
+    among the parents, the only order whose colourings are kept, and a first
+    step's colouring (*start, c) is built only below n_max; no certificate
+    is built for a searched member.
 
     >>> spec = SplittingSpec(((Permutation((1, 3, 2)), 1),))
     >>> report = verify_splitting({Permutation((1, 3, 2, 4))}, spec, 4)
@@ -334,29 +335,12 @@ def verify_splitting(
     report = VerificationReport()
     failures: list[tuple[tuple[int, ...], str]] = []
 
-    def settle(
-        vals: tuple[int, ...],
-        least: tuple[int, ...] | None,
-        constructive: ColoringCertificate | None = None,
-    ) -> tuple[int, ...] | None:
-        """Record a searched member's least colouring, or its failure."""
-        if least is None:
-            detail = "no merge into the spec exists"
-            if constructive is not None:
-                detail += "; splitter certificate invalid: " + "; ".join(
-                    merge_violations(constructive)
-                )
-            failures.append((vals, detail))
-        else:
-            report.max_colors_used = max(report.max_colors_used, len(set(least)))
-        return least
-
     def member(
-        vals: tuple[int, ...], start: tuple[int, ...] | None, step: Callable[[int], int] | None
+        vals: tuple[int, ...], start: tuple[int, ...] | None, c: int
     ) -> tuple[int, ...] | None:
         """vals' least colouring, () if it was not searched, None if it has
-        none; its search resumes at `start` (None: its parent has no merge),
-        trying `step` first when given."""
+        none; its search resumes at the leaf (*start, c) (start None: its
+        parent has no merge)."""
         constructive = None
         if splitter is not None:
             try:
@@ -374,19 +358,24 @@ def verify_splitting(
                 report.max_colors_used = max(report.max_colors_used, constructive.colors_used())
                 return ()
             report.fallbacks += 1
-        if start is None:
-            return settle(vals, None, constructive)
-        if step is None:
-            return settle(vals, colors(vals, start), constructive)
-        c = step(vals[-1])
-        return settle(vals, (*start, c) if c < k else colors(vals, start, k), constructive)
+        least = None if start is None else colors(vals, start, c)
+        if least is None:
+            detail = "no merge into the spec exists"
+            if constructive is not None:
+                detail += "; splitter certificate invalid: " + "; ".join(
+                    merge_violations(constructive)
+                )
+            failures.append((vals, detail))
+        else:
+            report.max_colors_used = max(report.max_colors_used, len(set(least)))
+        return least
 
     walk = avoider_walk(class_basis)
     first = next(walk, None) if n_max >= 0 else None
     if first is None:  # ε is in the basis: the class is empty
         return report
     report.checked = 1
-    found: list[tuple[int, ...] | None] = [member((), (), None)]  # ε, the root
+    found: list[tuple[int, ...] | None] = [member((), (), 0)]  # ε, the root
     widest = 0  # colours used by the widest child that took its first step
     for n, (parents, lasts, starts) in zip(range(1, n_max + 1), chain([first], walk)):
         report.checked += len(lasts)
@@ -394,26 +383,24 @@ def verify_splitting(
         colorings: list[tuple[int, ...] | None] = []
         for q, start, lo, hi in zip(parents, found, starts, starts[1:]):
             step = None
-            if start is not None and len(start) == n - 1:  # q was searched and merges
+            # q was searched and merges: its children take their first step
+            if splitter is None and start is not None:
                 step = first_steps(q, start)
-            if splitter is not None or step is None:
-                # not searched (()): from scratch; no merge (None): none
-                for vals in avoider_members((q,), lasts, (lo, hi)):
-                    colorings.append(member(vals, start, step))
-                continue
-            used = set(start)
-            # a child's colour count, by the class its new entry takes
-            width = [len(used) + (c not in used) for c in range(k)]
+                used = set(start)
+                # a child's colour count, by the class its new entry takes
+                width = [len(used) + (c not in used) for c in range(k)]
             for last in lasts[lo:hi]:
-                c = step(last)
-                if c < k:
-                    if width[c] > widest:
-                        widest = width[c]
-                    if keep:
-                        colorings.append((*start, c))
-                else:
-                    vals = avoider_members((q,), (last,), (0, 1))[0]
-                    colorings.append(settle(vals, colors(vals, start, k)))
+                c = 0
+                if step is not None:
+                    c = step(last)
+                    if c < k:
+                        if width[c] > widest:
+                            widest = width[c]
+                        if keep:
+                            colorings.append((*start, c))
+                        continue
+                vals = avoider_members((q,), (last,), (0, 1))[0]
+                colorings.append(member(vals, start, c))
         found = colorings
     report.max_colors_used = max(report.max_colors_used, widest)
     failures.sort(key=lambda failure: (len(failure[0]), failure[0]))

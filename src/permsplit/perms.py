@@ -410,7 +410,8 @@ def ends_with_occurrence(pattern: Sequence[int], seq: Sequence[int]) -> bool:
     Both are plain sequences of distinct values.  Only such occurrences can be
     new when an element joins a sequence that avoids the pattern.  Backtracks
     like `contains` with the last pattern entry pinned to seq's last entry, so
-    the neighbour bounds of every candidate already include that entry.
+    the neighbour bounds of every candidate already include that entry.  It
+    asks one candidate at a time, for `greedy_colors` and the merge search.
 
     >>> ends_with_occurrence((1, 3, 2), (2, 4, 1, 3))
     True
@@ -427,9 +428,11 @@ def completing_intervals(pattern: Sequence[int], seq: Sequence[int]) -> list[tup
     Every occurrence of pattern[:-1] in seq gives the values of its entries
     nearest below and above pattern[-1] (±inf where there is none), so the
     list answers `ends_with_occurrence` for every candidate last value from
-    one search.  The search is `_first_occurrence`'s backtracking over the
-    full pattern's neighbour bounds, in which the last entry's interval reads
-    the prefix like one more later entry.  It goes on past each occurrence,
+    one search (the avoider walk's, per parent and basis element; the
+    oracle's first step's, per parent class).  The search is
+    `_first_occurrence`'s backtracking over the full pattern's neighbour
+    bounds, in which the last entry's interval reads the prefix like one
+    more later entry.  It goes on past each occurrence,
     and the failed-candidate rule skips the later candidates that read no
     better, whose intervals would all lie inside those already listed.
 
@@ -696,6 +699,9 @@ def avoider_walk(
     up (`avoider_members` builds them); its parent is it without its last
     entry, reduced.
 
+    A parent's last values are read off it once per basis element, with no
+    search per candidate (see `enumerate_avoiders`).
+
     The members of order n, the next triple's parents, are built only when
     the walk is resumed for order n + 1, and no other level is kept.  The
     walk yields nothing if ε is in the basis, and ends after the first order
@@ -716,7 +722,8 @@ def avoider_walk(
     # allows none.  drops holds (complemented, a, k) for I_a ⊕ D_k and its
     # complement; a shape with a trailing run (1324 = I_1 ⊕ D_2 ⊕ I_1) is no
     # forbidden interval.  A split's top < last - 0.5 < bottom forbids
-    # [top + 1, bottom].
+    # [top + 1, bottom], and a rest element's completing interval (a, c),
+    # a < last - 0.5 < c, forbids [a + 1, c]; both are marked in one mask.
     caps, floors, drops, rest = [], [], [], []
     for b in basis:
         m = len(b)
@@ -751,21 +758,18 @@ def avoider_walk(
             if hi < lo:
                 continue
             allowed = range(lo, hi + 1)
-            if drops:
+            if drops or rest:
                 free = [True] * (n + 1)
                 for neg, a, k in drops:
                     # the complemented child appends n + 1 - last
                     for top, bottom in _run_drop_splits(a, k - 1, complement_q if neg else q):
                         low, high = (n + 1 - bottom, n - top) if neg else (top + 1, bottom)
                         free[low:high + 1] = [False] * (high + 1 - low)
+                for b in rest:
+                    for a, c in completing_intervals(b, q):  # low > high marks none
+                        low, high = max(a + 1, lo), min(c, hi)
+                        free[low:high + 1] = [False] * (high + 1 - low)
                 allowed = compress(allowed, free[lo:hi + 1])
-            if rest:
-                # last - 0.5 sits where the shifted values put last: same order type
-                allowed = [
-                    last
-                    for last in allowed
-                    if not any(ends_with_occurrence(b, q + (last - 0.5,)) for b in rest)
-                ]
             lasts.extend(allowed)
         starts.append(len(lasts))
         yield parents, lasts, starts
@@ -810,8 +814,10 @@ def enumerate_avoiders(basis: Iterable[Permutation], n: int) -> Iterator[Permuta
     thresholds and intervals are read off the parent once, the thresholds by
     `least_top` (one patience pass when X is increasing) and the intervals
     by `_run_drop_splits(a, k - 1, parent)`, the sweeps `avoids` decides
-    with; only the other basis elements are tested per candidate, by a
-    search through the new entry, among the allowed values.
+    with.  Every other basis element forbids the last values v with
+    lo < v - 0.5 < hi for one of its `completing_intervals` (lo, hi) on the
+    parent, one list per parent, marked in the same mask as the run-drop
+    intervals; no candidate is searched on its own.
     The basis is classified once per call.  Each call walks orders 1..n of
     one `avoider_walk` (no recursion, no cache between calls), builds only
     the members of order n from its last triple, sorts them, and wraps only

@@ -495,8 +495,10 @@ def _split_avoiding(
 ) -> tuple[tuple[int, ...], int]:
     """match_split's colours and copy count on a host already known to avoid
     m(pattern) and the obstacle; the trace is recorded only into a state the
-    caller passed."""
+    caller passed.  The empty host takes no copy and no lone-arc colour."""
     arcs = n.arcs
+    if not arcs:
+        return (), 0
     graph = CrossingGraph(arcs)
     k = len(base.parts)
     lone = base.lone_arc_color

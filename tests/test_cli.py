@@ -38,6 +38,10 @@ def run_lines(capsys, argv, stdin_text=None, monkeypatch=None):
         # OEIS A047889
         ("1432", [1, 1, 2, 6, 23, 103, 513, 2761, 15767, 94359]),
         ("1234", [1, 1, 2, 6, 23, 103, 513, 2761, 15767, 94359]),
+        # the walk reads these through completing intervals: OEIS A022558
+        ("2413", [1, 1, 2, 6, 23, 103, 512, 2740, 15485, 91245]),
+        # the separable permutations, OEIS A006318
+        ("2413,3142", [1, 1, 2, 6, 22, 90, 394, 1806, 8558, 41586]),
     ],
 )
 def test_counts_match_oeis(capsys, basis, counts):
@@ -46,7 +50,8 @@ def test_counts_match_oeis(capsys, basis, counts):
         for n in range(10)
     ]
     assert got == [(0, [{"n": n, "count": count}]) for n, count in enumerate(counts)]
-    assert [len(list(enumerate_avoiders({P(basis)}, n))) for n in range(10)] == counts
+    elements = {P(b) for b in basis.split(",")}
+    assert [len(list(enumerate_avoiders(elements, n))) for n in range(10)] == counts
 
 
 def test_order_zero_and_a_basis_with_the_empty_permutation(capsys):
@@ -278,6 +283,22 @@ def test_color_matching(capsys, monkeypatch):
     assert code == 0
     assert lines[0]["arcs"] == "1-3 2-4" and lines[0]["colors_used"] == 2
     assert lines[1]["colors_used"] == 1
+
+
+def test_color_matching_the_empty_matching(capsys, monkeypatch):
+    # the empty matching has no arc to colour, even with no colour to give:
+    # m(1), one arc, is the obstacle for --forbid-clique 1
+    for clique in ("1", "2", "3"):
+        code, lines = run_lines(
+            capsys,
+            ["color-matching", "--forbid-clique", clique, "--input", "-"],
+            stdin_text='{"arcs": ""}\n',
+            monkeypatch=monkeypatch,
+        )
+        assert (code, lines) == (0, [{"arcs": "", "colors": [], "colors_used": 0}]), clique
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1-2\n"))
+    assert run(["color-matching", "--forbid-clique", "1", "--input", "-"]) == 1
+    assert capsys.readouterr().err == "error: matching has 1 pairwise crossing arcs\n"
 
 
 def test_usage_errors(capsys):

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import sys
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, islice
 
 import pytest
 from conftest import (
@@ -538,6 +539,29 @@ def test_interval_bases_enumerate_without_a_pinned_search(monkeypatch):
     level = list(enumerate_avoiders(basis, 8))
     assert calls == []
     assert len(level) > len(parents) and all(avoids(b, p) for p in level for b in basis)
+
+
+def test_rest_bases_enumerate_through_one_interval_list_per_parent(monkeypatch):
+    # Av(2413, 3142) walked to order 8: neither element is a threshold or a
+    # run-drop shape, so each parent lists each element's completing
+    # intervals once, and no candidate is searched on its own
+    basis = {P("2413"), P("3142")}
+    calls = Counter()
+
+    def counted(name):
+        search = getattr(perms, name)
+
+        def call(*args):
+            calls[name] += 1
+            return search(*args)
+
+        return call
+
+    for name in ("_first_occurrence", "completing_intervals"):
+        monkeypatch.setattr(perms, name, counted(name))
+    parents = sum(len(triple[0]) for triple in islice(perms.avoider_walk(basis), 8))
+    assert parents == 1 + 1 + 2 + 6 + 22 + 90 + 394 + 1806  # orders 0-7
+    assert calls == {"completing_intervals": 2 * parents}
 
 
 @pytest.mark.parametrize("basis", ["1432", "1324", "123", "2413 3142", "2314", ""])
