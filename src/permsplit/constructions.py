@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .envelope import matching_to_perm, reduced_envelope_map
+from .envelope import matching_to_perm, reduced_envelope_walk
 from .errors import PreconditionError, VerificationError
 from .matchings import CrossingGraph, Matching, is_connected, m_of, matching_contains, mirror
 from .perms import (
@@ -125,9 +125,8 @@ def tau_of(n: Matching, sigma: Permutation) -> Permutation:
     width = 2 * len(planted) + 1
     lefts = {a for a, _ in n.arcs}
     arcs: list[tuple[float, float]] = list(n.arcs)
-    for e in range(1, 2 * len(n)):
-        if e not in lefts and e + 1 in lefts:
-            arcs.extend((e + a / width, e + b / width) for a, b in planted.arcs)
+    for e in (b for _, b in n.arcs if b + 1 in lefts):  # right-left endpoint gaps
+        arcs.extend((e + a / width, e + b / width) for a, b in planted.arcs)
     tau = matching_to_perm(Matching.from_arcs(arcs))
     if not avoids(direct_sum(Permutation((1,)), sigma), tau):
         raise VerificationError(f"tau_of produced a witness containing 1⊕{sigma.text()}")
@@ -248,10 +247,10 @@ def _colors(plan: TheoremPlan, p: Permutation) -> tuple[int, ...]:
 def _level_side_classes(p: Permutation) -> tuple[int, ...]:
     """Level/side coloring of R(p) for route c's parts (τ⁺, τ⁺, τ⁻, τ⁻):
     classes (even/odd, left/right) avoid N± and therefore τ(N±); LR-minima
-    ride along in class 0."""
-    reduced, positions = reduced_envelope_map(p)
+    ride along in class 0.  No R(p) `Matching` is built."""
+    ends, positions = reduced_envelope_walk(p)
     colors = [0] * len(p)
-    for comp in CrossingGraph(reduced.arcs).components(range(len(reduced))):
+    for comp in CrossingGraph.from_ends(ends).components(range(len(positions))):
         for level, sides in enumerate(comp):
             for side, group in enumerate(sides):  # 0 for plus, 1 for minus
                 for j in group:

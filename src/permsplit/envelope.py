@@ -31,9 +31,9 @@ class EnvelopeDecomposition:
 
 
 def _envelope_labels(p: Permutation) -> tuple[list[int], list[int]]:
-    """down[v], the label of the down-step in row v, and right[i], that of
-    the right-step in column i (index 0 unused); formulas in
-    reduced_envelope_map."""
+    """down[v], the label of row v's down-step, n - v + f(v) with f(v) the first
+    column whose prefix minimum is <= v, and right[i], that of column i's
+    right-step, i + n + 1 - prefmin(i), for envelope_of; index 0 unused."""
     n = len(p)
     down = [0] * (n + 1)
     right = [0] * (n + 1)
@@ -44,6 +44,28 @@ def _envelope_labels(p: Permutation) -> tuple[list[int], list[int]]:
             down[low] = n - low + i
         right[i] = i + n + 1 - low
     return down, right
+
+
+def reduced_envelope_walk(p: Permutation) -> tuple[list[int], list[int]]:
+    """R(p) by one walk along the envelope path, with no labels: its endpoint
+    sequence, k + 1 where arc k opens and ~k = -(k + 1) where it closes (the
+    encoding `CrossingGraph.from_ends` reads), and positions[k], the column
+    of arc k's element.  At a new prefix minimum p(i), the rows above it not
+    yet stepped each open an arc, numbered in opening (left-end) order, and
+    p(i)'s own short arc is skipped; any other right-step closes row p(i)'s arc."""
+    arc, positions, ends = [0] * (len(p) + 1), [0] * len(p), []
+    low, opened = len(p) + 1, 0  # rows low and up are stepped
+    for i, v in enumerate(p.values, start=1):
+        if v < low:
+            top = opened + low - v - 1
+            ends.extend(range(opened + 1, top + 1))
+            arc[v + 1 : low] = range(top - 1, opened - 1, -1)  # arc[r]: row r's arc
+            opened, low = top, v
+        else:
+            ends.append(~arc[v])
+            positions[arc[v]] = i
+    del positions[opened:]
+    return ends, positions
 
 
 def envelope_of(p: Permutation) -> EnvelopeDecomposition:
@@ -71,11 +93,7 @@ def is_envelope_matching(m: Matching) -> bool:
     """The decodability condition: a left endpoint directly followed by a
     right endpoint must be matched to it."""
     lefts = {a for a, _ in m.arcs}
-    arcs = set(m.arcs)
-    for a in lefts:
-        if a + 1 <= 2 * len(m) and a + 1 not in lefts and (a, a + 1) not in arcs:
-            return False
-    return True
+    return all(b == a + 1 or a + 1 in lefts for a, b in m.arcs)
 
 
 def decode_envelope(m: Matching) -> Permutation | None:
@@ -86,15 +104,9 @@ def decode_envelope(m: Matching) -> Permutation | None:
     """
     if not is_envelope_matching(m):
         return None
-    n = len(m)
-    lefts = sorted(a for a, _ in m.arcs)
-    rights = sorted(b for _, b in m.arcs)
-    row_of = {a: n - t for t, a in enumerate(lefts)}  # t-th down-step sits in row n-t
-    col_of = {b: t + 1 for t, b in enumerate(rights)}
-    vals = [0] * n
-    for a, b in m.arcs:
-        vals[col_of[b] - 1] = row_of[a]
-    return Permutation(tuple(vals))
+    n = len(m)  # the t-th arc is in row n - t, and its rank by right end is its column
+    by_column = sorted(range(n), key=lambda t: m.arcs[t][1])
+    return Permutation(tuple(n - t for t in by_column))
 
 
 def reduced_envelope(p: Permutation) -> Matching:
@@ -106,34 +118,14 @@ def reduced_envelope_map(p: Permutation) -> tuple[Matching, tuple[int, ...]]:
     """R(p) together with the covered element behind each of its arcs.
 
     The j-th entry is the 1-based position of the element whose envelope arc
-    became the j-th arc of R(p) (both sides in left-endpoint order).
-
-    Element i's envelope arc joins the down-step of row p(i), labelled
-    n - p(i) + f(p(i)), to the right-step of column i, labelled
-    i + n + 1 - prefmin(i): the path steps down row v in the first column
-    f(v) whose prefix minimum is <= v.  The arc is short exactly when p(i) is
-    an LR-minimum.  Down labels grow as v falls, so visiting values n..1
-    lists the long arcs in left-endpoint order, and one counting pass over
-    the labels renormalises them: O(n), no sort, and the matching is built
-    without `Matching`'s O(n log n) validation.
+    became the j-th arc of R(p) (both sides in left-endpoint order).  The
+    arcs are read off reduced_envelope_walk's endpoint sequence, where an
+    endpoint is its index: no sort and no `Matching` validation.
     """
-    n = len(p)
-    down, right = _envelope_labels(p)
-    column = [0] * (n + 1)
-    for i, v in enumerate(p.values, start=1):
-        column[v] = i
-    ends = [(down[v], right[column[v]], column[v]) for v in range(n, 0, -1)]
-    ends = [end for end in ends if end[1] - end[0] > 1]
-    rank = [0] * (2 * n + 1)
-    for a, b, _ in ends:
-        rank[a] = rank[b] = 1
-    r = 0
-    for label in range(1, 2 * n + 1):
-        if rank[label]:
-            r += 1
-            rank[label] = r
-    arcs = tuple((rank[a], rank[b]) for a, b, _ in ends)
-    return Matching._trusted(arcs), tuple(i for _, _, i in ends)
+    ends, positions = reduced_envelope_walk(p)
+    at = {k: e for e, k in enumerate(ends, start=1)}
+    arcs = tuple((at[k + 1], at[~k]) for k in range(len(positions)))
+    return Matching._trusted(arcs), tuple(positions)
 
 
 def tangle(m: Matching, interval: tuple[float, float]) -> Matching:
@@ -187,11 +179,8 @@ def matching_to_perm(m: Matching) -> Permutation:
     preimage of R is not unique; this picks the greedy left-to-right one.)
     """
     lefts = {a for a, _ in m.arcs}
-    arcs: list[tuple[float, float]] = list(m.arcs)
-    for e in range(1, 2 * len(m)):
-        if e in lefts and e + 1 not in lefts:
-            arcs.append((e + 1 / 3, e + 2 / 3))
-    result = decode_envelope(Matching.from_arcs(arcs))
+    shorts = [(a + 1 / 3, a + 2 / 3) for a, _ in m.arcs if a + 1 not in lefts]
+    result = decode_envelope(Matching.from_arcs([*m.arcs, *shorts]))
     if result is None:
         raise VerificationError("short-arc insertion must produce an envelope matching")
     return result

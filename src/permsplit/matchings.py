@@ -261,20 +261,31 @@ class CrossingGraph:
     """
 
     def __init__(self, arcs: Sequence[Arc]):
-        # end[e] is k + 1 where arc k opens, -(k + 1) where it closes
-        end, last = [0] * (2 * len(arcs) + 1), 0
+        # end[e - 1] is k + 1 where arc k opens, ~k = -(k + 1) where it closes
+        end, last = [0] * (2 * len(arcs)), 0
         for k, (a, b) in enumerate(arcs):
-            if not last < a < b < len(end) or end[a] or end[b]:
+            if not last < a < b <= len(end) or end[a - 1] or end[b - 1]:
                 raise ValueError(f"arc {k} {arcs[k]!r}: arcs must be normalized and sorted")
-            end[a], end[b], last = k + 1, -k - 1, a
-        self.nbr = nbr = [0] * len(arcs)
+            end[a - 1], end[b - 1], last = k + 1, ~k, a
+        self._scan(end)
+
+    @classmethod
+    def from_ends(cls, ends: Sequence[int]) -> "CrossingGraph":
+        """The graph of an endpoint sequence in __init__'s encoding, arcs
+        numbered in opening order, as `reduced_envelope_walk` returns; unchecked."""
+        graph = cls.__new__(cls)
+        graph._scan(ends)
+        return graph
+
+    def _scan(self, ends: Sequence[int]) -> None:
+        self.nbr = nbr = [0] * (len(ends) // 2)
         opened, live = nbr[:], 0  # live: arcs opened and not yet closed
-        for k in end[1:]:
+        for k in ends:
             if k > 0:
                 opened[k - 1] = live
                 live |= 1 << (k - 1)
             else:
-                k = -k - 1
+                k = ~k
                 live ^= 1 << k
                 nbr[k] = (opened[k] & ~live) | (live >> (k + 1) << (k + 1))
 

@@ -601,9 +601,10 @@ def oneplus_split(
     k = len(colorer.parts)
     copies = max(1, len(cert.parts) // k)
     parts = tuple(direct_sum(one, q) for q in colorer.parts) * copies
-    color_of_position = {pos: cert.colors[j] for j, pos in enumerate(positions)}
-    colors = tuple(color_of_position.get(i, 0) for i in range(1, len(rho) + 1))
-    return ColoringCertificate(subject=rho, parts=parts, colors=colors)
+    colors = [0] * len(rho)
+    for pos, color in zip(positions, cert.colors):
+        colors[pos - 1] = color
+    return ColoringCertificate(subject=rho, parts=parts, colors=tuple(colors))
 
 
 @lru_cache(maxsize=None)

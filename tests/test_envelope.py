@@ -9,6 +9,7 @@ from permsplit.envelope import (
     matching_to_perm,
     reduced_envelope,
     reduced_envelope_map,
+    reduced_envelope_walk,
     tangle,
     tangle_intervals,
 )
@@ -216,17 +217,34 @@ def _path_walk(p: Permutation) -> tuple[str, tuple, tuple, tuple]:
     return "".join(steps), tuple(sorted(elem_to_arc)), elem_to_arc, (reduced, positions)
 
 
+def _check_walk(p: Permutation, expected: tuple) -> None:
+    """reduced_envelope_walk against the walked R(p): its endpoint sequence
+    (k + 1 where arc k opens, -(k + 1) where it closes) and its positions."""
+    arcs, positions = expected
+    ends = [0] * (2 * len(arcs))
+    for k, (a, b) in enumerate(arcs):
+        ends[a - 1], ends[b - 1] = k + 1, -(k + 1)
+    assert reduced_envelope_walk(p) == (ends, list(positions)), p
+
+
 def test_envelope_labels_match_the_path_walk():
     # the label formulas against the step-by-step walk: every permutation of
     # order <= 7 and seeded hosts of order 30-300, and R(p) alone, the
-    # certificate path, on every permutation of order 8
+    # certificate path, on every permutation of order 8; the envelope walk's
+    # endpoint sequence on all of them and on a decreasing host (no arcs)
     from conftest import seeded_hosts
+
+    from permsplit.perms import decreasing
 
     for p in [p for n in range(8) for p in all_perms(n)] + seeded_hosts(105, 24):
         env = envelope_of(p)
         reduced, positions = reduced_envelope_map(p)
         got = (env.path, env.arcs.arcs, env.elem_to_arc, (reduced.arcs, positions))
-        assert got == _path_walk(p), p
-    for p in all_perms(8):
+        walked = _path_walk(p)
+        assert got == walked, p
+        _check_walk(p, walked[3])
+    for p in [*all_perms(8), decreasing(300)]:
         reduced, positions = reduced_envelope_map(p)
-        assert (reduced.arcs, positions) == _path_walk(p)[3], p
+        walked = _path_walk(p)[3]
+        assert (reduced.arcs, positions) == walked, p
+        _check_walk(p, walked)

@@ -349,20 +349,34 @@ def test_crossing_graph_core_matches_definitions_on_deep_components():
 def test_crossing_graph_matches_a_brute_bfs_on_large_envelopes():
     # R(p) of seeded hosts of order 300-1,500, all six families: the mask BFS
     # against a BFS over neighbour sets from `crosses` on all pairs, on the
-    # full index set and on seeded subsets
+    # full index set and on seeded subsets.  The graph scanned off the
+    # envelope walk (`from_ends`) has the same masks and components, there
+    # and on every permutation of order <= 8 and a decreasing host (no arcs)
     import random
 
-    from permsplit.envelope import reduced_envelope
+    from permsplit.envelope import reduced_envelope, reduced_envelope_walk
+    from permsplit.perms import decreasing
 
+    def graphs(p, arcs):
+        graph, walked = CrossingGraph(arcs), CrossingGraph.from_ends(reduced_envelope_walk(p)[0])
+        assert walked.nbr == graph.nbr, p
+        return graph, walked
+
+    for p in [*(p for n in range(9) for p in all_perms(n)), decreasing(300)]:
+        arcs = reduced_envelope(p).arcs
+        expected = brute_components(arcs, range(len(arcs)))
+        for graph in graphs(p, arcs):
+            assert _as_dicts(graph.components(range(len(arcs)))) == expected, p
     rng = random.Random(1500)
     depth = minus_sides = 0
     for p in seeded_hosts(1500, 12, 300, 1500):
         arcs = reduced_envelope(p).arcs
-        graph, q = CrossingGraph(arcs), len(arcs)
+        (graph, walked), q = graphs(p, arcs), len(arcs)
         subsets = [range(q)] + [sorted(rng.sample(range(q), rng.randint(q // 4, q))) for _ in range(2)]
         for subset in subsets:
             comps = _as_dicts(graph.components(subset))
             assert comps == brute_components(arcs, subset), (p, len(subset))
+            assert _as_dicts(walked.components(subset)) == comps, (p, len(subset))
             depth = max(depth, *(level for comp in comps for level, _ in comp.values()))
             minus_sides += sum(1 for comp in comps for _, side in comp.values() if side < 0)
     assert depth >= 40 and minus_sides >= 1000, (depth, minus_sides)
