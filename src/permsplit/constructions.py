@@ -1,7 +1,7 @@
 """Explicit witness constructions and the end-to-end splitting router.
 
-For a sum-indecomposable σ, n_plus/n_minus build connected m(σ)-avoiding
-matchings containing the leftmost/rightmost-arc-shortened m(σ); tau_of turns
+For a sum-indecomposable σ, n_plus/n_minus augment m(σ) with its leftmost/
+rightmost arc shortened into a connected m(σ)-avoiding matching; tau_of turns
 any m(σ)-avoiding matching N into a (1⊕σ)-avoiding permutation τ(N) that is
 contained in every (1⊕σ)-avoider whose reduced envelope contains N.  Their
 guarantees are re-verified computationally on every call: the case analysis
@@ -22,7 +22,15 @@ from itertools import combinations
 
 from .envelope import matching_to_perm, reduced_envelope_walk
 from .errors import PreconditionError, VerificationError
-from .matchings import CrossingGraph, Matching, is_connected, m_of, matching_contains, mirror
+from .matchings import (
+    CrossingGraph,
+    Matching,
+    is_connected,
+    m_of,
+    m_plus,
+    matching_contains,
+    mirror,
+)
 from .perms import (
     SYMMETRIES,
     Permutation,
@@ -51,23 +59,14 @@ def _require_witness_sigma(sigma: Permutation, least: int) -> None:
 
 @lru_cache(maxsize=None)
 def n_plus(sigma: Permutation) -> Matching:
-    """A connected m(σ)-avoiding matching containing m_plus(m(σ)).
-
-    For |σ| ≥ 4 this augments the shortened matching with the chain of arcs
-    γ_i = (i-0.4, i+0.4) for x ≤ i ≤ 2m and δ_j = (j+0.2, j+0.8) for x ≤ j < 2m.
-    For |σ| = 3 that chain can recreate m(σ), so a bounded search over small
-    augmentations is used instead.  Both guarantees are checked before return.
+    """The first connected, m(σ)-avoiding augmentation of m_plus(m(σ)), which
+    is m(σ) with its leftmost arc shortened.  It contains m_plus(m(σ)) by
+    construction; connectivity and avoidance, the search's own tests, are
+    checked again before return.
     """
     _require_witness_sigma(sigma, 3)
     m = m_of(sigma)
-    x = next(b for a, b in m.arcs if a == 1)
-    shortened = [arc for arc in m.arcs if arc != (1, x)] + [(x - 0.5, x)]
-    if len(sigma) >= 4:
-        gammas = [(i - 0.4, i + 0.4) for i in range(x, 2 * len(m) + 1)]
-        deltas = [(j + 0.2, j + 0.8) for j in range(x, 2 * len(m))]
-        result = Matching.from_arcs(shortened + gammas + deltas)
-    else:
-        result = _augment_connected_avoiding(Matching.from_arcs(shortened), m)
+    result = _augment_connected_avoiding(m_plus(m), m)
     if not is_connected(result) or matching_contains(m, result):
         raise VerificationError(f"n_plus({sigma.text()}) failed its guarantees")
     return result
@@ -84,8 +83,9 @@ def n_minus(sigma: Permutation) -> Matching:
 
 
 def _augment_connected_avoiding(base: Matching, forbidden: Matching) -> Matching:
-    """Smallest augmentation of `base` by arcs between endpoint gaps that is
-    connected and avoids `forbidden`; deterministic search order."""
+    """The first augmentation of `base` that is connected and avoids
+    `forbidden`: one to three added arcs, each between two gaps of base's
+    endpoints, tried by arc count and then in lexicographic order."""
     gaps = [g + 0.5 for g in range(0, 2 * len(base) + 1)]
     candidates = [(lo, hi) for i, lo in enumerate(gaps) for hi in gaps[i + 1 :]]
     for extra in range(1, 4):

@@ -8,7 +8,8 @@ search stays exhaustive and finds the same lexicographically first
 certificate as merge_member; its first step reads the parent's colour
 classes, each with one list of the last values that would complete its
 pattern, read off the occurrences of the pattern's prefix), matching
-avoidance by scanning arc subsets, witness properties by enumerating all
+avoidance by scanning arc subsets, unavoidable witnesses by the merge
+search, with the one witness returned re-checked over all its
 two-colorings.  Color classes are searched as plain value sequences, as they
 stand.  merge_check decides each class of a permutation with perms.avoids,
 which sweeps the I_a ⊕ D_k- and I_a ⊕ D_2 ⊕ I_b-shaped patterns (every
@@ -408,19 +409,6 @@ def verify_splitting(
     return report
 
 
-def _coloring_defeats(
-    sigma: Permutation, tau: Permutation, pi: Permutation
-) -> tuple[int, ...] | None:
-    """A red/blue coloring of sigma with no red tau and no blue pi, if any."""
-    n = len(sigma)
-    for mask in range(1 << n):
-        red = [v for i, v in enumerate(sigma.values) if not mask >> i & 1]
-        blue = [v for i, v in enumerate(sigma.values) if mask >> i & 1]
-        if avoids(tau, red) and avoids(pi, blue):
-            return tuple(mask >> i & 1 for i in range(n))
-    return None
-
-
 def unavoidable_witness(
     class_basis: Iterable[Permutation],
     tau: Permutation,
@@ -428,9 +416,11 @@ def unavoidable_witness(
     size_bound: int,
 ) -> Permutation | None:
     """Least (size-then-lex) member of the class whose every red-blue coloring
-    has a red tau or a blue pi; None if no witness exists within the bound."""
+    has a red tau or a blue pi, found by the merge search into (tau, pi) and
+    re-checked over every coloring; None if no witness exists within the
+    bound."""
     for sigma in avoiders_up_to(class_basis, size_bound):
-        if _coloring_defeats(sigma, tau, pi) is None:
+        if merge_member(sigma, (tau, pi)) is None:
             if not _recheck_witness(sigma, tau, pi):
                 raise VerificationError(f"witness {sigma.text()} failed its re-check")
             return sigma

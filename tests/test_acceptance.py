@@ -229,7 +229,9 @@ def test_acceptance_06_oneplus_pipeline():
 
 
 def test_acceptance_07_theorem_end_to_end():
-    hard = ("1342", "1423", "1432", "13524")
+    # 1⊕σ for the 13 sum-indecomposable σ of order 4, 13524 among them
+    order_four = [direct_sum(ONE, s).text() for s in all_perms(4) if sum_decompose(s) is None]
+    hard = ("1342", "1423", "1432", *order_four)
     easy = ("2143", "1324", "2134")
     for text in hard + easy:
         pattern = P(text)

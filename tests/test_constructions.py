@@ -101,18 +101,25 @@ def test_n_plus_n_minus_guarantees():
 
 
 def test_n_plus_connected_through_order_five():
-    for n in (3, 4, 5):
+    # through order six: every route-c part τ(N±) has order at most 2|σ| + 5
+    for n in (3, 4, 5, 6):
         for s in all_perms(n):
-            if sum_decompose(s) is None:
-                assert is_connected(n_plus(s))
-                assert not matching_contains(m_of(s), n_plus(s))
+            if sum_decompose(s) is not None:
+                continue
+            m = m_of(s)
+            for construct, shorten in ((n_plus, m_plus), (n_minus, m_minus)):
+                result = construct(s)
+                assert is_connected(result)
+                assert not matching_contains(m, result)
+                assert matching_contains(shorten(m), result)
+                assert len(tau_of(result, s)) <= 2 * n + 5
 
 
 def test_n_plus_2413_pinned():
-    # the general chain construction, applied to the paper's running example
-    assert n_plus(P("2413")) == M("1-17 2-4 3-12 5-7 6-9 8-11 10-14 13-16 15-18")
-    # n_minus mirrors n_plus of the inverse 3142, whose chain starts at x=7
-    assert n_minus(P("2413")) == M("1-4 2-13 3-6 5-8 7-9 10-12 11-14")
+    # the search adds one arc to the shortened m(σ) of the paper's running example
+    assert n_plus(P("2413")) == M("1-9 2-4 3-8 5-7 6-10")
+    # n_minus mirrors n_plus of the inverse 3142
+    assert n_minus(P("2413")) == M("1-8 2-4 3-9 5-7 6-10")
 
 
 def test_tau_of_examples():

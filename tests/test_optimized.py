@@ -62,9 +62,12 @@ with mock.patch.object(envelope, "decode_envelope", lambda m: None):
     fires(envelope.matching_to_perm, M("1-2"))
 with mock.patch.object(matchings, "blocks", lambda m: (m,)):
     fires(matchings.m_plus, M("1-2 3-4"))
+with mock.patch.object(
+    constructions, "_augment_connected_avoiding", lambda base, forbidden: forbidden
+):
+    fires(constructions.n_plus, P("2413"))
 constructions.n_plus(P("3142"))  # cached, so n_minus(2413) reaches its own check
 with mock.patch.object(constructions, "is_connected", lambda m: False):
-    fires(constructions.n_plus, P("2413"))
     fires(constructions.n_minus, P("2413"))
     fires(constructions.n_plus, P("231"))
 with mock.patch.object(constructions, "avoids", lambda pattern, host: False):
