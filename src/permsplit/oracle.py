@@ -5,9 +5,10 @@ membership by exhaustive backtracking over part assignments (verify_splitting
 walks the generating tree of the class and resumes each member's search at
 its parent's colouring, which skips only tuples that already failed, so the
 search stays exhaustive and finds the same lexicographically first
-certificate as merge_member; its first step reads the parent's colour
-classes, each with one list of the last values that would complete its
-pattern, read off the occurrences of the pattern's prefix), matching
+certificate as merge_member; its first step decides all of a parent's
+children at once from the parent's colour classes, each with one mask of
+the last values that would complete its pattern, read off the occurrences
+of the pattern's prefix), matching
 avoidance by scanning arc subsets, unavoidable witnesses by the merge
 search, with the one witness returned re-checked over all its
 two-colorings.  Color classes are searched as plain value sequences, as they
@@ -171,7 +172,7 @@ def merge_violations(cert: ColoringCertificate) -> list[str]:
 
 def _merge_search(
     parts: Sequence[Permutation],
-) -> tuple[Callable[..., tuple[int, ...] | None], Callable[..., Callable[[int], int]]]:
+) -> tuple[Callable[..., tuple[int, ...] | None], Callable[..., tuple[list[int], int]]]:
     """The exhaustive merge search into `parts`, as two functions.
 
     colors(values, start=(), c=0) returns the lexicographically least colour
@@ -186,15 +187,17 @@ def _merge_search(
     through the newest element need testing, and none while the class is
     shorter than its pattern.
 
-    first_steps(q, start) serves the children of q, a value sequence that
-    `start` colours validly: it builds q's classes once and returns
-    step(last), the search's first step for the child q + last, the least
-    class that takes its last entry, which sits just below q's value `last`;
-    k if none does.  Which last values complete a class's pattern depends on
-    the class alone, so each class's `completing_intervals` are listed once,
-    the first time a child reaches it, and each child only compares its last
-    value with them.  A child that a class takes has the colouring
-    (*start, step(last)) with no values of its own.
+    first_steps(q, start, lasts) takes the search's first step for all the
+    children q + last of q, a value sequence that `start` colours validly:
+    the least class that takes the child's last entry, which sits just below
+    q's value `last`.  It builds q's classes once and tries them in index
+    order while some last value is left, so a class's `completing_intervals`
+    are listed only if a child reaches it.  Which last values complete a
+    class's pattern depends on the class alone: its intervals (a, b) become
+    one int mask of the blocked last values [a + 1, b] ∩ [1, n], and the
+    class takes the others still left.  It returns each class's mask of the
+    last values it takes, whose children have the colouring (*start, c) with
+    no values of their own, and the mask of those no class takes.
 
     Identical empty parts are interchangeable: a class opens only once its
     previous identical twin has, so identical classes fill up in index order,
@@ -247,31 +250,28 @@ def _merge_search(
                 return None
         return tuple(chosen)
 
-    def first_steps(q: Sequence[int], start: Sequence[int]) -> Callable[[int], int]:
+    def first_steps(
+        q: Sequence[int], start: Sequence[int], lasts: Iterable[int]
+    ) -> tuple[list[int], int]:
         classes: list[list[int]] = [[] for _ in range(k)]
         for v, col in zip(q, start):
             classes[col].append(v)
-        intervals: list[list[tuple[float, float]] | None] = [None] * k
-
-        def step(last: int) -> int:
-            # the new entry sits just below q's value `last`: inside (a, b)
-            # iff a < last <= b
-            for c in range(k):
-                cls = classes[c]
-                if cls or twin[c] < 0 or classes[twin[c]]:
-                    if len(cls) < shorter[c]:
-                        return c
-                    completing = intervals[c]
-                    if completing is None:
-                        completing = intervals[c] = completing_intervals(patterns[c], cls)
-                    for a, b in completing:
-                        if a < last <= b:
-                            break
-                    else:
-                        return c
-            return k
-
-        return step
+        takes, left, n = [0] * k, 0, len(q) + 1
+        for last in lasts:
+            left |= 1 << last
+        for c in range(k):
+            if not left:
+                break
+            cls = classes[c]
+            if cls or twin[c] < 0 or classes[twin[c]]:
+                blocked = 0  # a class shorter than its pattern blocks none
+                if len(cls) >= shorter[c]:
+                    for a, b in completing_intervals(patterns[c], cls):
+                        # the new entry sits just below q's value last:
+                        # inside (a, b) iff a < last <= b
+                        blocked |= (2 << min(b, n)) - (1 << max(a + 1, 1))
+                takes[c], left = left & ~blocked, left & blocked
+        return takes, left
 
     return colors, first_steps
 
@@ -307,13 +307,16 @@ def verify_splitting(
     for p's prefix too, and p's search resumes at q's lexicographically first
     colouring instead of at all zeros.  It is still exhaustive over the rest
     and finds the same lexicographically first colouring as
-    merge_member(p, spec).  With no splitter, the colour classes of a
-    parent that merges are built once (`first_steps`), each with one list of
-    the intervals of last values that complete its pattern, and each child
-    takes the search's first step, the new entry's least class, from its
-    last value alone: the least class none of whose intervals holds it.  Its
-    colour count is the parent's, plus one if that class was empty.  Every
-    other child has its values built and goes through one `member`: the
+    merge_member(p, spec).  With no splitter, `first_steps` builds the
+    colour classes of a parent that merges once and takes the search's
+    first step, the new entry's least class, for all its children at once,
+    from their last values alone: each class's intervals of last values
+    that complete its pattern become one mask, and the class takes the
+    children still left outside it.  The widest colour count, the parent's
+    plus one if the class was empty, is updated once per class that takes a
+    child, and the children are visited one by one only when their
+    colourings are kept (below n_max) or some child is left for the search.
+    Every other child has its values built and goes through one `member`: the
     splitter, if given, and then the search resumed at the leaf (*start, c),
     c = k if no class took the new entry, else 0, so a splitter's fallback
     finds the same least colouring.  A child of a parent with no merge has
@@ -383,23 +386,24 @@ def verify_splitting(
         keep = n < n_max
         colorings: list[tuple[int, ...] | None] = []
         for q, start, lo, hi in zip(parents, found, starts, starts[1:]):
-            step = None
+            children, takes = lasts[lo:hi], ()
             # q was searched and merges: its children take their first step
             if splitter is None and start is not None:
-                step = first_steps(q, start)
+                takes, left = first_steps(q, start, children)
                 used = set(start)
-                # a child's colour count, by the class its new entry takes
-                width = [len(used) + (c not in used) for c in range(k)]
-            for last in lasts[lo:hi]:
-                c = 0
-                if step is not None:
-                    c = step(last)
-                    if c < k:
-                        if width[c] > widest:
-                            widest = width[c]
-                        if keep:
-                            colorings.append((*start, c))
-                        continue
+                for c, taken in enumerate(takes):  # the widest child c takes
+                    if taken and len(used) + (c not in used) > widest:
+                        widest = len(used) + (c not in used)
+                if not (keep or left):
+                    continue
+            for last in children:
+                c = 0  # the class that takes it, else len(takes): k, or 0 with no first step
+                while c < len(takes) and not takes[c] >> last & 1:
+                    c += 1
+                if c < len(takes):
+                    if keep:
+                        colorings.append((*start, c))
+                    continue
                 vals = avoider_members((q,), (last,), (0, 1))[0]
                 colorings.append(member(vals, start, c))
         found = colorings

@@ -266,45 +266,67 @@ def _run_drop_splits(a: int, k: int, seq: Sequence[int]) -> Iterator[tuple[float
     given.  `avoids` asks for the first split (k >= 2); the avoider walk reads
     them all with k - 1 for a basis element I_a ⊕ D_k.
 
-    The prefix side takes `a` left-to-right passes: pass j keeps, for each t,
-    the least top of an increasing j-run inside seq[:t].  The suffix side is
-    one right-to-left pass: the greatest bottom of a decreasing j-run that
-    starts at position t is a prefix-maximum query, over the values below
-    seq[t], on a Fenwick tree holding the decreasing (j-1)-runs to the right;
-    k-1 trees, indexed by value: with k >= 2, seq is a permutation of 1..n.
+    The prefix side is one patience pass (a >= 1) over the tops
+    T_1 < ... < T_a of seq[:t], one bisect per value as in `least_top`.  On
+    the suffix side, with H_j(x) the greatest bottom of a decreasing j-run
+    from x (H_1(x) = x), G_k(seq[t:]) is the greatest H_{k-1}(y) over the y
+    in seq[t:] with a larger entry before them there: it grows by the
+    entries seq[t] pops off a stack of seq[t+1:]'s left-to-right maxima,
+    each popped once.  H_2(x), the greatest value below x right of x, is the
+    previous greater entry of the inverse in value order, one monotone stack
+    over 1..n; H_3 ... H_{k-1} (k >= 4) are prefix-maximum queries over the
+    values below x on k - 3 Fenwick trees.  These arrays are indexed by
+    value, so with k >= 3 seq is a permutation of 1..n.  k = 1 keeps the
+    suffix maximum.
 
     >>> list(_run_drop_splits(1, 2, (2, 4, 3, 1)))
     [(2, 3)]
     """
     n, inf = len(seq), math.inf
-    least = [-inf] * (n + 1)
-    for _ in range(a):
-        row, cur = [inf], inf
-        for lo, v in zip(least, seq):
-            if lo < v < cur:
-                cur = v
-            row.append(cur)
-        least = row
-    trees = [[-inf] * (n + 1) for _ in range(k - 1)]
-    best = -inf
+    least, tops = [inf], [inf] * a  # least[t]: T_a(seq[:t])
+    for v in seq:
+        i = bisect_left(tops, v)
+        if i < a:
+            tops[i] = v
+        least.append(tops[-1])
+    if k >= 3:  # level[x]: H_2(x), then H_{k-1}(x) once x is swept
+        where, level, below = [0] * (n + 1), [-inf] * (n + 1), []
+        for t, v in enumerate(seq):
+            where[v] = t
+        for v in range(1, n + 1):
+            while below and where[below[-1]] < where[v]:
+                below.pop()
+            if below:
+                level[v] = below[-1]
+            below.append(v)
+    trees = [[-inf] * (n + 1) for _ in range(k - 3)]
+    maxima, best = [], -inf
     for t in range(n - 1, -1, -1):
-        h = r = seq[t]
-        for tree in trees:
-            # add the (j-1)-run ending at value h, then ask for a j-run from t
-            # (a node already >= h ends the update: later nodes cover its range)
-            i = r
-            while i <= n and tree[i] < h:
-                tree[i] = h
-                i += i & -i
-            i, h = r - 1, -inf
-            while i:
-                if tree[i] > h:
-                    h = tree[i]
-                i &= i - 1
-            if h == -inf:
-                break
-        if h > best:
-            best = h
+        x = g = seq[t]
+        if k > 1:
+            g = -inf
+            for tree in trees:
+                # add H_{j-1}(x), then ask for H_j(x) (a node already >= h
+                # ends the update: later nodes cover its range)
+                i, h = x, level[x]
+                while i <= n and tree[i] < h:
+                    tree[i] = h
+                    i += i & -i
+                i, h = x - 1, -inf
+                while i:
+                    if tree[i] > h:
+                        h = tree[i]
+                    i &= i - 1
+                level[x] = h
+            while maxima and maxima[-1] < x:
+                y = maxima.pop()
+                if k > 2:
+                    y = level[y]
+                if y > g:
+                    g = y
+            maxima.append(x)
+        if g > best:
+            best = g
             if least[t] < best:
                 yield least[t], best
 
@@ -368,14 +390,15 @@ def avoids(pattern: Permutation | Sequence[int], host: Permutation | Sequence[in
       patience pass: the host avoids I_a iff T_a is inf;
     - a reverse and/or complement of I_a ⊕ D_k, k >= 2 (132, 213, 231, 312,
       and 1243, 1432, 2134, 2341, 3214, 3421, 4123, 4312 of order 4) by
-      `_run_drop_splits`;
+      `_run_drop_splits`: one patience pass and stacks, O(n log a), for
+      k <= 3, and k - 3 Fenwick trees on top for k >= 4;
     - a reverse and/or complement of I_a ⊕ D_2 ⊕ I_b with a, b >= 1 (1324
       and 4231 of order 4) by `_run_drop_run_found`;
     - every other pattern by the backtracking of `contains`, with no
       embedding built.
 
-    This is the only code that maps a host for the sweeps, whose trees read
-    values as indices (k >= 2 or b >= 1): it ranks a host that is no
+    This is the only code that maps a host for the sweeps, whose stacks and
+    trees read values as indices (k >= 2 or b >= 1): it ranks a host that is no
     `Permutation` onto 1..n, then reverses it and complements by n + 1 - v.
 
     >>> avoids((1, 4, 3, 2), (2, 3, 1, 5, 4)), avoids((1, 3, 2, 4), (20, 40, 10, 30))
@@ -814,7 +837,8 @@ def enumerate_avoiders(basis: Iterable[Permutation], n: int) -> Iterator[Permuta
     thresholds and intervals are read off the parent once, the thresholds by
     `least_top` (one patience pass when X is increasing) and the intervals
     by `_run_drop_splits(a, k - 1, parent)`, the sweeps `avoids` decides
-    with.  Every other basis element forbids the last values v with
+    with (a patience pass and stacks, and a Fenwick tree per level past
+    k = 4).  Every other basis element forbids the last values v with
     lo < v - 0.5 < hi for one of its `completing_intervals` (lo, hi) on the
     parent, one list per parent, marked in the same mask as the run-drop
     intervals; no candidate is searched on its own.

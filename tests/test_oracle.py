@@ -341,7 +341,9 @@ def test_verify_splitting_matches_a_search_from_scratch_per_member(
     # keyed by the member's values, to hold against merge_member's
     found = {}
     stepped = []
+    listed = []  # one entry per completing_intervals call
     make_search = oracle._merge_search
+    list_intervals = oracle.completing_intervals
 
     def recording(parts):
         search, first_steps = make_search(parts)
@@ -350,23 +352,35 @@ def test_verify_splitting_matches_a_search_from_scratch_per_member(
             found[values] = search(values, start, c)
             return found[values]
 
-        def recorded_first_steps(q, start):
-            step = first_steps(q, start)
-
-            def recorded(last):
-                c = step(last)
-                if c < len(parts):  # verify derives (*start, c) with no values of its own
-                    child = avoider_members((q,), (last,), (0, 1))[0]
-                    found[child] = (*start, c)
-                    stepped.append(child)
-                return c
-
-            return recorded
+        def recorded_first_steps(q, start, lasts):
+            lasts, before = list(lasts), len(listed)
+            takes, left = first_steps(q, start, lasts)
+            # classes are tried only while some last value is left
+            reached = max((c + 1 for c, taken in enumerate(takes) if taken), default=0)
+            assert len(listed) - before <= (len(parts) if left else reached)
+            # every last value is taken by one class or left for the search
+            everyone = 0
+            for mask in (*takes, left):
+                assert not everyone & mask
+                everyone |= mask
+            assert everyone == sum(1 << last for last in lasts)
+            # verify derives (*start, c) for a child class c takes, with no
+            # values of its own
+            for c, taken in enumerate(takes):
+                for last in lasts:
+                    if taken >> last & 1:
+                        child = avoider_members((q,), (last,), (0, 1))[0]
+                        found[child] = (*start, c)
+                        stepped.append(child)
+            return takes, left
 
         return colors, recorded_first_steps
 
     spec = spec()
     monkeypatch.setattr(oracle, "_merge_search", recording)
+    monkeypatch.setattr(
+        oracle, "completing_intervals", lambda *args: listed.append(args) or list_intervals(*args)
+    )
     basis = {P(b) for b in basis.split()}
     got = verify_splitting(basis, spec, n_max, splitter=splitter)
     monkeypatch.undo()
@@ -377,6 +391,30 @@ def test_verify_splitting_matches_a_search_from_scratch_per_member(
     for values, colors in found.items():
         cert = merge_member(Permutation(values), spec)
         assert colors == (None if cert is None else cert.colors), values
+
+
+def test_first_steps_decide_every_child_and_stop_when_none_is_left(monkeypatch):
+    # q = 2 1 coloured (0, 1) into (12, 21): the children end in 0.5, 1.5
+    # or 2.5 (last values 1, 2, 3); 12 takes 0.5 and 1.5, and 21 takes 2.5
+    from permsplit import oracle
+
+    listed = []
+    list_intervals = oracle.completing_intervals
+    monkeypatch.setattr(
+        oracle, "completing_intervals", lambda *args: listed.append(args) or list_intervals(*args)
+    )
+    first_steps = oracle._merge_search((P("12"), P("21")))[1]
+    assert first_steps((2, 1), (0, 1), [1, 2, 3]) == ([0b0110, 0b1000], 0)
+    assert listed == [((1, 2), [2]), ((2, 1), [1])]
+    # once class 0 takes every child, class 1 is not listed
+    assert first_steps((2, 1), (0, 1), [1, 2]) == ([0b0110, 0], 0)
+    assert first_steps((2, 1), (0, 1), []) == ([0, 0], 0)
+    assert len(listed) == 3
+    # 2 1 in one class of (12, 12): its twin, still empty, takes what is
+    # left with no list of its own
+    first_steps = oracle._merge_search((P("12"), P("12")))[1]
+    assert first_steps((2, 1), (0, 0), [1, 2, 3]) == ([0b0010, 0b1100], 0)
+    assert len(listed) == 4
 
 
 def test_verify_splitting_resumes_each_search_at_the_parent(monkeypatch):

@@ -740,6 +740,57 @@ def test_run_drop_run_sweep_against_brute_force():
     assert avoiders == 15_793
 
 
+def _brute_levels(seq, m: int, sign: int) -> list:
+    """For each t, the least top of an increasing m-run in seq[:t]
+    (sign 1), or the greatest bottom of a decreasing m-run in seq[t:]
+    (sign -1), from every m-subset."""
+    import math
+
+    def level(part):
+        runs = combinations(part, m)
+        ends = [c[-1] for c in runs if all(sign * (y - x) > 0 for x, y in zip(c, c[1:]))]
+        return sign * min((sign * v for v in ends), default=math.inf)
+
+    return [level(seq[:t] if sign > 0 else seq[t:]) for t in range(len(seq))]
+
+
+def test_run_drop_splits_against_brute_force():
+    # the whole yielded list, for a in 1..3 and k in 1..5 (k = 1 the suffix
+    # maximum, k = 2 the stack alone, k = 3 the H_2 stack, k >= 4 Fenwick
+    # levels) on every host of order <= 7, against _run_drop_splits' yield
+    # rule applied to brute-force T_a(seq[:t]) and G_k(seq[t:])
+    import math
+
+    from permsplit.perms import _run_drop_splits
+
+    for n in range(8):
+        for host in all_perms(n):
+            tops = {a: _brute_levels(host.values, a, 1) for a in range(1, 4)}
+            for k in range(1, 6):
+                bottoms = _brute_levels(host.values, k, -1)
+                for a, top in tops.items():
+                    want, best = [], -math.inf
+                    for t in range(n - 1, -1, -1):
+                        if bottoms[t] > best:
+                            best = bottoms[t]
+                            if top[t] < best:
+                                want.append((top[t], best))
+                    assert list(_run_drop_splits(a, k, host.values)) == want, (a, k, host)
+
+
+def test_avoids_1432_on_a_321_avoider_of_order_100000():
+    # a 321-avoider avoids 1432 = 1 ⊕ 321.  Planting 1, 4, 3, 2 in front of
+    # it gives one occurrence, whose first entry is at position 1, so the
+    # sweep must run to the host's first split
+    import random
+
+    host = dyck_321_avoider(100_000, random.Random(32))
+    assert avoids(P("1432"), host)
+    planted = Permutation((1, 4, 3, 2, *(v + 4 for v in host.values)))
+    assert not avoids(P("1432"), planted)
+    assert contains(P("1432"), planted) == Embedding((1, 2, 3, 4))
+
+
 def test_run_drop_run_found_against_brute_force():
     # I_a ⊕ D_2 ⊕ I_b for every a, b >= 1 with a + b <= 5 (orders 4-7) on
     # every host of order <= 7, against the exhaustive scan
