@@ -8,7 +8,10 @@ search stays exhaustive and finds the same lexicographically first
 certificate as merge_member; its first step decides all of a parent's
 children at once from the parent's colour classes, each with one mask of
 the last values that would complete its pattern, read off the occurrences
-of the pattern's prefix), matching
+of the pattern's prefix; at the last order, a parent with a class at least
+two entries shorter than its pattern lists none when the colours its
+children can use, read off its colouring, are no more than the widest count
+so far, since every such child merges), matching
 avoidance by scanning arc subsets, unavoidable witnesses by the merge
 search, with the one witness returned re-checked over all its
 two-colorings.  Color classes are searched as plain value sequences, as they
@@ -172,8 +175,12 @@ def merge_violations(cert: ColoringCertificate) -> list[str]:
 
 def _merge_search(
     parts: Sequence[Permutation],
-) -> tuple[Callable[..., tuple[int, ...] | None], Callable[..., tuple[list[int], int]]]:
-    """The exhaustive merge search into `parts`, as two functions.
+) -> tuple[
+    Callable[..., tuple[int, ...] | None],
+    Callable[..., tuple[list[int], int]],
+    Callable[[Sequence[int]], int | None],
+]:
+    """The exhaustive merge search into `parts`, as three functions.
 
     colors(values, start=(), c=0) returns the lexicographically least colour
     tuple of a value sequence, at or after the leaf (*start, c) in the search
@@ -198,6 +205,15 @@ def _merge_search(
     class takes the others still left.  It returns each class's mask of the
     last values it takes, whose children have the colouring (*start, c) with
     no values of their own, and the mask of those no class takes.
+
+    settled(start) bounds the colours of q's children without listing any
+    interval.  The first class c of `start` (sizes start.count(c)) that is
+    shorter than its pattern's order minus one is open, since an identical
+    twin before it would be as short, and takes every last value the
+    classes before it leave; each of those is non-empty or takes no value
+    (its pattern has order at most one).  So every child merges by
+    (*start, c') for some c' <= c and uses at most len(set(start)) colours,
+    plus one if class c is empty.  None if no class is that short.
 
     Identical empty parts are interchangeable: a class opens only once its
     previous identical twin has, so identical classes fill up in index order,
@@ -273,7 +289,14 @@ def _merge_search(
                 takes[c], left = left & ~blocked, left & blocked
         return takes, left
 
-    return colors, first_steps
+    def settled(start: Sequence[int]) -> int | None:
+        for c in range(k):
+            size = start.count(c)
+            if size < shorter[c]:
+                return len(set(start)) + (not size)
+        return None
+
+    return colors, first_steps, settled
 
 
 def merge_member(
@@ -316,6 +339,11 @@ def verify_splitting(
     plus one if the class was empty, is updated once per class that takes a
     child, and the children are visited one by one only when their
     colourings are kept (below n_max) or some child is left for the search.
+    At n_max only the widest count reads a first step, so a parent whose
+    `settled` bound (a class shorter than its pattern's order minus one
+    takes every child the classes before it leave) is at most the widest
+    count so far takes none: its children all merge and are already
+    counted in `checked`.
     Every other child has its values built and goes through one `member`: the
     splitter, if given, and then the search resumed at the leaf (*start, c),
     c = k if no class took the new entry, else 0, so a splitter's fallback
@@ -335,7 +363,7 @@ def verify_splitting(
     parts = spec.flatten()
     k = len(parts)
     spec_counts = Counter(parts)
-    colors, first_steps = _merge_search(parts)
+    colors, first_steps, settled = _merge_search(parts)
     report = VerificationReport()
     failures: list[tuple[tuple[int, ...], str]] = []
 
@@ -389,6 +417,10 @@ def verify_splitting(
             children, takes = lasts[lo:hi], ()
             # q was searched and merges: its children take their first step
             if splitter is None and start is not None:
+                if not keep:  # only widest reads q's children
+                    bound = settled(start)
+                    if bound is not None and bound <= widest:
+                        continue
                 takes, left = first_steps(q, start, children)
                 used = set(start)
                 for c, taken in enumerate(takes):  # the widest child c takes

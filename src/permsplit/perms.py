@@ -397,9 +397,11 @@ def avoids(pattern: Permutation | Sequence[int], host: Permutation | Sequence[in
     - every other pattern by the backtracking of `contains`, with no
       embedding built.
 
-    This is the only code that maps a host for the sweeps, whose stacks and
-    trees read values as indices (k >= 2 or b >= 1): it ranks a host that is no
-    `Permutation` onto 1..n, then reverses it and complements by n + 1 - v.
+    This is the only code that maps a host for the sweeps.  It ranks a host
+    that is no `Permutation` onto 1..n only where a sweep reads values as
+    indices (the stack over 1..n and the trees for k >= 3, the tree for
+    b >= 1), then reverses it and complements by n + 1 - v, which reverses
+    the order of any values.
 
     >>> avoids((1, 4, 3, 2), (2, 3, 1, 5, 4)), avoids((1, 3, 2, 4), (20, 40, 10, 30))
     (True, True)
@@ -412,7 +414,7 @@ def avoids(pattern: Permutation | Sequence[int], host: Permutation | Sequence[in
     if shape is None:
         return _first_occurrence(pattern, seq, False) is None
     a, k, b, rev, neg = shape
-    if (k >= 2 or b) and not isinstance(host, Permutation):
+    if (k >= 3 or b) and not isinstance(host, Permutation):
         rank = {v: r for r, v in enumerate(sorted(seq), 1)}
         seq = [rank[v] for v in seq]
     if rev:

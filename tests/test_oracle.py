@@ -330,6 +330,9 @@ def _theorem_spec():
         ("1324", lambda: SplittingSpec.of(P("132"), P("213")), 7, None),
         # the singleton part's one interval is (-inf, inf): its class stays empty
         ("321", lambda: SplittingSpec(((P("1"), 1), (P("21"), 2))), 6, None),
+        # the second colour is first used at the last order (by 2 1): the
+        # parent 1's bound, 2, is above widest, 1, so its first step is taken
+        ("321", lambda: SplittingSpec(((P("21"), 2),)), 2, None),
     ],
 )
 def test_verify_splitting_matches_a_search_from_scratch_per_member(
@@ -346,7 +349,7 @@ def test_verify_splitting_matches_a_search_from_scratch_per_member(
     list_intervals = oracle.completing_intervals
 
     def recording(parts):
-        search, first_steps = make_search(parts)
+        search, first_steps, settled = make_search(parts)
 
         def colors(values, start=(), c=0):
             found[values] = search(values, start, c)
@@ -374,7 +377,7 @@ def test_verify_splitting_matches_a_search_from_scratch_per_member(
                         stepped.append(child)
             return takes, left
 
-        return colors, recorded_first_steps
+        return colors, recorded_first_steps, settled
 
     spec = spec()
     monkeypatch.setattr(oracle, "_merge_search", recording)
@@ -420,7 +423,11 @@ def test_first_steps_decide_every_child_and_stop_when_none_is_left(monkeypatch):
 def test_verify_splitting_resumes_each_search_at_the_parent(monkeypatch):
     # merge_member from scratch on every member of Av_{<=8}(1432) makes
     # 151,547 occurrence searches; verify makes one interval search per
-    # class that a child reaches, and no child needs more than that step
+    # class that a child reaches, and no child needs more than that step.
+    # At the last order it makes none for a parent with a class shorter
+    # than its pattern's order minus one, whose children all merge
+    # and use no more colours than widest already counts: 639 lists, not
+    # the 3,400 that every parent's first step would make
     from permsplit import oracle
 
     calls = Counter()
@@ -440,7 +447,39 @@ def test_verify_splitting_resumes_each_search_at_the_parent(monkeypatch):
     assert report.to_json_dict() == {
         "checked": 19177, "failures": [], "max_colors_used": 2, "fallbacks": 0, "pass": True,
     }
-    assert calls == {"completing_intervals": 3400}
+    assert calls == {"completing_intervals": 639}
+
+
+def test_verify_splitting_settles_last_order_parents_with_a_short_class(monkeypatch):
+    # Av(321) into (21, 21): a class of 21 is shorter than 21's order minus
+    # one while it is empty, and class 1 opens once class 0 has an element
+    from permsplit import oracle
+
+    settled = oracle._merge_search((P("21"), P("21")))[2]
+    # ε: class 0 is open and empty; 1 and 1 2 in class 0: class 1 is;
+    # 2 1 coloured (0, 1): no class is empty
+    assert [settled(start) for start in ((), (0,), (0, 0), (0, 1))] == [1, 2, 2, None]
+    listed = []
+    list_intervals = oracle.completing_intervals
+    monkeypatch.setattr(
+        oracle, "completing_intervals", lambda *args: listed.append(args) or list_intervals(*args)
+    )
+    spec = SplittingSpec(((P("21"), 2),))
+    # n_max = 2: the parent 1, coloured (0,), bounds its children at 2
+    # colours, above widest (1, from the child 1): its first step lists
+    # class 0's intervals, and 2 1 takes class 1 and raises widest to 2
+    report = verify_splitting({P("321")}, spec, 2)
+    assert (report.checked, report.max_colors_used) == (4, 2)
+    assert listed == [((2, 1), [1])]
+    # n_max = 3: widest is 2 once order 2 is stepped.  2 1, coloured (0, 1),
+    # lists both classes; 1 2, coloured (0, 0), bounds its children at
+    # 2 <= widest and lists none, where its first step would list ((2, 1), [1, 2])
+    listed.clear()
+    report = verify_splitting({P("321")}, spec, 3)
+    assert report.to_json_dict() == {
+        "checked": 9, "failures": [], "max_colors_used": 2, "fallbacks": 0, "pass": True,
+    }
+    assert listed == [((2, 1), [1]), ((2, 1), [2]), ((2, 1), [1])]
 
 
 def test_report_json():

@@ -862,9 +862,11 @@ def test_avoids_sweep_and_contains_backtracking_agree_on_large_hosts():
 def test_value_sequences_search_like_their_ranks():
     # a color class is searched on its raw values: same answer and embedding
     # as on its re-ranked permutation.  The values include 0 and negatives, so
-    # a failed candidate of value 0 must still bound the later candidates, and
+    # a failed candidate of value 0 must still bound the later candidates,
     # the sweeps whose trees read values as indices (1432, 3214 and 4123 with
-    # k = 3; 1324 and 4231 with b = 1) run on the ranks `avoids` maps them to.
+    # k = 3; 1324 and 4231 with b = 1) run on the ranks `avoids` maps them to,
+    # and the k = 2 sweeps (132, 213, 231, 312, 1243, 2134, 3421: reversed,
+    # complemented, both or neither) compare the raw values.
     import random
 
     rng = random.Random(3)
@@ -872,8 +874,9 @@ def test_value_sequences_search_like_their_ranks():
         vals = rng.sample(range(-20, 40), rng.randint(0, 8))
         ranked = Permutation(tuple(sorted(vals).index(v) + 1 for v in vals))
         for patt in (
-            P("1"), P("21"), P("132"), P("1432"), P("3214"), P("4123"), P("1324"), P("4231"),
-            P("2413"), P("25314"), P("31524"),
+            P("1"), P("21"), P("132"), P("213"), P("231"), P("312"), P("1243"), P("2134"),
+            P("3421"), P("1432"), P("3214"), P("4123"), P("1324"), P("4231"), P("2413"),
+            P("25314"), P("31524"),
         ):
             emb = contains(patt, ranked)
             assert (emb and emb.positions) == brute_least_embedding(patt, ranked)
