@@ -116,12 +116,23 @@ def _neighbour_bounds(
 
 
 def _first_occurrence(
-    pattern: tuple[int, ...], seq: Sequence[int], pinned: bool, bound: float = math.inf
+    pattern: tuple[int, ...],
+    seq: Sequence[int],
+    pinned: bool,
+    bound: float = math.inf,
+    intervals: list | None = None,
 ) -> list[int] | None:
     """0-based positions of the lexicographically least occurrence of
     `pattern` in `seq` whose free entries all lie below `bound`, or None;
     with `pinned`, the last pattern entry sits on seq's last entry and only
     the other positions are returned.
+
+    One search with two completion rules.  Without `intervals` it returns
+    the first occurrence it completes.  With a list (and a pattern of length
+    at least 2), the last pattern entry is read and not placed: each occurrence of pattern[:-1] appends the open
+    interval between its values nearest below and above pattern[-1]
+    (±inf where there is none), the search goes on at its last entry, and
+    None is returned once every candidate is spent (`completing_intervals`).
 
     Backtracking over positions in increasing order.  If the entries placed
     so far are order-isomorphic to their pattern entries, a candidate for
@@ -129,20 +140,26 @@ def _first_occurrence(
     nearest below and above pattern[k], so each candidate costs one
     comparison against a cached neighbour-bound table.
 
-    Failed-candidate rule: once entry k's subtree has failed with value f
-    under the current placement of entries 0..k-1, a later candidate for k
-    sits at a later position, so it can only finish an occurrence the failed
-    one could not if its value reads better to the later entries.  An entry
-    read only as a lower bound keeps only candidates below f, one read only as
-    an upper bound only candidates above f, one read both ways keeps all, and
-    an unread entry backtracks at once.  No occurrence is lost, so the result
-    is still the lexicographically least one.
+    Failed-candidate rule: once entry k's subtree has failed (or, listing
+    intervals, been listed) with value f under the current placement of
+    entries 0..k-1, a later candidate for k sits at a later position, so it
+    can only finish an occurrence the failed one could not, or list an
+    interval not inside one already listed, if its value reads better to
+    the later entries.  An entry read only as a lower bound keeps only candidates
+    below f, one read only as an upper bound only candidates above f, one
+    read both ways keeps all, and an unread entry backtracks at once.  No
+    occurrence is lost, so the result is still the lexicographically least
+    one, and every skipped interval lies inside one already listed.
     """
-    m, n = len(pattern), len(seq)
-    if m > n:
-        return None
+    n = len(seq)
     lo, hi, roles = _neighbour_bounds(pattern, pinned)
-    free = len(lo)
+    free = len(lo) - (intervals is not None)
+    # entry k is placed before position last + k, where the later entries
+    # still fit
+    last = n - free - pinned + 1
+    if last < 1:
+        return None
+    m = len(pattern)
     # vals[j] is the value placed for pattern[j]; slots m, m+1 bound what no
     # placed entry bounds
     vals = [0] * m + [-math.inf, bound]
@@ -154,34 +171,41 @@ def _first_occurrence(
     # the last failed value is also the tightest.
     retry = False
     k = start = 0
-    while k < free:
-        a, b = vals[lo[k]], vals[hi[k]]
-        stop = n - m + k + 1
-        if retry:
-            role = roles[k]  # 1 lower bound, 2 upper bound, 3 both, 0 unread
-            if role == 1:
-                b = vals[k]
-            elif role == 2:
-                a = vals[k]
-            elif not role:
-                stop = start
-        for pos in range(start, stop):
-            v = seq[pos]
-            if a < v < b:
-                break
-        else:
-            if k == 0:
-                return None
-            k -= 1
-            start = chosen[k] + 1
-            retry = True
-            continue
-        chosen[k] = pos
-        vals[k] = v
-        k += 1
-        start = pos + 1
-        retry = False
-    return chosen
+    while True:
+        while k < free:
+            a, b = vals[lo[k]], vals[hi[k]]
+            stop = last + k
+            if retry:
+                role = roles[k]  # 1 lower bound, 2 upper bound, 3 both, 0 unread
+                if role == 1:
+                    b = vals[k]
+                elif role == 2:
+                    a = vals[k]
+                elif not role:
+                    stop = start
+            for pos in range(start, stop):
+                v = seq[pos]
+                if a < v < b:
+                    break
+            else:
+                if k == 0:
+                    return None
+                k -= 1
+                start = chosen[k] + 1
+                retry = True
+                continue
+            chosen[k] = pos
+            vals[k] = v
+            k += 1
+            start = pos + 1
+            retry = False
+        if intervals is None:
+            return chosen
+        # an occurrence of the prefix: list its interval, then retry its
+        # last entry (start is already past it)
+        intervals.append((vals[lo[free]], vals[hi[free]]))
+        k -= 1
+        retry = True
 
 
 def contains(
@@ -193,11 +217,9 @@ def contains(
     values are compared.  Backtracking over host positions in increasing
     order; a candidate for pattern entry k is kept iff its value lies strictly
     between the chosen values of the earlier pattern entries nearest below and
-    above pattern[k] (neighbour bounds, one cached table per pattern).  Once a
-    candidate's subtree has failed, later candidates for k that read no better
-    to the later entries are skipped (the failed-candidate rule of
-    `_first_occurrence`); they could finish no occurrence the failed one could
-    not, so the embedding is still the least.
+    above pattern[k] (neighbour bounds, one cached table per pattern), and
+    `_first_occurrence`'s failed-candidate rule skips the later candidates
+    that could finish no occurrence the failed one could not.
 
     >>> contains(Permutation.from_text("132"), Permutation.from_text("2413"))
     Embedding(positions=(1, 2, 4))
@@ -455,59 +477,20 @@ def completing_intervals(pattern: Sequence[int], seq: Sequence[int]) -> list[tup
     list answers `ends_with_occurrence` for every candidate last value from
     one search (the avoider walk's, per parent and basis element; the
     oracle's first step's, per parent class).  The search is
-    `_first_occurrence`'s backtracking over the full pattern's neighbour
-    bounds, in which the last entry's interval reads the prefix like one
-    more later entry.  It goes on past each occurrence,
-    and the failed-candidate rule skips the later candidates that read no
-    better, whose intervals would all lie inside those already listed.
+    `_first_occurrence` with its interval-listing completion rule: the one
+    backtracking over the full pattern's neighbour bounds, in which the last
+    entry reads the prefix like one more later entry.
 
     >>> completing_intervals((1, 3, 2), (2, 4, 1, 3))
     [(2, 4), (1, 3)]
     >>> completing_intervals((2, 1), ()), completing_intervals((1,), ())
     ([], [(-inf, inf)])
     """
-    pattern = tuple(pattern)
-    m, n = len(pattern), len(seq)
-    if m < 2:
+    if len(pattern) < 2:
         return [(-math.inf, math.inf)]
-    lo, hi, roles = _neighbour_bounds(pattern, False)
-    free = m - 1  # the prefix entries; the last one only reads them
-    vals = [0] * m + [-math.inf, math.inf]
-    chosen = [0] * free
-    out = []
-    retry = False
-    k = start = 0
-    while True:
-        a, b = vals[lo[k]], vals[hi[k]]
-        stop = n - free + k + 1
-        if retry:
-            role = roles[k]
-            if role == 1:
-                b = vals[k]
-            elif role == 2:
-                a = vals[k]
-            elif not role:
-                stop = start
-        for pos in range(start, stop):
-            v = seq[pos]
-            if a < v < b:
-                break
-        else:
-            if k == 0:
-                return out
-            k -= 1
-            start = chosen[k] + 1
-            retry = True
-            continue
-        chosen[k] = pos
-        vals[k] = v
-        start = pos + 1
-        if k + 1 < free:
-            k += 1
-            retry = False
-        else:  # a prefix occurrence: list its interval, then retry entry k
-            out.append((vals[lo[free]], vals[hi[free]]))
-            retry = True
+    out: list[tuple[float, float]] = []
+    _first_occurrence(tuple(pattern), seq, False, math.inf, out)
+    return out
 
 
 def least_top(pattern: Sequence[int], seq: Sequence[int], bound: float = math.inf) -> float:

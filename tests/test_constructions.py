@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from permsplit.constructions import (
+    _augment_connected_avoiding,
     classify_pattern,
     m_prime,
     n_minus,
@@ -15,7 +16,7 @@ from permsplit.constructions import (
     witness_pair,
 )
 from permsplit.envelope import reduced_envelope
-from permsplit.errors import PreconditionError
+from permsplit.errors import PreconditionError, VerificationError
 from permsplit.matchings import (
     EMPTY_MATCHING,
     Matching,
@@ -98,6 +99,18 @@ def test_n_plus_n_minus_guarantees():
         n_plus(P("132"))
     with pytest.raises(PreconditionError):
         n_plus(P("21"))
+
+
+def test_augment_connected_avoiding_tries_more_arcs_then_gives_up():
+    # three separate arcs: no one added arc joins them all without a
+    # decreasing 4-chain, so the search goes on to pairs, skipping those
+    # that share an endpoint gap
+    found = _augment_connected_avoiding(M("1-2 3-4 5-6"), m_of(P("4321")))
+    assert found == M("1-6 2-4 3-9 5-7 8-10")
+    assert is_connected(found) and not matching_contains(m_of(P("4321")), found)
+    # any connected matching of two or more arcs has a crossing, m(21)
+    with pytest.raises(VerificationError, match="no connected avoiding augmentation"):
+        _augment_connected_avoiding(M("1-2 3-4 5-6 7-8 9-10"), m_of(P("21")))
 
 
 def test_n_plus_connected_through_order_five():

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 
+import pytest
+
 from permsplit.envelope import (
     decode_envelope,
     envelope_of,
@@ -100,6 +102,8 @@ def test_tangle_examples():
     # new arc nested below every arc with an endpoint inside the interval
     out = tangle(m_of(P("21")), (0.5, 4.5))
     assert out == M("1-5 2-6 3-4")
+    with pytest.raises(ValueError, match="nonempty"):
+        tangle(M("1-2"), (2, 2))
 
 
 def test_tangle_preserves_envelope_condition():

@@ -168,19 +168,23 @@ def test_ends_with_occurrence_matches_brute_force():
 
 
 def test_completing_intervals_match_ends_with_occurrence():
+    # each new value in a slot between the host's values, or beyond them, on
+    # the host and on its doubled values, against the brute-force scan and
+    # against ends_with_occurrence
     patterns = [(), *(P(t).values for t in "1 12 21 132 213 2413 14253 13524".split())]
-    for n in range(7):
-        for host in all_perms(n):
-            # each new value in a slot between the host's values, or beyond them
-            for seq, slots in (
-                (host.values, [s - 0.5 for s in range(1, n + 2)]),
-                (tuple(2 * v for v in host.values), range(1, 2 * n + 2, 2)),
-            ):
-                for patt in patterns:
-                    found = completing_intervals(patt, seq)
-                    for v in slots:
-                        want = ends_with_occurrence(patt, seq + (v,))
-                        assert any(lo < v < hi for lo, hi in found) == want, (patt, seq, v)
+    pairs = [(patt, host.values) for n in range(7) for host in all_perms(n) for patt in patterns]
+    pairs += [(patt.values, host.values) for patt, host in _patterns_and_larger_hosts()]
+    for patt, host in pairs:
+        doubled = tuple(2 * v for v in host)
+        found = completing_intervals(patt, host)
+        found_doubled = completing_intervals(patt, doubled)
+        for s in range(len(host) + 1):
+            v, w = s + 0.5, 2 * s + 1  # the same slot in host and in doubled
+            want = _brute_ends_with_occurrence(patt, host + (v,))
+            assert ends_with_occurrence(patt, host + (v,)) == want
+            assert ends_with_occurrence(patt, doubled + (w,)) == want
+            assert any(lo < v < hi for lo, hi in found) == want, (patt, host, v)
+            assert any(lo < w < hi for lo, hi in found_doubled) == want, (patt, doubled, w)
 
 
 def _planted_occurrences() -> list[tuple[Permutation, Permutation]]:
@@ -544,7 +548,9 @@ def test_interval_bases_enumerate_without_a_pinned_search(monkeypatch):
 def test_rest_bases_enumerate_through_one_interval_list_per_parent(monkeypatch):
     # Av(2413, 3142) walked to order 8: neither element is a threshold or a
     # run-drop shape, so each parent lists each element's completing
-    # intervals once, and no candidate is searched on its own
+    # intervals once, and no candidate is searched on its own.  Every list
+    # runs `_first_occurrence` with an interval list, which is not counted:
+    # a search without one would be a candidate searched on its own
     basis = {P("2413"), P("3142")}
     calls = Counter()
 
@@ -552,7 +558,8 @@ def test_rest_bases_enumerate_through_one_interval_list_per_parent(monkeypatch):
         search = getattr(perms, name)
 
         def call(*args):
-            calls[name] += 1
+            if name != "_first_occurrence" or len(args) < 5 or args[4] is None:
+                calls[name] += 1
             return search(*args)
 
         return call
@@ -595,6 +602,10 @@ def test_order_zero_and_the_empty_basis_element():
     assert count_avoiders({P("132")}, 0) == 1 and count_avoiders({P("1")}, 0) == 1
     assert list(avoiders_up_to({P("1")}, 3)) == [EMPTY]
     assert list(avoiders_up_to({P("12")}, 0)) == [EMPTY]
+    # a negative order: no count, and no member up to it
+    with pytest.raises(ValueError):
+        count_avoiders({P("132")}, -1)
+    assert list(avoiders_up_to({P("132")}, -1)) == []
     # ε in the basis: the class is empty and the walk yields nothing
     for basis in ({EMPTY}, {EMPTY, P("12")}):
         assert list(avoider_walk(basis)) == []

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from conftest import brute_contains
 
-from permsplit.errors import InvalidColorerError, PreconditionError
+from permsplit.errors import InvalidColorerError, PreconditionError, VerificationError
 from permsplit.matchings import (
     EMPTY_MATCHING,
     Matching,
@@ -17,6 +17,7 @@ from permsplit.matchings import (
 from permsplit.perms import EMPTY, Permutation, avoiders_up_to
 from permsplit.splitters import (
     ColoringCertificate,
+    MatchingBase,
     MatchingSplitState,
     SplittingSpec,
     circle_color,
@@ -154,6 +155,8 @@ def test_dilworth_examples():
     assert dilworth_split(3, P("231")).parts == (P("21"), P("21"))
     with pytest.raises(PreconditionError):
         dilworth_split(3, P("321"))
+    with pytest.raises(PreconditionError, match="at least 1"):
+        dilworth_split(0, P("1"))
 
 
 def _longest_decreasing_ending_at(vals):
@@ -197,6 +200,16 @@ def test_dilworth_matching_base():
     # crossing arcs correspond to an inversion, so they get distinct colors
     assert len(set(cert.colors)) == 2
     assert base(EMPTY_MATCHING).colors == ()
+    # 1-2 3-4 is no permutation matching: a left endpoint follows a right one
+    with pytest.raises(VerificationError, match="permutation matching"):
+        base(M("1-2 3-4"))
+    # a colorer whose part list is not the base's
+    wrong = MatchingBase(
+        parts=(P("21"),),
+        fn=lambda m: ColoringCertificate(subject=m, parts=(P("1"),), colors=(0,) * len(m)),
+    )
+    with pytest.raises(VerificationError, match="fixed part list"):
+        wrong(M("1-2"))
 
 
 def test_match_split_trivial_and_small():
@@ -345,6 +358,9 @@ def test_oneplus_examples():
         oneplus_split(P("321"), spec, base, P("1432"))
     with pytest.raises(PreconditionError):
         oneplus_split(P("123"), spec, base, P("21"))
+    # dilworth_matching_base(4) has three parts 21, the spec two
+    with pytest.raises(PreconditionError, match="colorer parts"):
+        oneplus_split(P("321"), spec, dilworth_matching_base(4), P("21"))
 
 
 def test_oneplus_sweep_small():
@@ -392,7 +408,6 @@ def test_entry_points_reject_a_host_containing_the_obstacle():
 
 def test_match_split_checks_its_preconditions_once_per_pattern_and_base(monkeypatch):
     from permsplit import splitters
-    from permsplit.splitters import MatchingBase
 
     calls = []
     for name in ("m_of", "sum_decompose"):
@@ -459,6 +474,14 @@ def test_refine_colorer_degenerate_and_errors():
 
     with pytest.raises(InvalidColorerError):
         refine_colorer(P("321"), spec, 0, broken, P("21"))
+
+    def wrong_spec(q: Permutation) -> ColoringCertificate:
+        return ColoringCertificate(subject=q, parts=(P("1"),), colors=(0,) * len(q))
+
+    with pytest.raises(InvalidColorerError, match="wrong spec"):
+        refine_colorer(P("321"), spec, 0, wrong_spec, P("21"))
+    with pytest.raises(PreconditionError, match="contains 3 2 1"):
+        refine_colorer(P("321"), spec, 0, colorer, P("4321"))
     skew_spec = SplittingSpec.of(P("132"), P("312"))
     skew_colorer = _two_increasing_colorer(skew_spec.flatten())
     with pytest.raises(PreconditionError):
