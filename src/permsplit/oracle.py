@@ -15,16 +15,18 @@ so far, since every such child merges), matching
 avoidance by scanning arc subsets, unavoidable witnesses by the merge
 search, with the one witness returned re-checked over all its
 two-colorings.  Color classes are searched as plain value sequences, as they
-stand.  merge_check decides each class of a permutation with perms.avoids,
-which sweeps the I_a ⊕ D_k- and I_a ⊕ D_2 ⊕ I_b-shaped patterns (every
-pattern of order 3 among them) instead of backtracking, so for those parts
-it shares no search with the constructive side's occurrence searches; for
-the other parts both use the same backtracking.  The oracle stays
-independent because it searches exhaustively instead of following the
-constructions' case analysis.  Matching containment is re-implemented here
-as a plain subset scan, except that merge_check decides a class whose part
-is 21 by one sweep over the endpoints (its arcs must nest), which shares
-nothing with the constructions' crossing graph.
+stand.  A certificate is checked by one pass over its classes,
+merge_violations, and merge_check is that pass finding nothing.  It decides
+each class of a permutation with perms.avoids, which sweeps the I_a ⊕ D_k-
+and I_a ⊕ D_2 ⊕ I_b-shaped patterns (every pattern of order 3 among them)
+instead of backtracking, so for those parts it shares no search with the
+constructive side's occurrence searches; for the other parts both use the
+same backtracking.  The oracle stays independent because it searches
+exhaustively instead of following the constructions' case analysis.
+Matching containment is re-implemented here as a plain subset scan, except
+that one sweep over the endpoints decides every class whose part is 21 (its
+arcs must nest), which shares nothing with the constructions' crossing
+graph.
 """
 from __future__ import annotations
 
@@ -99,73 +101,66 @@ def _submatching_occurrence(
 _CROSSING_PAIR = Permutation((2, 1))  # m(21) is two crossing arcs
 
 
-def _classes_nest(
+def _crossing_classes(
     arcs: Sequence[tuple[int, int]], colors: Sequence[int], nesting: Sequence[bool]
-) -> bool:
-    """Does every class c with nesting[c] avoid m(21), two crossing arcs?
+) -> set[int]:
+    """The classes c with nesting[c] that contain m(21), two crossing arcs.
 
     A class avoids it iff its arcs nest.  One sweep visits the endpoints
     1..2q of the normalized arcs in order, keeping each such class's open
     arcs on a stack: an arc must close while it is the innermost open arc
-    of its class, else it crosses that arc."""
+    of its class, else it crosses that arc.  A class's stack is exact until
+    its first crossing, and every close still pops one of its class's open
+    arcs, so the sweep goes on past a crossing with every other class
+    unaffected."""
     end = [0] * (2 * len(arcs) + 1)  # i + 1 where arc i opens, -(i + 1) where it closes
     for i, (a, b) in enumerate(arcs):
         if nesting[colors[i]]:
             end[a], end[b] = i + 1, -i - 1
     open_arcs: list[list[int]] = [[] for _ in nesting]
+    crossing = set()
     for e in end:
         if e > 0:
             open_arcs[colors[e - 1]].append(e)
         elif e and open_arcs[colors[-e - 1]].pop() != -e:
-            return False
-    return True
+            crossing.add(colors[-e - 1])
+    return crossing
 
 
 def merge_check(cert: ColoringCertificate) -> bool:
-    """True iff every color class of the certificate avoids its part pattern;
-    False at the first class that does not.  merge_violations says where.
-
-    On a matching, the classes whose part is 21 are decided by one sweep,
-    `_classes_nest`, and the others by the subset scan."""
-    if not isinstance(cert.subject, Permutation):
-        arcs = cert.subject.arcs
-        nesting = [part == _CROSSING_PAIR for part in cert.parts]
-        return _classes_nest(arcs, cert.colors, nesting) and all(
-            nesting[c]
-            or _submatching_occurrence(part, [a for a, col in zip(arcs, cert.colors) if col == c])
-            is None
-            for c, part in enumerate(cert.parts)
-        )
-    vals = cert.subject.values
-    return all(
-        avoids(part, [v for v, col in zip(vals, cert.colors) if col == c])
-        for c, part in enumerate(cert.parts)
-    )
+    """True iff every color class of the certificate avoids its part pattern:
+    merge_violations finds no offending class."""
+    return not merge_violations(cert)
 
 
 def merge_violations(cert: ColoringCertificate) -> list[str]:
     """One entry per offending class: its part pattern and the first occurrence
     found, located in the subject's own coordinates.
 
-    On a matching, a class whose part is 21 is scanned only if
-    `_classes_nest` finds that its arcs do not nest."""
+    On a permutation, `avoids` decides each class, and only a class that
+    contains its part has its positions built and its occurrence located by
+    `contains`.  On a matching, one `_crossing_classes` sweep decides every
+    class whose part is 21; the subset scan runs on the classes it reports,
+    where it locates the crossing pair, and on the classes of other parts."""
     out = []
+    colors = cert.colors
     if isinstance(cert.subject, Permutation):
+        values = cert.subject.values
         for c, part in enumerate(cert.parts):
-            positions = [i for i, col in enumerate(cert.colors, 1) if col == c]
-            vals = [cert.subject.values[i - 1] for i in positions]
-            emb = contains(part, vals)
-            if emb is not None:
-                where = [positions[j - 1] for j in emb.positions]
-                out.append(f"class {c} contains {part.text()} at positions {where}")
+            if avoids(part, [v for v, col in zip(values, colors) if col == c]):
+                continue
+            positions = [i for i, col in enumerate(colors, 1) if col == c]
+            emb = contains(part, [values[i - 1] for i in positions])
+            where = [positions[j - 1] for j in emb.positions]
+            out.append(f"class {c} contains {part.text()} at positions {where}")
         return out
     subject_arcs = cert.subject.arcs
+    nesting = [part == _CROSSING_PAIR for part in cert.parts]
+    crossing = _crossing_classes(subject_arcs, colors, nesting)
     for c, part in enumerate(cert.parts):
-        if part == _CROSSING_PAIR and _classes_nest(
-            subject_arcs, cert.colors, [d == c for d in range(len(cert.parts))]
-        ):
+        if nesting[c] and c not in crossing:
             continue
-        arcs = [arc for arc, color in zip(subject_arcs, cert.colors) if color == c]
+        arcs = [arc for arc, color in zip(subject_arcs, colors) if color == c]
         found = _submatching_occurrence(part, arcs)
         if found is not None:
             shown = " ".join(f"{a}-{b}" for a, b in found)
@@ -318,10 +313,13 @@ def verify_splitting(
 ) -> VerificationReport:
     """Check that every member of Av(class_basis) up to order n_max merges
     into the spec: fast path through the supplied constructive splitter when
-    its certificate validates, the exhaustive merge search otherwise.  A
-    splitter raising PreconditionError counts as a fallback; any other
-    exception it raises is a failure of that subject.  Failures are reported
-    in size-then-lex order.
+    its certificate validates (one merge_violations pass finds nothing, and
+    it uses no part outside the spec), the exhaustive merge search
+    otherwise; a subject that fails both has the certificate's offending
+    classes and surplus parts in its detail.  A splitter raising
+    PreconditionError counts as a fallback; any other exception it raises
+    is a failure of that subject.  Failures are reported in size-then-lex
+    order.
 
     The members come from `avoider_walk`, the generating tree in which the
     parent of p = q + last is q, p without its last entry, reduced, and each
@@ -382,21 +380,21 @@ def verify_splitting(
             except Exception as exc:
                 failures.append((vals, f"splitter raised {type(exc).__name__}: {exc}"))
                 return ()
-            if (
-                constructive is not None
-                and not (Counter(constructive.parts) - spec_counts)
-                and merge_check(constructive)
-            ):
-                report.max_colors_used = max(report.max_colors_used, constructive.colors_used())
-                return ()
+            if constructive is not None:
+                wrong = merge_violations(constructive)
+                surplus = Counter(constructive.parts) - spec_counts
+                if surplus:
+                    shown = ", ".join(part.text() for part in surplus)
+                    wrong.append(f"parts outside the spec: {shown}")
+                if not wrong:
+                    report.max_colors_used = max(report.max_colors_used, constructive.colors_used())
+                    return ()
             report.fallbacks += 1
         least = None if start is None else colors(vals, start, c)
         if least is None:
             detail = "no merge into the spec exists"
             if constructive is not None:
-                detail += "; splitter certificate invalid: " + "; ".join(
-                    merge_violations(constructive)
-                )
+                detail += "; splitter certificate invalid: " + "; ".join(wrong)
             failures.append((vals, detail))
         else:
             report.max_colors_used = max(report.max_colors_used, len(set(least)))

@@ -50,6 +50,47 @@ def test_merge_violations_locate_occurrences():
     assert merge_violations(bad_m) == ["class 0 contains m(2 1) on arcs 1-3 2-4"]
 
 
+def test_merge_violations_on_permutations_locate_what_contains_finds():
+    # avoids decides each class, and contains locates only the offending
+    # ones; every message stays the one contains on every class gives.  The
+    # parts reach every method of avoids: 12 and 21 the patience pass, 132
+    # and 213 the k = 2 sweep, 1324 the I_a ⊕ D_2 ⊕ I_b tree, 2413 backtracking
+    from itertools import permutations, product
+
+    from permsplit.oracle import merge_violations
+    from permsplit.perms import contains
+
+    def contains_listing(cert):
+        out = []
+        for c, part in enumerate(cert.parts):
+            positions = [i for i, col in enumerate(cert.colors, 1) if col == c]
+            emb = contains(part, [cert.subject.values[i - 1] for i in positions])
+            if emb is not None:
+                where = [positions[j - 1] for j in emb.positions]
+                out.append(f"class {c} contains {part.text()} at positions {where}")
+        return out
+
+    part_lists = [
+        (P("21"), P("21")),
+        (P("132"), P("213")),
+        (P("12"), P("2413")),
+        (P("1324"), P("21")),
+    ]
+    checked = offending = 0
+    for n in range(6):
+        for values in permutations(range(1, n + 1)):
+            p = Permutation(values)
+            for colors in product(range(2), repeat=n):
+                for parts in part_lists:
+                    cert = ColoringCertificate(subject=p, parts=parts, colors=colors)
+                    want = contains_listing(cert)
+                    assert merge_violations(cert) == want, (p.text(), colors, parts)
+                    assert merge_check(cert) == (not want), (p.text(), colors, parts)
+                    checked += 1
+                    offending += bool(want)
+    assert (checked, offending) == (17132, 10096)
+
+
 def test_merge_violations_on_matchings_scan_only_classes_that_cross():
     # the nesting sweep clears an m(21) class before any subset scan; every
     # message stays the one the full scan of every class gives
@@ -251,6 +292,22 @@ def test_verify_splitting_uses_splitter_fast_path():
             "class 0 contains 1 2 at positions [1, 2]",
         )
     ]
+    # a certificate whose classes avoid their parts but whose parts are not
+    # the spec's is invalid too, and the failure names the parts outside it
+    report = verify_splitting(
+        {P("123")},
+        SplittingSpec.of(P("12")),
+        2,
+        splitter=lambda p: ColoringCertificate(p, (P("21"),), (0,) * len(p)),
+    )
+    assert report.checked == 4 and report.fallbacks == 4
+    assert report.failures == [
+        (
+            "1 2",
+            "no merge into the spec exists; splitter certificate invalid: "
+            "parts outside the spec: 2 1",
+        )
+    ]
 
 
 def _reference_report(class_basis, spec, n_max, splitter=None) -> VerificationReport:
@@ -271,7 +328,11 @@ def _reference_report(class_basis, spec, n_max, splitter=None) -> VerificationRe
                 report.failures.append((p.text(), f"splitter raised {type(exc).__name__}: {exc}"))
                 continue
         if constructive is not None:
-            if not (Counter(constructive.parts) - spec_counts) and merge_check(constructive):
+            wrong = merge_violations(constructive)
+            surplus = Counter(constructive.parts) - spec_counts
+            if surplus:
+                wrong.append("parts outside the spec: " + ", ".join(q.text() for q in surplus))
+            if not wrong:
                 report.max_colors_used = max(report.max_colors_used, constructive.colors_used())
                 continue
         if splitter is not None:
@@ -280,9 +341,7 @@ def _reference_report(class_basis, spec, n_max, splitter=None) -> VerificationRe
         if cert is None:
             detail = "no merge into the spec exists"
             if constructive is not None:
-                detail += "; splitter certificate invalid: " + "; ".join(
-                    merge_violations(constructive)
-                )
+                detail += "; splitter certificate invalid: " + "; ".join(wrong)
             report.failures.append((p.text(), detail))
         else:
             report.max_colors_used = max(report.max_colors_used, cert.colors_used())
