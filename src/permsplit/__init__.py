@@ -6,7 +6,7 @@ Library layout:
 - matchings: ordered matchings, the m(π) encoding, weight, the crossing-graph
   core (one traversal gives components with BFS levels and sides; ⊎-blocks)
   and the shortenings m±
-- envelope: envelope matchings E(π), reduced envelopes R(π), tangling
+- envelope: envelope matchings E(π), reduced envelopes R(π) and their decoding
 - splitters: greedy three-sum, Dilworth, the recursive matching splitter,
   the one-plus pipeline, circle-graph coloring
 - constructions: witness matchings N±, witness permutations τ(N), the
@@ -24,7 +24,6 @@ from .constructions import (
     tau_of,
     theorem_certificate,
     theorem_split,
-    theorem_split_json,
     witness_pair,
 )
 from .envelope import (
@@ -33,10 +32,20 @@ from .envelope import (
     envelope_of,
     matching_to_perm,
     reduced_envelope,
-    tangle,
 )
-from .errors import InvalidColorerError, PreconditionError, VerificationError
-from .matchings import ArcRelation, Matching, blocks, is_connected, levels, m_minus, m_of, m_plus, matching_contains, perm_of, relation, weight
+from .errors import PreconditionError, VerificationError
+from .matchings import (
+    Matching,
+    blocks,
+    is_connected,
+    levels,
+    m_minus,
+    m_of,
+    m_plus,
+    matching_contains,
+    perm_of,
+    weight,
+)
 from .oracle import (
     MarkedPermutation,
     VerificationReport,
@@ -59,7 +68,6 @@ from .perms import (
     lr_minima,
     skew_sum,
     sum_decompose,
-    symmetry,
 )
 from .splitters import (
     ColoringCertificate,
@@ -71,7 +79,6 @@ from .splitters import (
     greedy_three_sum,
     match_split,
     oneplus_split,
-    refine_colorer,
 )
 
 __version__ = "0.1.0"

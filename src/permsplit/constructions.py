@@ -207,18 +207,6 @@ def theorem_split(pattern: Permutation) -> SplittingSpec:
     return theorem_plan(pattern).spec
 
 
-def theorem_split_json(pattern: Permutation) -> dict:
-    plan = theorem_plan(pattern)
-    return {
-        "class": pattern.text(),
-        "parts": [
-            {"pattern": q.text(), "multiplicity": mult} for q, mult in plan.spec.parts
-        ],
-        "route": plan.route,
-        "symmetry": plan.symmetry,
-    }
-
-
 def theorem_certificate(pattern: Permutation, p: Permutation) -> ColoringCertificate:
     """A certificate placing a pattern-avoider into theorem_split(pattern)."""
     plan = theorem_plan(pattern)

@@ -11,7 +11,6 @@ An EnvelopeDecomposition serializes as {"perm": ..., "path": "DDRR...",
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import VerificationError
@@ -126,49 +125,6 @@ def reduced_envelope_map(p: Permutation) -> tuple[Matching, tuple[int, ...]]:
     at = {k: e for e, k in enumerate(ends, start=1)}
     arcs = tuple((at[k + 1], at[~k]) for k in range(len(positions)))
     return Matching._trusted(arcs), tuple(positions)
-
-
-def tangle(m: Matching, interval: tuple[float, float]) -> Matching:
-    """Tangle m in the open interval: move every left endpoint inside the
-    interval in front of every right endpoint inside it (each group keeping
-    its order), then insert a new short arc between the two groups.
-
-    The new arc ends up nested below every arc with an endpoint in the
-    interval.  Tangling an envelope matching yields an envelope matching.
-    """
-    lo, hi = interval
-    if not lo < hi:
-        raise ValueError(f"interval must be nonempty: {interval!r}")
-    lefts = {a for a, _ in m.arcs}
-    slots = [e for e in range(1, 2 * len(m) + 1) if lo < e < hi]
-    left_group = [e for e in slots if e in lefts]
-    right_group = [e for e in slots if e not in lefts]
-    new_coord = {e: slots[i] for i, e in enumerate(left_group + right_group)}
-
-    # every endpoint lies in 1..2m: clamping the bounds keeps the new arc's gap
-    t = len(left_group)
-    lower = slots[t - 1] if t >= 1 else max(lo, 0)
-    upper = slots[t] if t < len(slots) else min(hi, 2 * len(m) + 1)
-    gap = upper - lower
-    x, y = lower + gap / 3, lower + 2 * gap / 3
-
-    arcs = [(new_coord.get(a, a), new_coord.get(b, b)) for a, b in m.arcs]
-    arcs.append((x, y))
-    return Matching.from_arcs(arcs)
-
-
-def tangle_intervals(m: Matching) -> list[tuple[float, float]]:
-    """A finite set of intervals covering every distinct tangling of m.
-
-    A tangling is determined by the contiguous run of endpoints inside the
-    interval, plus the gap receiving the new arc when that run is empty; so it
-    suffices to take all boundary pairs between consecutive endpoints (with the
-    two outer rays) together with one empty interval per gap.
-    """
-    points = [-math.inf] + [k + 0.5 for k in range(0, 2 * len(m) + 1)] + [math.inf]
-    spanning = [(lo, hi) for i, lo in enumerate(points) for hi in points[i + 1 :]]
-    within_gap = [(k + 0.25, k + 0.75) for k in range(0, 2 * len(m) + 1)]
-    return spanning + within_gap
 
 
 def matching_to_perm(m: Matching) -> Permutation:

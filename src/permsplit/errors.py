@@ -8,6 +8,3 @@ class PreconditionError(ValueError):
 class VerificationError(RuntimeError):
     """A construction failed the runtime check of a guarantee it must satisfy."""
 
-
-class InvalidColorerError(VerificationError):
-    """A colorer passed as an argument produced a certificate that does not validate."""

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from heapq import merge
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import PreconditionError, VerificationError
 from .perms import Permutation
@@ -85,33 +84,6 @@ class Matching:
                 raise ValueError(f"bad arc token {tok!r}")
             pairs.append((float(left), float(right)))
         return Matching.from_arcs(pairs)
-
-
-EMPTY_MATCHING = Matching(())
-
-
-class ArcRelation(Enum):
-    CROSSES_FROM_LEFT = "crosses-from-left"
-    CROSSES_FROM_RIGHT = "crosses-from-right"
-    NESTED_BELOW = "nested-below"
-    NESTS_ABOVE = "nests-above"
-    SERIES_BEFORE = "series-before"
-    SERIES_AFTER = "series-after"
-
-
-def relation(x: Arc, y: Arc) -> ArcRelation:
-    """How arc x sits relative to arc y; exactly one relation always holds."""
-    a, b = x
-    c, d = y
-    if len({a, b, c, d}) < 4:
-        raise PreconditionError(f"arcs {x} and {y} share an endpoint")
-    if b < c:
-        return ArcRelation.SERIES_BEFORE
-    if d < a:
-        return ArcRelation.SERIES_AFTER
-    if a < c:
-        return ArcRelation.CROSSES_FROM_LEFT if b < d else ArcRelation.NESTS_ABOVE
-    return ArcRelation.CROSSES_FROM_RIGHT if d < b else ArcRelation.NESTED_BELOW
 
 
 def crosses(x: Arc, y: Arc) -> bool:
@@ -394,24 +366,3 @@ def weight(m: Matching) -> int:
     """Arc count plus the number of long arcs (arcs nesting some endpoint)."""
     return len(m) + sum(1 for a, b in m.arcs if b - a > 1)
 
-
-def all_matchings(q: int) -> Iterator[Matching]:
-    """All matchings with exactly q arcs on 1..2q, in a fixed deterministic order."""
-
-    def pair_up(points: tuple[int, ...]) -> Iterator[tuple[Arc, ...]]:
-        if not points:
-            yield ()
-            return
-        first = points[0]
-        for i in range(1, len(points)):
-            rest = points[1:i] + points[i + 1 :]
-            for partial in pair_up(rest):
-                yield ((first, points[i]),) + partial
-
-    for arcs in pair_up(tuple(range(1, 2 * q + 1))):
-        yield Matching(tuple(sorted(arcs)))
-
-
-def matchings_up_to(q_max: int) -> Iterator[Matching]:
-    for q in range(q_max + 1):
-        yield from all_matchings(q)

@@ -77,10 +77,6 @@ class Embedding:
             raise ValueError("embedding positions must be strictly increasing")
 
 
-def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
-
-
 def decreasing(n: int) -> Permutation:
     """The decreasing permutation n, n-1, ..., 1."""
     return Permutation(tuple(range(n, 0, -1)))
@@ -573,14 +569,6 @@ SYMMETRIES = {
     "inverse": inverse,
     "reverse-complement": reverse_complement,
 }
-
-
-def symmetry(kind: str, p: Permutation) -> Permutation:
-    try:
-        fn = SYMMETRIES[kind]
-    except KeyError:
-        raise ValueError(f"unknown symmetry {kind!r}") from None
-    return fn(p)
 
 
 def inflate(skeleton: Permutation, parts: Sequence[Permutation]) -> Permutation:

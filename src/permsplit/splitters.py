@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterable
 
 from .envelope import reduced_envelope_map
-from .errors import InvalidColorerError, PreconditionError, VerificationError
+from .errors import PreconditionError, VerificationError
 from .matchings import (
     Arc,
     CrossingGraph,
@@ -359,46 +359,6 @@ def dilworth_matching_base(n: int) -> MatchingBase:
         return ColoringCertificate(subject=m, parts=parts, colors=colors)
 
     return MatchingBase(parts=parts, fn=color)
-
-
-def refine_colorer(
-    pi: Permutation,
-    spec: SplittingSpec,
-    part_index: int,
-    colorer: Callable[[Permutation], ColoringCertificate],
-    p: Permutation,
-) -> ColoringCertificate:
-    """Refine a splitting of Av(pi) whose part `part_index` has a decomposable
-    pattern π₁ = π₁'⊕π₁'': color p⊕p, then keep whichever copy of p avoids the
-    matching half of π₁ in that part, relabelling the part accordingly.
-    """
-    if sum_decompose(pi) is not None:
-        raise PreconditionError("pi must be sum-indecomposable")
-    flat = spec.flatten()
-    pi1 = flat[part_index]
-    split = sum_decompose(pi1)
-    if split is None:
-        raise PreconditionError(f"part {pi1.text()} is not sum-decomposable")
-    left, right = split
-    if not avoids(pi, p):
-        raise PreconditionError(f"{p.text()} contains {pi.text()}")
-
-    n = len(p)
-    cert = colorer(direct_sum(p, p))
-    if cert.parts != flat or len(cert.colors) != 2 * n:
-        raise InvalidColorerError("colorer returned a certificate for the wrong spec")
-
-    bottom, top = cert.colors[:n], cert.colors[n:]
-    if avoids(left, [v for v, c in zip(p.values, bottom) if c == part_index]):
-        colors, replacement = bottom, left
-    elif avoids(right, [v for v, c in zip(p.values, top) if c == part_index]):
-        colors, replacement = top, right
-    else:
-        raise InvalidColorerError(
-            f"class {part_index} of the colorer's certificate contains {pi1.text()}"
-        )
-    parts = flat[:part_index] + (replacement,) + flat[part_index + 1 :]
-    return ColoringCertificate(subject=p, parts=parts, colors=tuple(colors))
 
 
 @dataclass

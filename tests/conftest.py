@@ -1,5 +1,5 @@
-"""Brute-force oracles used to derive expected values independently, and
-seeded host generators.
+"""Brute-force oracles used to derive expected values independently, seeded
+host generators, and the enumeration of the small matchings the tests sweep.
 
 These deliberately do not reuse the library's search code: containment is an
 exhaustive subsequence scan, avoider enumeration is a filter over all n!
@@ -9,9 +9,35 @@ built from a seed and the Permutation constructor alone.
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from typing import Iterator
 
-from permsplit.matchings import Matching, crosses
+from permsplit.matchings import Arc, Matching, crosses
 from permsplit.perms import Permutation, complement, reverse
+
+EMPTY_MATCHING = Matching(())
+
+
+def all_matchings(q: int) -> Iterator[Matching]:
+    """All matchings with exactly q arcs on 1..2q, in a fixed deterministic order."""
+
+    def pair_up(points: tuple[int, ...]) -> Iterator[tuple[Arc, ...]]:
+        if not points:
+            yield ()
+            return
+        first = points[0]
+        for i in range(1, len(points)):
+            rest = points[1:i] + points[i + 1 :]
+            for partial in pair_up(rest):
+                yield ((first, points[i]),) + partial
+
+    for arcs in pair_up(tuple(range(1, 2 * q + 1))):
+        yield Matching(tuple(sorted(arcs)))
+
+
+def matchings_up_to(q_max: int) -> Iterator[Matching]:
+    """Every matching with at most q_max arcs, by arc count."""
+    for q in range(q_max + 1):
+        yield from all_matchings(q)
 
 
 def order_isomorphic(seq_a, seq_b) -> bool:

@@ -10,6 +10,8 @@ import hashlib
 import json
 from itertools import permutations as it_permutations
 
+from conftest import matchings_up_to
+
 from permsplit.constructions import (
     n_minus,
     n_plus,
@@ -22,8 +24,6 @@ from permsplit.envelope import (
     envelope_of,
     is_envelope_matching,
     reduced_envelope,
-    tangle,
-    tangle_intervals,
 )
 from permsplit.matchings import (
     Matching,
@@ -31,7 +31,6 @@ from permsplit.matchings import (
     is_connected,
     m_of,
     matching_contains,
-    matchings_up_to,
 )
 from permsplit.oracle import (
     MarkedPermutation,
@@ -42,6 +41,7 @@ from permsplit.oracle import (
     verify_splitting,
 )
 from permsplit.perms import (
+    SYMMETRIES,
     Permutation,
     all_perms,
     avoiders_up_to,
@@ -50,7 +50,6 @@ from permsplit.perms import (
     lr_minima,
     skew_decompose,
     sum_decompose,
-    symmetry,
 )
 from permsplit.splitters import (
     SplittingSpec,
@@ -59,7 +58,6 @@ from permsplit.splitters import (
     dilworth_split,
     greedy_three_sum,
     oneplus_split,
-    refine_colorer,
 )
 
 P = Permutation.from_text
@@ -73,7 +71,6 @@ CIRCLE_MAX_COLORS_USED = 5  # literature optimum for K3-free circle graphs is f(
 # reaching it here is not a minimality claim, the splitter only promises 4^6*2.
 ONEPLUS_MAX_PARTS = 8
 ONEPLUS_MAX_COLORS_USED = 4
-REFINE_INSTANCE = ("3 2 1", "1 3 2,1 3 2")
 # SHA-256 of the acceptance-05 stream of [arcs text, colours] JSON lines
 CIRCLE_SWEEP_SHA256 = "0b021c2c3bf7dba5031bb3818c3759418b02f48917769e23ab02df1be8bdf199"
 # SHA-256 of the acceptance-06 stream of oneplus_split certificate JSON lines
@@ -142,32 +139,26 @@ def test_acceptance_03_reduced_envelope_biconditional():
     _report(3, f"{checked} (σ, π) pairs, 0 disagreements")
 
 
-def test_acceptance_04_tangling_tracks_insertions():
-    failures = 0
+def test_acceptance_04_non_lr_minimum_insertions_add_one_long_arc():
+    # inserting an element that is not an LR-minimum adds one long arc to the
+    # envelope matching and leaves the other arcs as they were
     checked = 0
     for n in range(6):
         for vals in it_permutations(range(1, n + 1)):
-            rho = Permutation(vals)
-            e_rho = envelope_of(rho).arcs
-            intervals = tangle_intervals(e_rho)
+            e_rho = envelope_of(Permutation(vals)).arcs
             for pos in range(n + 1):
                 for newval in range(1, n + 2):
                     lifted = [v if v < newval else v + 1 for v in vals]
                     tau = Permutation(tuple(lifted[:pos] + [newval] + lifted[pos:]))
-                    e_tau = envelope_of(tau)
-                    checked += 1
                     if pos + 1 in lr_minima(tau):
-                        if not any(
-                            tangle(e_rho, iv) == e_tau.arcs for iv in intervals
-                        ):
-                            failures += 1
-                    else:
-                        new_arc = e_tau.elem_to_arc[pos]
-                        rest = [a for a in e_tau.arcs.arcs if a != new_arc]
-                        if Matching.from_arcs(rest) != e_rho:
-                            failures += 1
-    assert failures == 0
-    _report(4, f"{checked} single-element extensions, 0 failures")
+                        continue
+                    e_tau = envelope_of(tau)
+                    new_arc = e_tau.elem_to_arc[pos]
+                    rest = [a for a in e_tau.arcs.arcs if a != new_arc]
+                    assert new_arc[1] - new_arc[0] > 1, (vals, pos, newval)
+                    assert Matching.from_arcs(rest) == e_rho, (vals, pos, newval)
+                    checked += 1
+    _report(4, f"{checked} single-element extensions by a non-LR-minimum, 0 failures")
 
 
 def test_acceptance_05_circle_coloring_sweep():
@@ -306,70 +297,10 @@ def test_acceptance_09_oracle_self_consistency():
             dil_failures += 1
     assert dil_failures == 0
 
-    # Refinement: deterministic search for an instance, then refine validates
-    instance = _refinement_instance_search()
-    assert instance is not None, "refinement search found no usable instance"
-    pi, spec, part_index = instance
-    assert (pi.text(), spec.text()) == REFINE_INSTANCE
-
-    def colorer(q):
-        cert = merge_member(q, spec)
-        assert cert is not None
-        return cert
-
-    for p in avoiders_up_to({pi}, 6):
-        cert = refine_colorer(pi, spec, part_index, colorer, p)
-        assert merge_check(cert)
     _report(
         9,
-        f"oracle agrees across criteria 1/6/7; Dilworth {dil_checked} subjects; "
-        f"refinement instance Av({pi.text()}) -> {spec.text()}",
+        f"oracle agrees across criteria 1/6/7; Dilworth {dil_checked} subjects",
     )
-
-
-def _refinement_instance_search():
-    """First (π, two-part spec) with one decomposable part that the oracle
-    validates to n=6 and whose oracle colorer supports the refine sweep.
-
-    Bound-limited false positives exist (e.g. Av(231) appears to merge into
-    {Av(123), Av(132)} up to n=6 although Av(231) is unsplittable), so the
-    sweep itself is part of the instance filter.
-    """
-    for n in (3, 4):
-        for pi in all_perms(n):
-            if sum_decompose(pi) is not None:
-                continue
-            cands = [q for q in all_perms(3) if contains(pi, q) is None]
-            for a in cands:
-                for b in cands:
-                    if sum_decompose(a) is None and sum_decompose(b) is None:
-                        continue
-                    spec = SplittingSpec.of(a, b)
-                    if not all(
-                        merge_member(p, spec) is not None
-                        for p in avoiders_up_to({pi}, 6)
-                    ):
-                        continue
-                    part_index = 0 if sum_decompose(a) is not None else 1
-                    if _refine_sweep_validates(pi, spec, part_index):
-                        return pi, spec, part_index
-    return None
-
-
-def _refine_sweep_validates(pi, spec, part_index) -> bool:
-    def colorer(q):
-        cert = merge_member(q, spec)
-        if cert is None:
-            raise RuntimeError("oracle colorer failed")
-        return cert
-
-    try:
-        return all(
-            merge_check(refine_colorer(pi, spec, part_index, colorer, p))
-            for p in avoiders_up_to({pi}, 6)
-        )
-    except RuntimeError:
-        return False
 
 
 def test_acceptance_10_searches_and_classification():
@@ -398,8 +329,8 @@ def test_acceptance_10_searches_and_classification():
     for n in range(1, 6):
         for p in all_perms(n):
             verdict = classify_pattern(p).verdict
-            for kind in ("reverse", "complement", "inverse", "reverse-complement"):
-                assert classify_pattern(symmetry(kind, p)).verdict == verdict
+            for image in SYMMETRIES.values():
+                assert classify_pattern(image(p)).verdict == verdict
                 invariant_checked += 1
     _report(
         10,

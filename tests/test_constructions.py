@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from conftest import EMPTY_MATCHING, matchings_up_to
 
 from permsplit.constructions import (
     _augment_connected_avoiding,
@@ -12,13 +13,11 @@ from permsplit.constructions import (
     theorem_certificate,
     theorem_plan,
     theorem_split,
-    theorem_split_json,
     witness_pair,
 )
 from permsplit.envelope import reduced_envelope
 from permsplit.errors import PreconditionError, VerificationError
 from permsplit.matchings import (
-    EMPTY_MATCHING,
     Matching,
     blocks,
     is_connected,
@@ -26,20 +25,19 @@ from permsplit.matchings import (
     m_of,
     m_plus,
     matching_contains,
-    matchings_up_to,
     weight,
 )
 from permsplit.oracle import merge_check
 from permsplit.perms import (
     EMPTY,
     Permutation,
+    SYMMETRIES,
     all_perms,
     avoiders_up_to,
     contains,
     direct_sum,
     skew_sum,
     sum_decompose,
-    symmetry,
 )
 from permsplit.splitters import SplittingSpec
 
@@ -174,7 +172,7 @@ def test_theorem_split_routing():
     assert theorem_split(P("2134")) == SplittingSpec.of(P("213"), P("123"))
 
     plan = theorem_plan(P("1342"))
-    assert plan.route == "c"
+    assert (plan.route, plan.symmetry) == ("c", "none")
     w = witness_pair(P("231"))
     assert plan.spec == SplittingSpec(((w.tau_plus, 2), (w.tau_minus, 2)))
 
@@ -193,14 +191,6 @@ def test_theorem_split_routing():
         theorem_split(P("2413"))
     with pytest.raises(PreconditionError):
         theorem_split(P("25134"))
-
-
-def test_theorem_split_json_shape():
-    d = theorem_split_json(P("1342"))
-    assert d["class"] == "1 3 4 2"
-    assert d["route"] == "c"
-    assert d["symmetry"] == "none"
-    assert [p["multiplicity"] for p in d["parts"]] == [2, 2]
 
 
 def test_theorem_certificates_validate():
@@ -511,5 +501,5 @@ def test_classify_symmetry_invariant_small():
     for n in range(1, 5):
         for p in all_perms(n):
             verdict = classify_pattern(p).verdict
-            for kind in ("reverse", "complement", "inverse", "reverse-complement"):
-                assert classify_pattern(symmetry(kind, p)).verdict == verdict
+            for image in SYMMETRIES.values():
+                assert classify_pattern(image(p)).verdict == verdict

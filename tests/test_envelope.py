@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import math
-
-import pytest
+from conftest import EMPTY_MATCHING, matchings_up_to
 
 from permsplit.envelope import (
     decode_envelope,
@@ -12,10 +10,8 @@ from permsplit.envelope import (
     reduced_envelope,
     reduced_envelope_map,
     reduced_envelope_walk,
-    tangle,
-    tangle_intervals,
 )
-from permsplit.matchings import EMPTY_MATCHING, Matching, m_of, matchings_up_to
+from permsplit.matchings import Matching, m_of
 from permsplit.perms import EMPTY, Permutation, all_perms, lr_minima
 
 P = Permutation.from_text
@@ -94,48 +90,6 @@ def test_reduced_envelope_map_positions():
             checked = Matching(reduced.arcs)
             assert checked == reduced and hash(checked) == hash(reduced)
             assert all(type(arc) is tuple for arc in reduced.arcs)
-
-
-def test_tangle_examples():
-    assert tangle(M("1-4 2-3"), (4, math.inf)) == M("1-4 2-3 5-6")
-    assert tangle(EMPTY_MATCHING, (0, 1)) == M("1-2")
-    # new arc nested below every arc with an endpoint inside the interval
-    out = tangle(m_of(P("21")), (0.5, 4.5))
-    assert out == M("1-5 2-6 3-4")
-    with pytest.raises(ValueError, match="nonempty"):
-        tangle(M("1-2"), (2, 2))
-
-
-def test_tangle_preserves_envelope_condition():
-    for m in matchings_up_to(4):
-        if not is_envelope_matching(m):
-            continue
-        for interval in tangle_intervals(m):
-            assert is_envelope_matching(tangle(m, interval))
-
-
-def test_extension_matches_tangling_or_submatching():
-    # Inserting an LR-minimum = some tangling; otherwise E(ρ) is E(τ) minus
-    # the new element's (long) arc.  Exhaustive over ρ of order ≤ 4 here; the
-    # acceptance suite pushes this to order 5.
-    for n in range(5):
-        for rho in all_perms(n):
-            e_rho = envelope_of(rho).arcs
-            for pos in range(n + 1):
-                for newval in range(1, n + 2):
-                    vals = [v if v < newval else v + 1 for v in rho.values]
-                    tau = Permutation(tuple(vals[:pos] + [newval] + vals[pos:]))
-                    e_tau = envelope_of(tau)
-                    new_arc = e_tau.elem_to_arc[pos]
-                    if pos + 1 in lr_minima(tau):
-                        assert any(
-                            tangle(e_rho, interval) == e_tau.arcs
-                            for interval in tangle_intervals(e_rho)
-                        )
-                    else:
-                        rest = [a for a in e_tau.arcs.arcs if a != new_arc]
-                        assert new_arc[1] - new_arc[0] > 1
-                        assert Matching.from_arcs(rest) == e_rho
 
 
 def test_matching_to_perm_examples():

@@ -3,15 +3,19 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
-from conftest import brute_components, brute_matching_contains, seeded_hosts
+from conftest import (
+    EMPTY_MATCHING,
+    all_matchings,
+    brute_components,
+    brute_matching_contains,
+    matchings_up_to,
+    seeded_hosts,
+)
 
 from permsplit.errors import PreconditionError
 from permsplit.matchings import (
-    EMPTY_MATCHING,
-    ArcRelation,
     CrossingGraph,
     Matching,
-    all_matchings,
     arc_blocks,
     blocks,
     crosses,
@@ -19,10 +23,8 @@ from permsplit.matchings import (
     levels,
     m_of,
     matching_contains,
-    matchings_up_to,
     mirror,
     perm_of,
-    relation,
     uplus,
     weight,
 )
@@ -52,31 +54,6 @@ def test_normalization_and_text():
         Matching(((2, 1),))
     with pytest.raises(ValueError):  # not sorted by left endpoint
         Matching(((2, 3), (1, 4)))
-
-
-def test_relation_examples():
-    assert relation((1, 3), (2, 4)) is ArcRelation.CROSSES_FROM_LEFT
-    assert relation((2, 4), (1, 3)) is ArcRelation.CROSSES_FROM_RIGHT
-    assert relation((2, 3), (1, 4)) is ArcRelation.NESTED_BELOW
-    assert relation((1, 4), (2, 3)) is ArcRelation.NESTS_ABOVE
-    assert relation((1, 2), (3, 4)) is ArcRelation.SERIES_BEFORE
-    assert relation((3, 4), (1, 2)) is ArcRelation.SERIES_AFTER
-    with pytest.raises(PreconditionError):
-        relation((1, 2), (2, 3))
-
-
-def test_relation_is_total_and_antisymmetric():
-    pairs = {
-        ArcRelation.CROSSES_FROM_LEFT: ArcRelation.CROSSES_FROM_RIGHT,
-        ArcRelation.NESTED_BELOW: ArcRelation.NESTS_ABOVE,
-        ArcRelation.SERIES_BEFORE: ArcRelation.SERIES_AFTER,
-    }
-    opposite = pairs | {v: k for k, v in pairs.items()}
-    for m in all_matchings(3):
-        for x in m.arcs:
-            for y in m.arcs:
-                if x != y:
-                    assert relation(y, x) is opposite[relation(x, y)]
 
 
 def test_m_of_examples():

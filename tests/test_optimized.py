@@ -25,7 +25,7 @@ from permsplit import constructions, envelope, matchings, oracle, splitters
 from permsplit.errors import VerificationError
 from permsplit.matchings import Matching
 from permsplit.perms import Permutation
-from permsplit.splitters import ColoringCertificate, MatchingBase, SplittingSpec
+from permsplit.splitters import ColoringCertificate, MatchingBase
 
 M, P = Matching.from_text, Permutation.from_text
 
@@ -53,9 +53,6 @@ with mock.patch.object(
 splitters.circle_color(M("1-3 2-4"), 3)  # no patched weight or plan outlives its line
 with mock.patch.object(splitters, "matching_contains", lambda pattern, host: False):
     fires(splitters.match_split, M("1-2"), P("21"), M("1-2"), splitters.dilworth_matching_base(3))
-spec = SplittingSpec.of(P("132"), P("213"))
-fires(splitters.refine_colorer, P("321"), spec, 0, colorer((P("1"),)), P("21"))
-fires(splitters.refine_colorer, P("321"), spec, 0, colorer(spec.flatten()), P("21"))
 with mock.patch.object(oracle, "_recheck_witness", lambda sigma, tau, pi: False):
     fires(oracle.unavoidable_witness, [P("123")], P("1"), P("1"), 1)
 with mock.patch.object(envelope, "decode_envelope", lambda m: None):
@@ -80,8 +77,6 @@ EVERY_CHECK_FIRES = [
     "VerificationError: palette exceeded the 4^weight bound",
     "VerificationError: recursive avoidance guarantee broke",
     "VerificationError: nonempty host cannot avoid a single-arc obstacle",
-    "InvalidColorerError: colorer returned a certificate for the wrong spec",
-    "InvalidColorerError: class 0 of the colorer's certificate contains 1 3 2",
     "VerificationError: witness 1 failed its re-check",
     "VerificationError: short-arc insertion must produce an envelope matching",
     "VerificationError: leftmost arc of an indecomposable matching is long",
@@ -100,13 +95,13 @@ def test_no_assert_statements_in_the_package():
 
 
 def test_every_check_fires_under_optimize():
-    # one line above per `raise` of a VerificationError (or its subclass)
+    # one line above per `raise` of a VerificationError
     raises = 0
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
                 name = getattr(node.exc.func, "id", "")
-                raises += name in ("VerificationError", "InvalidColorerError")
+                raises += name == "VerificationError"
     assert raises == len(EVERY_CHECK_FIRES)
     src = str(PACKAGE.resolve().parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -3,7 +3,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from conftest import brute_contains
+from conftest import brute_contains, matchings_up_to
 
 from permsplit.errors import PreconditionError
 from permsplit.matchings import m_of
@@ -96,7 +96,6 @@ def test_merge_violations_on_matchings_scan_only_classes_that_cross():
     # message stays the one the full scan of every class gives
     from itertools import product
 
-    from permsplit.matchings import matchings_up_to
     from permsplit.oracle import _submatching_occurrence, merge_violations
 
     def full_scan(cert):
@@ -131,7 +130,6 @@ def test_merge_check_matching_subject():
 def test_merge_check_decides_crossing_pair_classes_as_the_subset_scan_does():
     from itertools import combinations
 
-    from permsplit.matchings import matchings_up_to
     from permsplit.oracle import _submatching_occurrence
 
     # the arcs outside the subset form an order-6 class, which no matching
@@ -242,6 +240,17 @@ def test_verify_splitting_examples():
     report = verify_splitting({P("123")}, SplittingSpec.of(P("12")), 2)
     assert not report.passed
     assert report.failures[0][0] == "1 2"
+
+
+def test_verify_splitting_is_bound_limited():
+    # Av(231) is unsplittable, yet every member of order <= 6 merges into
+    # {Av(123), Av(132)}: the least counterexample has order 7
+    spec = SplittingSpec.of(P("123"), P("132"))
+    report = verify_splitting({P("231")}, spec, 6)
+    assert (report.passed, report.checked) == (True, 197)
+    report = verify_splitting({P("231")}, spec, 7)
+    assert (report.passed, report.checked) == (False, 626)
+    assert report.failures[0] == ("1 3 2 5 4 7 6", "no merge into the spec exists")
 
 
 def test_verify_splitting_uses_splitter_fast_path():

@@ -31,7 +31,6 @@ from permsplit.perms import (
     direct_sum,
     ends_with_occurrence,
     enumerate_avoiders,
-    identity,
     inflate,
     inflate_lr_minima,
     inverse,
@@ -44,7 +43,6 @@ from permsplit.perms import (
     skew_sum,
     sum_components,
     sum_decompose,
-    symmetry,
 )
 
 P = Permutation.from_text
@@ -249,9 +247,7 @@ def test_symmetry_examples():
     assert reverse(P("132")) == P("231")
     assert inverse(P("2413")) == P("3142")
     assert reverse_complement(P("213")) == P("132")
-    assert symmetry("reverse-complement", P("21")) == P("21")
-    with pytest.raises(ValueError):
-        symmetry("rotate", P("21"))
+    assert SYMMETRIES["reverse-complement"](P("21")) == P("21")
 
 
 def test_symmetry_images_match_the_validated_constructor():
@@ -393,9 +389,10 @@ def test_enumeration_stack_stays_shallow_at_any_order():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
         "import sys\n"
-        "from permsplit.perms import Permutation, enumerate_avoiders, identity\n"
+        "from permsplit.perms import Permutation, enumerate_avoiders\n"
         "sys.setrecursionlimit(150)\n"
-        "assert list(enumerate_avoiders({Permutation((2, 1))}, 300)) == [identity(300)]\n"
+        "identity = Permutation(tuple(range(1, 301)))\n"
+        "assert list(enumerate_avoiders({Permutation((2, 1))}, 300)) == [identity]\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script],
@@ -669,8 +666,7 @@ def test_least_top_of_increasing_pattern_takes_no_search(monkeypatch):
     assert least_top((2, 1), shuffled) == _backtracked_top((2, 1), shuffled) and calls
 
 
-def test_identity_and_decreasing():
-    assert identity(4) == P("1234")
+def test_decreasing():
     assert decreasing(4) == P("4321")
     assert decreasing(0) == EMPTY
 
@@ -810,7 +806,8 @@ def test_run_drop_run_found_against_brute_force():
     hosts = [host for n in range(8) for host in all_perms(n)]
     for a in range(1, 5):
         for b in range(1, 6 - a):
-            patt = direct_sum(direct_sum(identity(a), decreasing(2)), identity(b))
+            run_a, run_b = (Permutation(tuple(range(1, k + 1))) for k in (a, b))
+            patt = direct_sum(direct_sum(run_a, decreasing(2)), run_b)
             for host in hosts:
                 want = brute_contains(patt, host)
                 assert _run_drop_run_found(a, b, host.values) == want, (a, b, host)

@@ -1,17 +1,14 @@
 from __future__ import annotations
 
 import pytest
-from conftest import brute_contains
+from conftest import EMPTY_MATCHING, all_matchings, brute_contains, matchings_up_to
 
-from permsplit.errors import InvalidColorerError, PreconditionError, VerificationError
+from permsplit.errors import PreconditionError, VerificationError
 from permsplit.matchings import (
-    EMPTY_MATCHING,
     Matching,
-    all_matchings,
     crosses,
     m_of,
     matching_contains,
-    matchings_up_to,
     weight,
 )
 from permsplit.perms import EMPTY, Permutation, avoiders_up_to
@@ -28,7 +25,6 @@ from permsplit.splitters import (
     greedy_three_sum,
     match_split,
     oneplus_split,
-    refine_colorer,
 )
 
 P = Permutation.from_text
@@ -437,57 +433,6 @@ def test_circle_color_proper_small():
             for y in m.arcs:
                 if x < y and crosses(x, y):
                     assert coloring[x] != coloring[y]
-
-
-def _two_increasing_colorer(spec_parts):
-    """Valid colorer for Av(321) against any 2-part spec whose parts are
-    avoided by increasing sequences: Dilworth classes are increasing."""
-
-    def colorer(q: Permutation) -> ColoringCertificate:
-        cert = dilworth_split(3, q)
-        return ColoringCertificate(subject=q, parts=spec_parts, colors=cert.colors)
-
-    return colorer
-
-
-def test_refine_colorer_valid_instance():
-    spec = SplittingSpec.of(P("132"), P("213"))
-    colorer = _two_increasing_colorer(spec.flatten())
-    for p in avoiders_up_to({P("321")}, 5):
-        cert = refine_colorer(P("321"), spec, 0, colorer, p)
-        assert cert.subject == p
-        assert cert.parts[1] == P("213")
-        assert cert.parts[0] in (P("1"), P("21"))  # 132 = 1 ⊕ 21
-        assert brute_valid(cert)
-
-
-def test_refine_colorer_degenerate_and_errors():
-    spec = SplittingSpec.of(P("132"), P("213"))
-    colorer = _two_increasing_colorer(spec.flatten())
-    cert = refine_colorer(P("321"), spec, 0, colorer, EMPTY)
-    assert cert.colors == ()
-
-    def broken(q: Permutation) -> ColoringCertificate:
-        return ColoringCertificate(
-            subject=q, parts=spec.flatten(), colors=(0,) * len(q)
-        )
-
-    with pytest.raises(InvalidColorerError):
-        refine_colorer(P("321"), spec, 0, broken, P("21"))
-
-    def wrong_spec(q: Permutation) -> ColoringCertificate:
-        return ColoringCertificate(subject=q, parts=(P("1"),), colors=(0,) * len(q))
-
-    with pytest.raises(InvalidColorerError, match="wrong spec"):
-        refine_colorer(P("321"), spec, 0, wrong_spec, P("21"))
-    with pytest.raises(PreconditionError, match="contains 3 2 1"):
-        refine_colorer(P("321"), spec, 0, colorer, P("4321"))
-    skew_spec = SplittingSpec.of(P("132"), P("312"))
-    skew_colorer = _two_increasing_colorer(skew_spec.flatten())
-    with pytest.raises(PreconditionError):
-        refine_colorer(P("321"), skew_spec, 1, skew_colorer, P("12"))  # 312 indecomposable
-    with pytest.raises(PreconditionError):
-        refine_colorer(P("132"), spec, 0, colorer, P("12"))  # pi decomposable
 
 
 def _rescan_greedy_colors(red: Permutation, p: Permutation) -> tuple[int, ...]:
