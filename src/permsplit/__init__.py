@@ -38,7 +38,6 @@ from .matchings import (
     Matching,
     blocks,
     is_connected,
-    levels,
     m_minus,
     m_of,
     m_plus,
@@ -67,7 +66,7 @@ from .perms import (
     is_simple,
     lr_minima,
     skew_sum,
-    sum_decompose,
+    sum_splits,
 )
 from .splitters import (
     ColoringCertificate,

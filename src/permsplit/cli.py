@@ -33,9 +33,10 @@ from .perms import (
     contains,
     count_avoiders,
     decreasing,
-    direct_sum_all,
+    direct_sum,
     enumerate_avoiders,
-    sum_components,
+    sum_block,
+    sum_splits,
 )
 from .splitters import (
     SplittingSpec,
@@ -178,14 +179,17 @@ def _splitter(method: str, pattern: Permutation) -> Callable:
     if method == "theorem":
         theorem_plan(pattern)  # raises for a pattern the theorem does not split
         return partial(theorem_certificate, pattern)
-    comps, n = sum_components(pattern), len(pattern)
-    if method == "greedy3" and len(comps) >= 3:  # the forced route-b scan
-        return partial(greedy_three_sum, comps[0], direct_sum_all(comps[1:-1]), comps[-1])
+    n, splits = len(pattern), sum_splits(pattern)
+    if method == "greedy3" and len(splits) >= 2:  # the forced route-b scan
+        first, last = splits[0], splits[-1]
+        ends = ((0, first), (first, last), (last, n))
+        return partial(greedy_three_sum, *(sum_block(pattern, i, j) for i, j in ends))
     if method == "dilworth" and pattern == decreasing(n):
         return partial(dilworth_split, n)
-    if method == "oneplus" and n >= 3 and comps[1:] == (decreasing(n - 1),):  # 1⊕(n-1)…1
+    one_plus = n >= 3 and pattern == direct_sum(Permutation((1,)), decreasing(n - 1))
+    if method == "oneplus" and one_plus:  # 1⊕(n-1)…1
         spec = SplittingSpec(((Permutation((2, 1)), n - 2),))
-        return partial(oneplus_split, comps[1], spec, dilworth_matching_base(n - 1))
+        return partial(oneplus_split, decreasing(n - 1), spec, dilworth_matching_base(n - 1))
     raise PreconditionError(f"--method {method} does not apply to {pattern.text()}")
 
 

@@ -35,13 +35,12 @@ from .perms import (
     SYMMETRIES,
     Permutation,
     avoids,
+    complement,
     direct_sum,
-    direct_sum_all,
     inverse,
     is_simple,
-    skew_decompose,
-    sum_components,
-    sum_decompose,
+    sum_block,
+    sum_splits,
 )
 from .splitters import ColoringCertificate, SplittingSpec, easy_split_parts, greedy_colors
 
@@ -51,7 +50,7 @@ UNSPLITTABLE_SMALL = frozenset(
 
 
 def _require_witness_sigma(sigma: Permutation, least: int) -> None:
-    if len(sigma) < least or sum_decompose(sigma) is not None:
+    if len(sigma) < least or sum_splits(sigma):
         raise PreconditionError(
             f"sigma must be sum-indecomposable of order >= {least}: {sigma.text()}"
         )
@@ -170,27 +169,30 @@ class TheoremPlan:
 def theorem_plan(pattern: Permutation) -> TheoremPlan:
     if pattern in UNSPLITTABLE_SMALL:
         raise PreconditionError(f"Av({pattern.text()}) is unsplittable")
-    comps = sum_components(pattern)
-    if len(comps) >= 2:
-        for k in range(1, len(comps)):
-            alpha, beta = direct_sum_all(comps[:k]), direct_sum_all(comps[k:])
-            if len(alpha) >= 2 and len(beta) >= 2:
-                spec = easy_split_parts(alpha, beta)
-                triple = (alpha, Permutation((1,)), beta)
-                return TheoremPlan(pattern, "a", "none", spec, triple=triple)
-        if len(comps) >= 3:
-            alpha, beta, gamma = comps[0], direct_sum_all(comps[1:-1]), comps[-1]
-            spec = SplittingSpec.of(direct_sum(alpha, beta), direct_sum(beta, gamma))
-            return TheoremPlan(pattern, "b", "none", spec, triple=(alpha, beta, gamma))
-        if len(comps[0]) == 1:
-            w = witness_pair(comps[1])
+    n, splits = len(pattern), sum_splits(pattern)
+    if splits:
+        k = next((k for k in splits if 2 <= k <= n - 2), None)
+        if k is not None:
+            alpha, beta = sum_block(pattern, 0, k), sum_block(pattern, k, n)
+            spec = easy_split_parts(alpha, beta)
+            return TheoremPlan(pattern, "a", "none", spec, triple=(alpha, Permutation((1,)), beta))
+        first, last = splits[0], splits[-1]
+        if first < last:
+            # α⊕β⊕γ with α the first component and γ the last: the parts
+            # α⊕β and β⊕γ are slices of the pattern
+            ends = ((0, first), (first, last), (last, n))
+            triple = tuple(sum_block(pattern, i, j) for i, j in ends)
+            spec = SplittingSpec.of(sum_block(pattern, 0, last), sum_block(pattern, first, n))
+            return TheoremPlan(pattern, "b", "none", spec, triple=triple)
+        if splits == (1,):
+            w = witness_pair(sum_block(pattern, 1, n))
             spec = SplittingSpec(((w.tau_plus, 2), (w.tau_minus, 2)))
             return TheoremPlan(pattern, "c", "none", spec)
-    elif skew_decompose(pattern) is None:
+    elif not sum_splits(complement(pattern)):
         raise PreconditionError(f"{pattern.text()} is neither sum- nor skew-decomposable")
     # σ⊕1 (route d) and skew-decomposable patterns (route e): plan the image
     # under the symmetry and map its parts back; both symmetries are involutions
-    route, symmetry = ("d", "reverse-complement") if len(comps) >= 2 else ("e", "complement")
+    route, symmetry = ("d", "reverse-complement") if splits else ("e", "complement")
     sym = SYMMETRIES[symmetry]
     inner = theorem_plan(sym(pattern))
     spec = SplittingSpec(tuple((sym(q), mult) for q, mult in inner.spec.parts))
@@ -265,6 +267,6 @@ def classify_pattern(p: Permutation) -> Classification:
         return Classification("unsplittable", "simple")
     if p in UNSPLITTABLE_SMALL:
         return Classification("unsplittable", "symmetry of 132")
-    if sum_decompose(p) is not None or skew_decompose(p) is not None:
+    if sum_splits(p) or sum_splits(complement(p)):
         return Classification("splittable", "decomposable")
     return Classification("unknown", "not simple, indecomposable both ways")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import merge
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError, VerificationError
@@ -316,24 +315,9 @@ def blocks(m: Matching) -> tuple[Matching, ...]:
     )
 
 
-def uplus(a: Matching, b: Matching) -> Matching:
-    """The left-to-right disjoint union a ⊎ b."""
-    shift = 2 * len(a)
-    return Matching(a.arcs + tuple((x + shift, y + shift) for x, y in b.arcs))
-
-
 def is_connected(m: Matching) -> bool:
     """Connectivity of the crossing (intersection) graph."""
     return len(CrossingGraph(m.arcs).components(range(len(m)))) <= 1
-
-
-def levels(m: Matching) -> tuple[tuple[Arc, ...], ...]:
-    """BFS layers of the crossing graph from the arc at the leftmost endpoint,
-    each in left-endpoint order."""
-    comps = CrossingGraph(m.arcs).components(range(len(m)))
-    if len(comps) > 1:
-        raise PreconditionError("levels requires a connected matching")
-    return tuple(tuple(m.arcs[i] for i in merge(*level)) for comp in comps for level in comp)
 
 
 def mirror(m: Matching) -> Matching:

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import compress, islice, permutations
+from functools import lru_cache
+from itertools import accumulate, compress, islice, permutations
 from typing import Iterable, Iterator, Sequence
 
 
@@ -613,42 +613,28 @@ def is_simple(p: Permutation) -> bool:
     return True
 
 
-def sum_decompose(p: Permutation) -> tuple[Permutation, Permutation] | None:
-    """Split p = a ⊕ b at the least k with p[1..k] = {1..k}, if any."""
-    n = len(p)
-    mx = 0
-    for k in range(1, n):
-        mx = max(mx, p.values[k - 1])
-        if mx == k:
-            head = Permutation(p.values[:k])
-            tail = Permutation(tuple(v - k for v in p.values[k:]))
-            return head, tail
-    return None
+def sum_splits(p: Permutation) -> tuple[int, ...]:
+    """Every k, 0 < k < n, such that p[:k] is a permutation of 1..k: where one
+    ⊕-component of p ends and the next begins, in one pass over the prefix
+    maxima.  p is ⊕-decomposable iff it has a split, and ⊖-decomposable iff
+    its complement has one.
+
+    >>> sum_splits(Permutation.from_text("21354"))
+    (2, 3)
+    """
+    prefix_maxima = accumulate(p.values[:-1], max)
+    return tuple(k for k, top in enumerate(prefix_maxima, start=1) if top == k)
 
 
-def skew_decompose(p: Permutation) -> tuple[Permutation, Permutation] | None:
-    """Split p = a ⊖ b at the least k with p[1..k] = {n-k+1..n}, if any:
-    complementing maps ⊖ onto ⊕, so this is sum_decompose of the complement."""
-    split = sum_decompose(complement(p))
-    return None if split is None else (complement(split[0]), complement(split[1]))
+def sum_block(p: Permutation, i: int, j: int) -> Permutation:
+    """p[i:j] reduced, for i < j each a split of p or an end (0 or n): the
+    ⊕-sum of p's components between them.  Raises ValueError unless the
+    slice holds the values i + 1..j, as every such slice does.
 
-
-def sum_components(p: Permutation) -> tuple[Permutation, ...]:
-    """The finest decomposition p = c1 ⊕ c2 ⊕ ... into sum-indecomposables."""
-    comps: list[Permutation] = []
-    rest = p
-    while len(rest):
-        split = sum_decompose(rest)
-        if split is None:
-            comps.append(rest)
-            break
-        head, rest = split
-        comps.append(head)
-    return tuple(comps)
-
-
-def direct_sum_all(parts: Iterable[Permutation]) -> Permutation:
-    return reduce(direct_sum, parts, EMPTY)
+    >>> sum_block(Permutation.from_text("21354"), 2, 5).text()
+    '1 3 2'
+    """
+    return Permutation(tuple(v - i for v in p.values[i:j]))
 
 
 def lr_minima(p: Permutation) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
 from .envelope import reduced_envelope_map
@@ -24,13 +24,11 @@ from .matchings import (
     CrossingGraph,
     Matching,
     arc_blocks,
-    blocks,
     m_minus,
     m_of,
     m_plus,
     matching_contains,
     perm_of,
-    uplus,
     weight,
 )
 from .perms import (
@@ -42,7 +40,7 @@ from .perms import (
     ends_with_occurrence,
     least_top,
     run_drop_shape,
-    sum_decompose,
+    sum_splits,
 )
 
 
@@ -341,7 +339,7 @@ class MatchingBase:
     def parts_indecomposable(self) -> bool:
         """Are all the part patterns sum-indecomposable, as match_split
         requires?  Decided once per base."""
-        return all(sum_decompose(q) is None for q in self.parts)
+        return not any(sum_splits(q) for q in self.parts)
 
 
 def dilworth_matching_base(n: int) -> MatchingBase:
@@ -396,9 +394,9 @@ def _plan(obs: Matching) -> _ObstaclePlan:
     each step lowers the weight, so the plans below an obstacle are few."""
     if len(obs) < 2:
         return _ObstaclePlan(obs, len(obs), "", None, None)
-    obs_blocks = blocks(obs)
-    if len(obs_blocks) > 1:
-        first, second = obs_blocks[0], reduce(uplus, obs_blocks[1:])
+    head = len(arc_blocks(obs.arcs, range(len(obs)))[0])
+    if head < len(obs):
+        first, second = Matching.from_arcs(obs.arcs[:head]), Matching.from_arcs(obs.arcs[head:])
         return _ObstaclePlan(obs, len(obs), "uplus-obstacle", _plan(first), _plan(second))
     return _ObstaclePlan(obs, len(obs), "components", _plan(m_plus(obs)), _plan(m_minus(obs)))
 
@@ -547,7 +545,7 @@ def oneplus_split(
     pull arc colors back to the covered elements, and send every LR-minimum to
     part 0.  Each class avoids 1⊕(its part pattern).
     """
-    if sum_decompose(sigma) is not None or len(sigma) == 0:
+    if sum_splits(sigma) or len(sigma) == 0:
         raise PreconditionError("sigma must be nonempty and sum-indecomposable")
     one = Permutation((1,))
     target = direct_sum(one, sigma)

@@ -1,5 +1,7 @@
 """Brute-force oracles used to derive expected values independently, seeded
-host generators, and the enumeration of the small matchings the tests sweep.
+host generators, the enumeration of the small matchings the tests sweep, and
+two matching operations only tests use: ⊎ and the BFS layers read off the
+library's crossing graph.
 
 These deliberately do not reuse the library's search code: containment is an
 exhaustive subsequence scan, avoider enumeration is a filter over all n!
@@ -8,10 +10,12 @@ built from a seed and the Permutation constructor alone.
 """
 from __future__ import annotations
 
+from heapq import merge
 from itertools import combinations, permutations
 from typing import Iterator
 
-from permsplit.matchings import Arc, Matching, crosses
+from permsplit.errors import PreconditionError
+from permsplit.matchings import Arc, CrossingGraph, Matching, crosses
 from permsplit.perms import Permutation, complement, reverse
 
 EMPTY_MATCHING = Matching(())
@@ -38,6 +42,21 @@ def matchings_up_to(q_max: int) -> Iterator[Matching]:
     """Every matching with at most q_max arcs, by arc count."""
     for q in range(q_max + 1):
         yield from all_matchings(q)
+
+
+def uplus(a: Matching, b: Matching) -> Matching:
+    """The left-to-right disjoint union a ⊎ b."""
+    shift = 2 * len(a)
+    return Matching(a.arcs + tuple((x + shift, y + shift) for x, y in b.arcs))
+
+
+def levels(m: Matching) -> tuple[tuple[Arc, ...], ...]:
+    """BFS layers of the crossing graph from the arc at the leftmost endpoint,
+    each in left-endpoint order."""
+    comps = CrossingGraph(m.arcs).components(range(len(m)))
+    if len(comps) > 1:
+        raise PreconditionError("levels requires a connected matching")
+    return tuple(tuple(m.arcs[i] for i in merge(*level)) for comp in comps for level in comp)
 
 
 def order_isomorphic(seq_a, seq_b) -> bool:

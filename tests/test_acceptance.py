@@ -45,11 +45,11 @@ from permsplit.perms import (
     Permutation,
     all_perms,
     avoiders_up_to,
+    complement,
     contains,
     direct_sum,
     lr_minima,
-    skew_decompose,
-    sum_decompose,
+    sum_splits,
 )
 from permsplit.splitters import (
     SplittingSpec,
@@ -221,7 +221,7 @@ def test_acceptance_06_oneplus_pipeline():
 
 def test_acceptance_07_theorem_end_to_end():
     # 1⊕σ for the 13 sum-indecomposable σ of order 4, 13524 among them
-    order_four = [direct_sum(ONE, s).text() for s in all_perms(4) if sum_decompose(s) is None]
+    order_four = [direct_sum(ONE, s).text() for s in all_perms(4) if not sum_splits(s)]
     hard = ("1342", "1423", "1432", *order_four)
     easy = ("2143", "1324", "2134")
     for text in hard + easy:
@@ -249,7 +249,7 @@ def test_acceptance_08_witness_construction_guarantees():
         p
         for n in (3, 4)
         for p in all_perms(n)
-        if sum_decompose(p) is None
+        if not sum_splits(p)
     ]
     assert len(sigmas) == 3 + 13
     tau_checked = 0
@@ -323,7 +323,7 @@ def test_acceptance_10_searches_and_classification():
     for p in all_perms(4):
         if p.text() in ("2 4 1 3", "3 1 4 2"):
             continue
-        if sum_decompose(p) is not None or skew_decompose(p) is not None:
+        if sum_splits(p) or sum_splits(complement(p)):
             assert classify_pattern(p).verdict == "splittable", p.text()
     invariant_checked = 0
     for n in range(1, 6):

@@ -34,10 +34,11 @@ from permsplit.perms import (
     SYMMETRIES,
     all_perms,
     avoiders_up_to,
+    complement,
     contains,
     direct_sum,
     skew_sum,
-    sum_decompose,
+    sum_splits,
 )
 from permsplit.splitters import SplittingSpec
 
@@ -76,7 +77,7 @@ def test_m_prime_examples_and_sweep():
     assert m_prime(P("231")) == M("1-5 2-3 4-6")
     for n in range(2, 6):
         for s in all_perms(n):
-            if sum_decompose(s) is not None:
+            if sum_splits(s):
                 continue
             assert not matching_contains(m_of(s), m_prime(s))
 
@@ -115,7 +116,7 @@ def test_n_plus_connected_through_order_five():
     # through order six: every route-c part τ(N±) has order at most 2|σ| + 5
     for n in (3, 4, 5, 6):
         for s in all_perms(n):
-            if sum_decompose(s) is not None:
+            if sum_splits(s):
                 continue
             m = m_of(s)
             for construct, shorten in ((n_plus, m_plus), (n_minus, m_minus)):
@@ -468,13 +469,8 @@ def test_theorem_split_every_decomposable_size4_pattern():
     # module invariant: the router's spec verifies for all 22 decomposable
     # size-4 patterns at n <= 7, with the constructive certificate fast path
     from permsplit.oracle import verify_splitting
-    from permsplit.perms import skew_decompose
 
-    patterns = [
-        p
-        for p in all_perms(4)
-        if sum_decompose(p) is not None or skew_decompose(p) is not None
-    ]
+    patterns = [p for p in all_perms(4) if sum_splits(p) or sum_splits(complement(p))]
     assert len(patterns) == 22
     for pattern in patterns:
         report = verify_splitting(
@@ -503,3 +499,36 @@ def test_classify_symmetry_invariant_small():
             verdict = classify_pattern(p).verdict
             for image in SYMMETRIES.values():
                 assert classify_pattern(image(p)).verdict == verdict
+
+
+# SHA-256 of one line per pattern p of order 1-7, in all_perms order:
+# "text|verdict|reason|route symmetry spec", the last field being
+# "error <message>" where theorem_plan refuses the pattern.
+ROUTER_SHA256 = "5a63f1f4acdb09e337225e5500f0b7986b3dc42b1521eed44ea3d3f09b0653fb"
+
+
+def test_router_and_classifier_pinned_through_order_seven():
+    import hashlib
+    from collections import Counter
+
+    digest, counts = hashlib.sha256(), {}
+    for n in range(1, 8):
+        tally = Counter()
+        for p in all_perms(n):
+            c = classify_pattern(p)
+            tally[c.verdict] += 1
+            try:
+                plan = theorem_plan(p)
+                row = f"{plan.route} {plan.symmetry} {plan.spec.text()}"
+            except PreconditionError as exc:
+                row = f"error {exc}"
+            digest.update(f"{p.text()}|{c.verdict}|{c.reason}|{row}\n".encode())
+        counts[n] = (tally["splittable"], tally["unsplittable"], tally["unknown"])
+    assert digest.hexdigest() == ROUTER_SHA256
+    # splittable/unsplittable/unknown, as in the ROADMAP
+    assert [counts[n] for n in (4, 5, 6, 7)] == [
+        (22, 2, 0),
+        (98, 6, 16),
+        (518, 46, 156),
+        (3186, 338, 1516),
+    ]

@@ -65,34 +65,115 @@ def _defined(stmt: ast.stmt) -> list[str]:
     return []
 
 
-def _referenced(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.alias):
-        return node.name
-    return None
+# function, lambda and comprehension nodes: each binds names in a scope of its own
+SCOPES = (
+    ast.FunctionDef,
+    ast.AsyncFunctionDef,
+    ast.Lambda,
+    ast.ListComp,
+    ast.SetComp,
+    ast.DictComp,
+    ast.GeneratorExp,
+)
+
+
+def _own_scope(node: ast.AST):
+    """The nodes under node outside any nested scope (each nested scope's
+    own node included, since its name binds in node's scope)."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, SCOPES):
+            yield from _own_scope(child)
+
+
+def _binds(scope: ast.AST) -> set[str]:
+    """The names a function, lambda or comprehension binds in its own scope:
+    parameters, assignment and loop targets, imports, nested definitions."""
+    names = set()
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = scope.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        names.update(arg.arg for arg in params if arg is not None)
+    for node in _own_scope(scope):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+    return names
+
+
+def _free_loads(node: ast.AST, bound: frozenset[str] = frozenset()):
+    """The names loaded under node that no enclosing function, lambda or
+    comprehension binds: the module-level names node reads."""
+    if isinstance(node, SCOPES):
+        bound = bound | _binds(node)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+        yield node.id
+    for child in ast.iter_child_nodes(node):
+        yield from _free_loads(child, bound)
+
+
+def _imported(tree: ast.AST) -> set[tuple[str, str]]:
+    """(module, name) for every `from .module import name` and `from
+    permsplit.module import name`, and for every attribute `module.name` on
+    a package module bound by `from . import module`, `from permsplit import
+    module` or `import permsplit.module as module`."""
+    out, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                module = node.module
+            elif (node.module or "").partition(".")[0] == "permsplit":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            for alias in node.names:
+                if module:
+                    out.add((module, alias.name))
+                elif alias.name in LAYERS:
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, module = alias.name.partition(".")
+                if package == "permsplit" and module in LAYERS and alias.asname:
+                    modules[alias.asname] = module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                out.add((modules[node.value.id], node.attr))
+    return out
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    # a reference in the package (not __init__) or in bench/*.py, outside the
-    # name's own definition, counts; re-exports in __init__ do not
-    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in modules}
+    # a caller is an import of the name from its defining module or an
+    # attribute on that module, in the package (not __init__) or in
+    # bench/*.py, or a load in the defining module, outside the name's own
+    # definition, that no enclosing function binds to something else; a
+    # local variable or attribute of the same name is no caller, and
+    # re-exports in __init__ do not count
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    }
     public = {
-        name
-        for tree in trees.values()
+        (module, name)
+        for module, tree in modules.items()
         for stmt in tree.body
         for name in _defined(stmt)
         if not name.startswith("_")
     }
-    assert BENCH.is_dir()
-    for path in sorted(BENCH.glob("*.py")):
-        trees[path] = ast.parse(path.read_text(encoding="utf-8"))
     used = set()
-    for tree in trees.values():
+    for module, tree in modules.items():
         for stmt in tree.body:
             own = _defined(stmt)
-            used.update(name for node in ast.walk(stmt) if (name := _referenced(node)) not in own)
-    assert public - used == set(TESTS_ONLY)
+            used.update((module, name) for name in _free_loads(stmt) if name not in own)
+        used.update(_imported(tree))
+    assert BENCH.is_dir()
+    for path in sorted(BENCH.glob("*.py")):
+        used.update(_imported(ast.parse(path.read_text(encoding="utf-8"))))
+    assert sorted(name for _, name in public - used) == sorted(TESTS_ONLY)

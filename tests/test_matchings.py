@@ -8,8 +8,10 @@ from conftest import (
     all_matchings,
     brute_components,
     brute_matching_contains,
+    levels,
     matchings_up_to,
     seeded_hosts,
+    uplus,
 )
 
 from permsplit.errors import PreconditionError
@@ -20,15 +22,13 @@ from permsplit.matchings import (
     blocks,
     crosses,
     is_connected,
-    levels,
     m_of,
     matching_contains,
     mirror,
     perm_of,
-    uplus,
     weight,
 )
-from permsplit.perms import Permutation, all_perms, contains, inverse, sum_decompose
+from permsplit.perms import Permutation, all_perms, contains, inverse, sum_splits
 
 P = Permutation.from_text
 M = Matching.from_text
@@ -174,7 +174,7 @@ def test_connectivity_examples():
     for n in range(1, 7):
         for p in all_perms(n):
             assert len(blocks(m_of(p))) == 1
-            assert is_connected(m_of(p)) == (sum_decompose(p) is None)
+            assert is_connected(m_of(p)) == (not sum_splits(p))
 
 
 def test_levels_examples():

@@ -39,10 +39,9 @@ from permsplit.perms import (
     lr_minima,
     reverse,
     reverse_complement,
-    skew_decompose,
     skew_sum,
-    sum_components,
-    sum_decompose,
+    sum_block,
+    sum_splits,
 )
 
 P = Permutation.from_text
@@ -318,35 +317,72 @@ def test_is_simple_examples():
     assert [p.text() for p in all_perms(4) if is_simple(p)] == ["2 4 1 3", "3 1 4 2"]
 
 
+def _components(p):
+    """p's ⊕-components, sliced between consecutive splits."""
+    ends = (0, *sum_splits(p), len(p))
+    return tuple(sum_block(p, i, j) for i, j in zip(ends, ends[1:]))
+
+
 def test_decompose_examples():
-    assert sum_decompose(P("1324")) == (P("1"), P("213"))
-    assert sum_decompose(P("231")) is None
-    assert sum_decompose(P("12")) == (P("1"), P("1"))
-    assert skew_decompose(P("321")) == (P("1"), P("21"))
-    assert skew_decompose(P("3412")) == (P("12"), P("12"))
-    assert skew_decompose(P("123")) is None
-    assert sum_components(P("1324")) == (P("1"), P("21"), P("1"))
-    assert sum_components(P("21345")) == (P("21"), P("1"), P("1"), P("1"))
+    p = P("1324")
+    assert sum_splits(p) == (1, 3)
+    assert (sum_block(p, 0, 1), sum_block(p, 1, 4)) == (P("1"), P("213"))
+    assert sum_splits(P("231")) == ()
+    assert sum_splits(P("12")) == (1,)
+    assert (sum_block(P("12"), 0, 1), sum_block(P("12"), 1, 2)) == (P("1"), P("1"))
+    # ⊖-splits are the ⊕-splits of the complement: 321 = 1 ⊖ 21, 3412 = 12 ⊖ 12
+    c = complement(P("321"))
+    assert sum_splits(c) == (1, 2)
+    assert (complement(sum_block(c, 0, 1)), complement(sum_block(c, 1, 3))) == (P("1"), P("21"))
+    c = complement(P("3412"))
+    assert sum_splits(c) == (2,)
+    assert (complement(sum_block(c, 0, 2)), complement(sum_block(c, 2, 4))) == (P("12"), P("12"))
+    assert sum_splits(complement(P("123"))) == ()
+    assert _components(P("1324")) == (P("1"), P("21"), P("1"))
+    assert _components(P("21345")) == (P("21"), P("1"), P("1"), P("1"))
+    # a slice that does not hold the values i + 1..j is refused
+    with pytest.raises(ValueError):
+        sum_block(P("1324"), 0, 2)
+    with pytest.raises(ValueError):
+        sum_block(P("1324"), 1, 2)
 
 
 def test_decompose_round_trips():
     # the head of a split being indecomposable the same way pins the least k
     for n in range(1, 8):
         for p in all_perms(n):
-            s = sum_decompose(p)
-            if s is not None:
-                assert direct_sum(*s) == p
-                assert sum_decompose(s[0]) is None
-            k = skew_decompose(p)
-            if k is not None:
-                assert skew_sum(*k) == p
-                assert skew_decompose(k[0]) is None
+            splits = sum_splits(p)
+            if splits:
+                head, tail = sum_block(p, 0, splits[0]), sum_block(p, splits[0], n)
+                assert direct_sum(head, tail) == p
+                assert sum_splits(head) == ()
+            c = complement(p)
+            splits = sum_splits(c)
+            if splits:
+                head = complement(sum_block(c, 0, splits[0]))
+                tail = complement(sum_block(c, splits[0], n))
+                assert skew_sum(head, tail) == p
+                assert sum_splits(complement(head)) == ()
+
+
+def test_sum_splits_and_blocks_against_their_definitions():
+    # every split, not only the least, against the brute-force definition,
+    # and p rebuilt as a ⊕-sum (⊖-sum through the complement) at each one
+    for n in range(9):
+        for p in all_perms(n):
+            splits = sum_splits(p)
+            assert splits == tuple(k for k in range(1, n) if set(p.values[:k]) == set(range(1, k + 1)))
+            for k in splits:
+                assert direct_sum(sum_block(p, 0, k), sum_block(p, k, n)) == p
+            c = complement(p)
+            for k in sum_splits(c):
+                assert skew_sum(complement(sum_block(c, 0, k)), complement(sum_block(c, k, n))) == p
 
 
 def test_indecomposable_both_ways_but_not_simple_is_rare():
     p = P("25134")
-    assert sum_decompose(p) is None
-    assert skew_decompose(p) is None
+    assert sum_splits(p) == ()
+    assert sum_splits(complement(p)) == ()
     assert not is_simple(p)
 
 

@@ -406,7 +406,7 @@ def test_match_split_checks_its_preconditions_once_per_pattern_and_base(monkeypa
     from permsplit import splitters
 
     calls = []
-    for name in ("m_of", "sum_decompose"):
+    for name in ("m_of", "sum_splits"):
         real = getattr(splitters, name)
         counted = lambda *args, real=real, name=name: calls.append(name) or real(*args)
         monkeypatch.setattr(splitters, name, counted)
@@ -415,7 +415,7 @@ def test_match_split_checks_its_preconditions_once_per_pattern_and_base(monkeypa
     obstacle, base = m_of(pattern), dilworth_matching_base(4)
     for m in ("1-3 2-4", "1-2 3-4", "1-4 2-5 3-6"):
         match_split(M(m), pattern, obstacle, base)
-    assert sorted(calls) == ["m_of"] + ["sum_decompose"] * 3  # base 4 has three parts
+    assert sorted(calls) == ["m_of"] + ["sum_splits"] * 3  # base 4 has three parts
     # both messages stay; a decomposable part is refused before any search
     with pytest.raises(PreconditionError, match="sum-indecomposable"):
         match_split(M("1-2"), P("21"), m_of(P("21")), MatchingBase((P("12"),), base.fn))
