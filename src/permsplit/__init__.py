@@ -4,19 +4,21 @@ Library layout:
 
 - perms: permutations, containment, sums, symmetries, avoider enumeration
 - matchings: ordered matchings, the m(π) encoding, weight, the crossing-graph
-  core (one traversal gives components with BFS levels and sides; ⊎-blocks)
-  and the shortenings m±
-- envelope: envelope matchings E(π), reduced envelopes R(π) and their decoding
+  core (one traversal gives components with BFS levels and sides; ⊎-blocks
+  by index, `arc_blocks`) and the shortenings m±
+- envelope: envelope matchings E(π), one walk giving path and labels, reduced
+  envelopes R(π) and their decoding
 - splitters: greedy three-sum, Dilworth, the recursive matching splitter,
-  the one-plus pipeline, circle-graph coloring
-- constructions: witness matchings N±, witness permutations τ(N), the
-  splitting router and splittability classifier
+  the one-plus pipeline `oneplus_split(sigma, colorer, rho)` (parts read off
+  the colorer), circle-graph coloring
+- constructions: witness matchings N±, witness permutations τ(N) (route c's
+  parts are tau_of(n_plus(σ), σ) and tau_of(n_minus(σ), σ)), the splitting
+  router and splittability classifier
 - oracle: independent brute-force verification and Ramsey-style searches
 - cli: batch command line (`permsplit`)
 """
 
 from .constructions import (
-    WitnessPair,
     classify_pattern,
     m_prime,
     n_minus,
@@ -24,7 +26,6 @@ from .constructions import (
     tau_of,
     theorem_certificate,
     theorem_split,
-    witness_pair,
 )
 from .envelope import (
     EnvelopeDecomposition,
@@ -36,7 +37,6 @@ from .envelope import (
 from .errors import PreconditionError, VerificationError
 from .matchings import (
     Matching,
-    blocks,
     is_connected,
     m_minus,
     m_of,

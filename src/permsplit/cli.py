@@ -188,8 +188,7 @@ def _splitter(method: str, pattern: Permutation) -> Callable:
         return partial(dilworth_split, n)
     one_plus = n >= 3 and pattern == direct_sum(Permutation((1,)), decreasing(n - 1))
     if method == "oneplus" and one_plus:  # 1⊕(n-1)…1
-        spec = SplittingSpec(((Permutation((2, 1)), n - 2),))
-        return partial(oneplus_split, decreasing(n - 1), spec, dilworth_matching_base(n - 1))
+        return partial(oneplus_split, decreasing(n - 1), dilworth_matching_base(n - 1))
     raise PreconditionError(f"--method {method} does not apply to {pattern.text()}")
 
 

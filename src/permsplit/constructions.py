@@ -133,27 +133,6 @@ def tau_of(n: Matching, sigma: Permutation) -> Permutation:
 
 
 @dataclass(frozen=True)
-class WitnessPair:
-    sigma: Permutation
-    n_plus: Matching
-    n_minus: Matching
-    tau_plus: Permutation
-    tau_minus: Permutation
-
-
-@lru_cache(maxsize=None)
-def witness_pair(sigma: Permutation) -> WitnessPair:
-    np_, nm = n_plus(sigma), n_minus(sigma)
-    return WitnessPair(
-        sigma=sigma,
-        n_plus=np_,
-        n_minus=nm,
-        tau_plus=tau_of(np_, sigma),
-        tau_minus=tau_of(nm, sigma),
-    )
-
-
-@dataclass(frozen=True)
 class TheoremPlan:
     """Resolved routing for theorem_split: spec plus certificate recipe."""
 
@@ -185,8 +164,9 @@ def theorem_plan(pattern: Permutation) -> TheoremPlan:
             spec = SplittingSpec.of(sum_block(pattern, 0, last), sum_block(pattern, first, n))
             return TheoremPlan(pattern, "b", "none", spec, triple=triple)
         if splits == (1,):
-            w = witness_pair(sum_block(pattern, 1, n))
-            spec = SplittingSpec(((w.tau_plus, 2), (w.tau_minus, 2)))
+            sigma = sum_block(pattern, 1, n)
+            tau_plus, tau_minus = tau_of(n_plus(sigma), sigma), tau_of(n_minus(sigma), sigma)
+            spec = SplittingSpec(((tau_plus, 2), (tau_minus, 2)))
             return TheoremPlan(pattern, "c", "none", spec)
     elif not sum_splits(complement(pattern)):
         raise PreconditionError(f"{pattern.text()} is neither sum- nor skew-decomposable")

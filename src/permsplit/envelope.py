@@ -29,22 +29,6 @@ class EnvelopeDecomposition:
         return {"perm": self.perm.text(), "path": self.path, "arcs": self.arcs.text()}
 
 
-def _envelope_labels(p: Permutation) -> tuple[list[int], list[int]]:
-    """down[v], the label of row v's down-step, n - v + f(v) with f(v) the first
-    column whose prefix minimum is <= v, and right[i], that of column i's
-    right-step, i + n + 1 - prefmin(i), for envelope_of; index 0 unused."""
-    n = len(p)
-    down = [0] * (n + 1)
-    right = [0] * (n + 1)
-    low = n + 1  # prefix minimum so far: rows low..n are stepped
-    for i, v in enumerate(p.values, start=1):
-        while low > v:
-            low -= 1
-            down[low] = n - low + i
-        right[i] = i + n + 1 - low
-    return down, right
-
-
 def reduced_envelope_walk(p: Permutation) -> tuple[list[int], list[int]]:
     """R(p) by one walk along the envelope path, with no labels: its endpoint
     sequence, k + 1 where arc k opens and ~k = -(k + 1) where it closes (the
@@ -68,23 +52,29 @@ def reduced_envelope_walk(p: Permutation) -> tuple[list[int], list[int]]:
 
 
 def envelope_of(p: Permutation) -> EnvelopeDecomposition:
-    """Build the envelope path of p, label its steps, and read off E(p).
+    """Walk the envelope path of p once, labelling its steps, and read off
+    E(p): before column i's R the path steps D for each row not yet stepped
+    down to p(i), and element i's arc joins row p(i)'s D to column i's R.
 
     >>> envelope_of(Permutation.from_text("132")).arcs.text()
     '1-5 2-6 3-4'
     >>> envelope_of(Permutation.from_text("21")).arcs.text()
     '1-2 3-4'
     """
-    down, right = _envelope_labels(p)
-    steps = ["R"] * (2 * len(p))
-    for label in down[1:]:
-        steps[label - 1] = "D"
-    elem_to_arc = tuple((down[v], right[i]) for i, v in enumerate(p.values, start=1))
+    steps, down, elem_to_arc = [], [0] * (len(p) + 1), []
+    low = len(p) + 1  # rows low and up are stepped; down[r] is row r's label
+    for v in p.values:
+        while low > v:
+            low -= 1
+            steps.append("D")
+            down[low] = len(steps)
+        steps.append("R")
+        elem_to_arc.append((down[v], len(steps)))
     return EnvelopeDecomposition(
         perm=p,
         path="".join(steps),
         arcs=Matching(tuple(sorted(elem_to_arc))),
-        elem_to_arc=elem_to_arc,
+        elem_to_arc=tuple(elem_to_arc),
     )
 
 

@@ -307,14 +307,6 @@ def arc_blocks(arcs: Sequence[Arc], subset: Iterable[int]) -> list[list[int]]:
     return out
 
 
-def blocks(m: Matching) -> tuple[Matching, ...]:
-    """The unique maximal decomposition m = M1 ⊎ M2 ⊎ ... ⊎ Mk, left to right."""
-    return tuple(
-        Matching.from_arcs(m.arcs[i] for i in block)
-        for block in arc_blocks(m.arcs, range(len(m)))
-    )
-
-
 def is_connected(m: Matching) -> bool:
     """Connectivity of the crossing (intersection) graph."""
     return len(CrossingGraph(m.arcs).components(range(len(m)))) <= 1
@@ -332,7 +324,7 @@ def mirror(m: Matching) -> Matching:
 
 def m_plus(m: Matching) -> Matching:
     """Shorten the arc at the leftmost endpoint: replace (1, x) by (x-0.5, x)."""
-    if len(m) < 2 or len(blocks(m)) != 1:
+    if len(m) < 2 or len(arc_blocks(m.arcs, range(len(m)))) != 1:
         raise PreconditionError("need a ⊎-indecomposable matching with ≥ 2 arcs")
     (one, x), *rest = m.arcs
     if one != 1 or x <= 2:

@@ -1,25 +1,27 @@
 """Independent brute-force verification of splittings and Ramsey-style searches.
 
-Everything here checks certificates and classes from first principles: merge
-membership by exhaustive backtracking over part assignments (verify_splitting
-walks the generating tree of the class and resumes each member's search at
-its parent's colouring, which skips only tuples that already failed, so the
-search stays exhaustive and finds the same lexicographically first
-certificate as merge_member; its first step decides all of a parent's
-children at once from the parent's colour classes, each with one mask of
-the last values that would complete its pattern, read off the occurrences
-of the pattern's prefix; at the last order, a parent with a class at least
-two entries shorter than its pattern lists none when the colours its
-children can use, read off its colouring, are no more than the widest count
-so far, since every such child merges), matching
-avoidance by scanning arc subsets, unavoidable witnesses by the merge
-search, with the one witness returned re-checked over all its
-two-colorings.  Color classes are searched as plain value sequences, as they
-stand.  A certificate is checked by one pass over its classes,
-merge_violations, and merge_check is that pass finding nothing.  It decides
-each class of a permutation with perms.avoids, which sweeps the I_a ⊕ D_k-
-and I_a ⊕ D_2 ⊕ I_b-shaped patterns (every pattern of order 3 among them)
-instead of backtracking, so for those parts it shares no search with the
+Everything here checks certificates and classes from first principles.
+Merge membership is decided by exhaustive backtracking over part
+assignments.  verify_splitting walks the generating tree of the class and
+resumes each member's search at its parent's colouring.  That skips only
+tuples that already failed, so the search stays exhaustive and finds the
+same lexicographically first certificate as merge_member.  Its first step
+decides all of a parent's children at once from the parent's colour
+classes.  Each class gives one mask of the last values that would complete
+its pattern, read off the occurrences of the pattern's prefix.  At the last
+order, a parent with a class at least two entries shorter than its pattern
+lists none when the colours its children can use, read off its colouring,
+are no more than the widest count so far, since every such child merges.
+Matching avoidance is decided by scanning arc subsets.  Unavoidable
+witnesses come from the merge search, and the one witness returned is
+re-checked over all its two-colorings.
+
+Color classes are searched as plain value sequences, as they stand.  A
+certificate is checked by one pass over its classes, merge_violations, and
+merge_check is that pass finding nothing.  It decides each class of a
+permutation with perms.avoids, which sweeps the I_a ⊕ D_k- and
+I_a ⊕ D_2 ⊕ I_b-shaped patterns (every pattern of order 3 among them)
+instead of backtracking.  So for those parts it shares no search with the
 constructive side's occurrence searches; for the other parts both use the
 same backtracking.  The oracle stays independent because it searches
 exhaustively instead of following the constructions' case analysis.

@@ -681,8 +681,19 @@ def avoider_walk(
     up (`avoider_members` builds them); its parent is it without its last
     entry, reduced.
 
-    A parent's last values are read off it once per basis element, with no
-    search per candidate (see `enumerate_avoiders`).
+    The basis is classified once per walk.  A parent's last values are read
+    off it once per basis element, with no search per candidate, since only
+    occurrences through the new entry can be new.  A basis element X⊕1 (last
+    entry its maximum) allows the last values 1..t, t the least top of an X
+    in the parent (`least_top`); X⊖1 allows g+1..n, g the greatest bottom of
+    an X.  A basis element I_a ⊕ D_k with a >= 1 and k >= 2 (132, 1243,
+    1432, ...) forbids the last values v with top < v - 0.5 < bottom at a
+    split of `_run_drop_splits(a, k - 1, parent)`, the sweep `avoids` uses:
+    top is the least top of an increasing a-run before the split, bottom the
+    greatest bottom of a decreasing (k - 1)-run after it.  Its complement
+    (312, 3421, 4123, ...) does the same on the complemented parent n - v.
+    Every other basis element forbids the v with lo < v - 0.5 < hi
+    for one of its `completing_intervals` (lo, hi) on the parent.
 
     The members of order n, the next triple's parents, are built only when
     the walk is resumed for order n + 1, and no other level is kept.  The
@@ -783,25 +794,8 @@ def enumerate_avoiders(basis: Iterable[Permutation], n: int) -> Iterator[Permuta
 
     Generated by appending each last value 1..n (values at or above it shift
     up) to every avoider of order n-1; hereditariness makes this complete and
-    free of duplicates, and only occurrences through the new entry can be new.
-    A basis element X⊕1 (last entry its maximum) forbids exactly the last
-    values above the least top t of an X in the parent, so it allows 1..t;
-    X⊖1 allows g+1..n, where g is the greatest bottom of an X.  A basis
-    element I_a ⊕ D_k with a >= 1 and k >= 2 (132, 1243, 1432, ...), whose
-    last entry a+1 is neither, forbids the last values v with
-    top < v - 0.5 < bottom at some split of the parent, top the least top of
-    an increasing a-run before it and bottom the greatest bottom of a
-    decreasing (k-1)-run after it; its complement (312, 3421, 4123, ...) the
-    same on the complemented parent, whose value v becomes n - v.  These
-    thresholds and intervals are read off the parent once, the thresholds by
-    `least_top` (one patience pass when X is increasing) and the intervals
-    by `_run_drop_splits(a, k - 1, parent)`, the sweeps `avoids` decides
-    with (a patience pass and stacks, and a Fenwick tree per level past
-    k = 4).  Every other basis element forbids the last values v with
-    lo < v - 0.5 < hi for one of its `completing_intervals` (lo, hi) on the
-    parent, one list per parent, marked in the same mask as the run-drop
-    intervals; no candidate is searched on its own.
-    The basis is classified once per call.  Each call walks orders 1..n of
+    free of duplicates.  Which last values a basis element allows is
+    `avoider_walk`'s rule, written there.  Each call walks orders 1..n of
     one `avoider_walk` (no recursion, no cache between calls), builds only
     the members of order n from its last triple, sorts them, and wraps only
     the members it yields in `Permutation`, without the sort check.

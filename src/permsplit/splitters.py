@@ -536,10 +536,7 @@ def _split_avoiding(
 
 
 def oneplus_split(
-    sigma: Permutation,
-    base_spec: SplittingSpec,
-    colorer: MatchingBase,
-    rho: Permutation,
+    sigma: Permutation, colorer: MatchingBase, rho: Permutation
 ) -> ColoringCertificate:
     """Split a (1⊕σ)-avoider: color its reduced envelope with match_split,
     pull arc colors back to the covered elements, and send every LR-minimum to
@@ -551,8 +548,6 @@ def oneplus_split(
     target = direct_sum(one, sigma)
     if not avoids(target, rho):
         raise PreconditionError(f"{rho.text()} contains {target.text()}")
-    if colorer.parts != base_spec.flatten():
-        raise PreconditionError("colorer parts must match the base spec")
 
     reduced, positions = reduced_envelope_map(rho)
     cert = match_split(reduced, sigma, _pattern_matching(sigma), colorer)

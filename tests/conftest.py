@@ -1,7 +1,7 @@
 """Brute-force oracles used to derive expected values independently, seeded
 host generators, the enumeration of the small matchings the tests sweep, and
-two matching operations only tests use: ⊎ and the BFS layers read off the
-library's crossing graph.
+three matching operations only tests use: ⊎, the ⊎-blocks by their
+definition, and the BFS layers read off the library's crossing graph.
 
 These deliberately do not reuse the library's search code: containment is an
 exhaustive subsequence scan, avoider enumeration is a filter over all n!
@@ -48,6 +48,17 @@ def uplus(a: Matching, b: Matching) -> Matching:
     """The left-to-right disjoint union a ⊎ b."""
     shift = 2 * len(a)
     return Matching(a.arcs + tuple((x + shift, y + shift) for x, y in b.arcs))
+
+
+def blocks(m: Matching) -> tuple[Matching, ...]:
+    """The unique maximal decomposition m = M1 ⊎ M2 ⊎ ... ⊎ Mk, left to right,
+    by definition: a block ends at endpoint 2k when k arcs lie within 1..2k."""
+    out, start = [], 0
+    for k in range(1, len(m) + 1):
+        if sum(b <= 2 * k for _, b in m.arcs) == k:
+            out.append(Matching.from_arcs(arc for arc in m.arcs if 2 * start < arc[0] <= 2 * k))
+            start = k
+    return tuple(out)
 
 
 def levels(m: Matching) -> tuple[tuple[Arc, ...], ...]:

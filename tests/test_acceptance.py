@@ -192,7 +192,6 @@ def test_acceptance_05_circle_coloring_sweep():
 
 
 def test_acceptance_06_oneplus_pipeline():
-    spec = SplittingSpec(((P("21"), 2),))
     base = dilworth_matching_base(3)
     pattern_132 = P("132")
     failures = 0
@@ -201,7 +200,7 @@ def test_acceptance_06_oneplus_pipeline():
     max_used = 0
     stream = hashlib.sha256()
     for rho in avoiders_up_to({P("1432")}, 7):
-        cert = oneplus_split(P("321"), spec, base, rho)
+        cert = oneplus_split(P("321"), base, rho)
         checked += 1
         stream.update(json.dumps(cert.to_json_dict()).encode() + b"\n")
         if any(part != pattern_132 for part in cert.parts) or not merge_check(cert):
@@ -275,10 +274,9 @@ def test_acceptance_09_oracle_self_consistency():
         greedy_three_sum(ONE, P("21"), ONE, p)
         assert merge_member(p, spec_1) is not None
 
-    base_spec = SplittingSpec(((P("21"), 2),))
     base = dilworth_matching_base(3)
     for rho in avoiders_up_to({P("1432")}, 7):
-        cert = oneplus_split(P("321"), base_spec, base, rho)
+        cert = oneplus_split(P("321"), base, rho)
         assert merge_member(rho, cert.parts) is not None
 
     for text in ("1342", "1423", "1432", "13524", "2143", "1324", "2134"):

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from conftest import EMPTY_MATCHING, matchings_up_to
+from conftest import EMPTY_MATCHING, blocks, matchings_up_to
 
 from permsplit.constructions import (
     _augment_connected_avoiding,
@@ -13,13 +13,11 @@ from permsplit.constructions import (
     theorem_certificate,
     theorem_plan,
     theorem_split,
-    witness_pair,
 )
 from permsplit.envelope import reduced_envelope
 from permsplit.errors import PreconditionError, VerificationError
 from permsplit.matchings import (
     Matching,
-    blocks,
     is_connected,
     m_minus,
     m_of,
@@ -158,10 +156,9 @@ def test_tau_of_contract_small_scale():
 def test_witness_pair_avoids_class_pattern():
     for text in ("231", "312", "321", "2413"):
         s = P(text)
-        w = witness_pair(s)
         pattern = direct_sum(ONE, s)
-        assert contains(pattern, w.tau_plus) is None
-        assert contains(pattern, w.tau_minus) is None
+        assert contains(pattern, tau_of(n_plus(s), s)) is None
+        assert contains(pattern, tau_of(n_minus(s), s)) is None
 
 
 def test_theorem_split_routing():
@@ -174,8 +171,8 @@ def test_theorem_split_routing():
 
     plan = theorem_plan(P("1342"))
     assert (plan.route, plan.symmetry) == ("c", "none")
-    w = witness_pair(P("231"))
-    assert plan.spec == SplittingSpec(((w.tau_plus, 2), (w.tau_minus, 2)))
+    s = P("231")
+    assert plan.spec == SplittingSpec(((tau_of(n_plus(s), s), 2), (tau_of(n_minus(s), s), 2)))
 
     plan_d = theorem_plan(P("2314"))  # 231 ⊕ 1
     assert plan_d.route == "d"

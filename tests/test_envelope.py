@@ -186,7 +186,7 @@ def _check_walk(p: Permutation, expected: tuple) -> None:
 
 
 def test_envelope_labels_match_the_path_walk():
-    # the label formulas against the step-by-step walk: every permutation of
+    # envelope_of against the walk as first written: every permutation of
     # order <= 7 and seeded hosts of order 30-300, and R(p) alone, the
     # certificate path, on every permutation of order 8; the envelope walk's
     # endpoint sequence on all of them and on a decreasing host (no arcs)

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     EMPTY_MATCHING,
     all_matchings,
+    blocks,
     brute_components,
     brute_matching_contains,
     levels,
@@ -19,7 +20,6 @@ from permsplit.matchings import (
     CrossingGraph,
     Matching,
     arc_blocks,
-    blocks,
     crosses,
     is_connected,
     m_of,

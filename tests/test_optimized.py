@@ -57,7 +57,7 @@ with mock.patch.object(oracle, "_recheck_witness", lambda sigma, tau, pi: False)
     fires(oracle.unavoidable_witness, [P("123")], P("1"), P("1"), 1)
 with mock.patch.object(envelope, "decode_envelope", lambda m: None):
     fires(envelope.matching_to_perm, M("1-2"))
-with mock.patch.object(matchings, "blocks", lambda m: (m,)):
+with mock.patch.object(matchings, "arc_blocks", lambda arcs, subset: [list(subset)]):
     fires(matchings.m_plus, M("1-2 3-4"))
 with mock.patch.object(
     constructions, "_augment_connected_avoiding", lambda base, forbidden: forbidden

@@ -336,38 +336,33 @@ def test_match_split_colorings_and_traces_are_pinned():
 
 
 def test_oneplus_examples():
-    spec = SplittingSpec(((P("21"), 2),))
     base = dilworth_matching_base(3)
-    cert = oneplus_split(P("321"), spec, base, P("3142"))
+    cert = oneplus_split(P("321"), base, P("3142"))
     assert all(part == P("132") for part in cert.parts)
     classes = {c: perm_class_values(cert, c) for c in set(cert.colors)}
     assert sorted(q.text() for q in classes.values()) == ["1", "2 1 3"]
 
-    cert = oneplus_split(P("321"), spec, base, P("4321"))
+    cert = oneplus_split(P("321"), base, P("4321"))
     assert set(cert.colors) == {0}
     assert perm_class_values(cert, 0) == P("4321")
 
-    cert = oneplus_split(P("321"), spec, base, EMPTY)
+    cert = oneplus_split(P("321"), base, EMPTY)
     assert cert.colors == ()
 
     with pytest.raises(PreconditionError):
-        oneplus_split(P("321"), spec, base, P("1432"))
+        oneplus_split(P("321"), base, P("1432"))
     with pytest.raises(PreconditionError):
-        oneplus_split(P("123"), spec, base, P("21"))
-    # dilworth_matching_base(4) has three parts 21, the spec two
-    with pytest.raises(PreconditionError, match="colorer parts"):
-        oneplus_split(P("321"), spec, dilworth_matching_base(4), P("21"))
+        oneplus_split(P("123"), base, P("21"))
 
 
 def test_oneplus_sweep_small():
     from permsplit.envelope import reduced_envelope_map
     from permsplit.perms import lr_minima
 
-    spec = SplittingSpec(((P("21"), 2),))
     base = dilworth_matching_base(3)
     obstacle = m_of(P("321"))
     for rho in avoiders_up_to({P("1432")}, 6):
-        cert = oneplus_split(P("321"), spec, base, rho)
+        cert = oneplus_split(P("321"), base, rho)
         assert brute_valid(cert)
         # class 0 holds every LR-minimum
         for pos in lr_minima(rho):
